@@ -4,7 +4,6 @@ from .analysis import (
     INFLUENCE_THRESHOLD,
     InfluenceReport,
     fraction_low_influence,
-    influence_estimate,
     influence_exact,
     min_influence_report,
     sample_random_junta,
@@ -58,9 +57,6 @@ from .oracle import (
     WeightTruncation,
     disagreement_fraction,
     parse_corruption,
-    query,
-    read_count,
-    reset_count,
 )
 
 __version__ = "0.1.0"

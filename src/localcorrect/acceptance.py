@@ -27,7 +27,7 @@ from .correctors import (
     InfluenceCorrectorParams,
     cube_sum_correct,
     influence_correct,
-    subcube_xor_indices,
+    subcube_points,
 )
 from .harness import derive_seed, find_corrupted_point
 from .lowerbound import maj_ambiguity_check, run_distinguisher, single_query_one_prob
@@ -55,9 +55,7 @@ def _random_low_degree_table(rng: random.Random, m: int, max_deg: int) -> int:
 def subcube_parity(table: int, m: int, offset: int, dirs) -> int:
     """XOR of the table over the full affine subcube spanned by dirs at offset."""
     acc = (table >> offset) & 1
-    cur = offset
-    for _, toggle in subcube_xor_indices(len(dirs)):
-        cur ^= dirs[toggle.bit_length() - 1]
+    for cur in subcube_points(offset, dirs):
         acc ^= (table >> cur) & 1
     return acc
 

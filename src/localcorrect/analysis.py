@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boolfn import JuntaSpec, Point, TruthTable, _low_mask
+from .boolfn import JuntaSpec, TruthTable, _low_mask
 
 INFLUENCE_THRESHOLD = Fraction(1, 50)
 
@@ -51,22 +51,6 @@ def influence_exact(tt: TruthTable, i: int) -> Fraction:
     return Fraction(2 * diff.bit_count(), 1 << tt.k)
 
 
-def influence_estimate(f, n: int, i: int, trials: int, seed: int) -> float:
-    """Monte Carlo influence of coordinate i for a black-box f on Points."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not 1 <= i <= n:
-        raise IndexError("coordinate %d out of [1, %d]" % (i, n))
-    rng = random.Random(seed)
-    e_i = 1 << (i - 1)
-    hits = 0
-    for _ in range(trials):
-        bits = rng.getrandbits(n)
-        if f(Point(n, bits)) != f(Point(n, bits ^ e_i)):
-            hits += 1
-    return hits / trials
-
-
 def sample_random_junta(k: int, n: int, seed: int) -> JuntaSpec:
     """Uniform core table (all 2^2^k equally likely) and uniform embedding."""
     if k > n:
@@ -87,6 +71,8 @@ def fraction_low_influence(k: int, samples: int, seed: int) -> float:
     """Fraction of uniform random cores whose minimum influence is < 1/50."""
     if k > 16:
         raise ValueError("k > 16 is too expensive to sample densely")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
     low = 0
     for _ in range(samples):

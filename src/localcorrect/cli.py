@@ -11,7 +11,13 @@ import json
 import sys
 
 from .analysis import fraction_low_influence
-from .harness import ConfigError, ExperimentConfig, emit_report, run_correction_experiment
+from .harness import (
+    ConfigError,
+    ExperimentConfig,
+    check_seed,
+    emit_report,
+    run_correction_experiment,
+)
 from .lowerbound import STRATEGIES, maj_ambiguity_check, run_distinguisher
 
 
@@ -71,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_correct(args) -> int:
     cfg = ExperimentConfig(
-        subcommand="correct",
         algo=args.algo,
         k=args.k,
         n=args.n,
@@ -80,7 +85,6 @@ def _cmd_correct(args) -> int:
         master_seed=args.seed,
         x_mode=args.x_mode,
         x_hex=args.x_hex,
-        out=args.out,
         repeat_t=args.repeat_t,
     )
     records, summary = run_correction_experiment(cfg)
@@ -92,6 +96,7 @@ def _cmd_correct(args) -> int:
 def _cmd_lowerbound(args) -> int:
     if args.strategy not in STRATEGIES:
         raise ConfigError("strategy", "expected one of %s" % list(STRATEGIES))
+    check_seed(args.seed)
     report = run_distinguisher(
         args.strategy, args.queries, args.n, args.k, args.trials, args.seed
     )

@@ -98,14 +98,19 @@ class CorrectionResult:
         }
 
 
-def subcube_xor_indices(num_dirs: int):
-    """Gray-code walk over all subsets of the direction set.
+def subcube_points(offset: int, dirs) -> list:
+    """The 2^len(dirs) - 1 points offset ^ (nonempty subset sum of dirs).
 
-    Yields (subset_rank, direction_to_toggle) so callers can maintain the
-    running subset-sum with one XOR per element.
+    A Gray-code walk: step t toggles the direction at t's lowest set bit,
+    so each point costs one XOR.  Dependent or repeated directions give
+    repeated points, as the subcube identity requires.
     """
-    for t in range(1, 1 << num_dirs):
-        yield t, (t ^ (t >> 1)) ^ ((t - 1) ^ ((t - 1) >> 1))
+    pts = []
+    cur = offset
+    for t in range(1, 1 << len(dirs)):
+        cur ^= dirs[(t & -t).bit_length() - 1]
+        pts.append(cur)
+    return pts
 
 
 def cube_sum_correct(o: NoisyOracle, x: Point, k: int, seed: int) -> CorrectionResult:
@@ -123,14 +128,7 @@ def cube_sum_correct(o: NoisyOracle, x: Point, k: int, seed: int) -> CorrectionR
     n = o.n
     dirs = [rng.getrandbits(n) for _ in range(k + 1)]
     before = o.query_count
-    g = o._g
-    acc = 0
-    cur = x.bits
-    for _, toggle in subcube_xor_indices(k + 1):
-        cur ^= dirs[toggle.bit_length() - 1]
-        acc ^= g(cur)
-    used = (1 << (k + 1)) - 1
-    o.query_count += used
+    acc = sum(o.query_many(subcube_points(x.bits, dirs))) & 1
     return CorrectionResult(acc, o.query_count - before)
 
 
@@ -151,20 +149,18 @@ def identify_influencing_parts(
         part_masks[p] |= 1 << c
     full = (1 << n) - 1
 
-    g = o._g
     rand = rng.getrandbits
     hits = [0] * s
     for p in range(s):
         pm = part_masks[p]
         keep = full ^ pm
-        count = 0
+        xs, ys = [], []
         for _ in range(r):
             xb = rand(n)
-            yb = (xb & keep) | (rand(n) & pm)
-            if g(xb) != g(yb):
-                count += 1
-        hits[p] = count
-    o.query_count += 2 * s * r
+            xs.append(xb)
+            ys.append((xb & keep) | (rand(n) & pm))
+        gx, gy = o.query_many(xs), o.query_many(ys)
+        hits[p] = sum(a != b for a, b in zip(gx, gy))
     marked = [p for p in range(s) if hits[p]]
 
     if len(marked) <= k:

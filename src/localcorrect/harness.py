@@ -38,6 +38,12 @@ class ConfigError(ValueError):
         self.fieldname = fieldname
 
 
+def check_seed(seed: int) -> None:
+    """The seed rule of `correct` and `lowerbound`: a 64-bit unsigned int."""
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError("seed", "must lie in [0, 2^64)")
+
+
 def derive_seed(master_seed: int, trial_index: int) -> int:
     """Collision-resistant 64-bit per-trial seed, stable across platforms."""
     payload = master_seed.to_bytes(8, "little", signed=False) + trial_index.to_bytes(
@@ -49,7 +55,6 @@ def derive_seed(master_seed: int, trial_index: int) -> int:
 
 @dataclass
 class ExperimentConfig:
-    subcommand: str = "correct"
     algo: str = "cube"
     k: int = 3
     n: int = 12
@@ -58,7 +63,6 @@ class ExperimentConfig:
     master_seed: int = 0
     x_mode: str = "random"
     x_hex: str | None = None
-    out: str | None = None
     repeat_t: int | None = None
 
     def validate(self) -> None:
@@ -76,6 +80,7 @@ class ExperimentConfig:
             raise ConfigError("x_hex", "required when x_mode is fixed-hex")
         if self.repeat_t is not None and (self.repeat_t < 1 or self.repeat_t % 2 == 0):
             raise ConfigError("repeat_t", "must be a positive odd integer")
+        check_seed(self.master_seed)
         try:
             parse_corruption(self.corruption, self.n)
         except (ValueError, OSError) as exc:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from .boolfn import DimensionMismatch, Point
-from .correctors import subcube_xor_indices
+from .correctors import subcube_points
 
 STRATEGIES = ("uniform-random-queries", "fixed-point-list", "cube-sum-at-x_star")
 
@@ -146,6 +146,8 @@ def run_distinguisher(
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy %r; expected one of %s" % (strategy, list(STRATEGIES)))
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     correct = 0
     hit_trials = 0
@@ -183,15 +185,9 @@ def _cube_sum_guess(inst: HardInstance, k: int, seed: int):
     rng = random.Random(seed)
     n = inst.n
     dirs = [rng.getrandbits(n) for _ in range(k + 1)]
-    acc = 0
-    hit = False
-    cur = inst.x_star.bits
-    for _, toggle in subcube_xor_indices(k + 1):
-        cur ^= dirs[toggle.bit_length() - 1]
-        v = _eval_hard_bits(inst, cur)
-        acc ^= v
-        hit = hit or bool(v)
-    return acc, hit
+    # _eval_hard_bits is read as a module global so tracers can wrap it.
+    vals = [_eval_hard_bits(inst, b) for b in subcube_points(inst.x_star.bits, dirs)]
+    return sum(vals) & 1, any(vals)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 The corrupted function g is always a fixed function: the iid model decides
 each point's flip with a keyed hash, so two oracles built from the same
 (base, corruption) agree on every query.  Correctors only ever see g
-through NoisyOracle.query, which counts.
+through NoisyOracle.query and NoisyOracle.query_many, which count.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ class IidFlips:
     def __post_init__(self):
         if not 0 <= self.eps < 1:
             raise ValueError("eps must lie in [0, 1)")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError("iid seed must lie in [0, 2^64)")
 
     def _key(self) -> bytes:
         return self.seed.to_bytes(8, "little", signed=False)
@@ -124,48 +126,24 @@ class NoisyOracle:
     corruption: object = field(default_factory=NoCorruption)
     query_count: int = 0
 
-    def __post_init__(self):
-        base = self.base_bits
-        corrupt = self.corruption.corrupt
-        n = self.n
-        # Fused g(bits) closure; the hot path for correctors.
-        self._g = lambda bits: corrupt(n, bits, base(bits))
-
     @classmethod
     def from_junta(cls, spec: JuntaSpec, corruption=None) -> "NoisyOracle":
         return cls(spec.n, spec.bits_fn(), corruption or NoCorruption())
 
-    @classmethod
-    def from_point_fn(cls, n: int, fn, corruption=None) -> "NoisyOracle":
-        return cls(n, lambda bits: fn(Point(n, bits)), corruption or NoCorruption())
-
     def query(self, x: Point) -> int:
+        """g at one checked point; counts one query."""
         if x.n != self.n:
             raise DimensionMismatch("query point n=%d, oracle n=%d" % (x.n, self.n))
-        self.query_count += 1
-        return self._g(x.bits)
+        return self.query_many((x.bits,))[0]
 
-    def query_bits(self, bits: int) -> int:
-        self.query_count += 1
-        return self._g(bits)
+    def query_many(self, points) -> list:
+        """g at each raw n-bit int of points, in order; counts len(points).
 
-    def uncorrupted(self, x: Point) -> int:
-        """Base value, not counted; for harness ground truth only."""
-        if x.n != self.n:
-            raise DimensionMismatch("point n=%d, oracle n=%d" % (x.n, self.n))
-        return self.base_bits(x.bits)
-
-
-def query(o: NoisyOracle, x: Point) -> int:
-    return o.query(x)
-
-
-def reset_count(o: NoisyOracle) -> None:
-    o.query_count = 0
-
-
-def read_count(o: NoisyOracle) -> int:
-    return o.query_count
+        The one place g is evaluated and queries are counted.
+        """
+        self.query_count += len(points)
+        base, corrupt, n = self.base_bits, self.corruption.corrupt, self.n
+        return [corrupt(n, bits, base(bits)) for bits in points]
 
 
 @dataclass(frozen=True)
@@ -205,21 +183,14 @@ def disagreement_fraction(o: NoisyOracle) -> DisagreementBound:
     return DisagreementBound(None, "unavailable")
 
 
-def exhaustive_disagreement(o: NoisyOracle) -> Fraction:
-    """Directly compare g against the base on all 2^n points (n <= 20)."""
-    if o.n > EXHAUSTIVE_MAX_N:
-        raise ValueError("exhaustive comparison needs n <= %d" % EXHAUSTIVE_MAX_N)
-    base = o.base_bits
-    g = o._g
-    count = sum(g(bits) != base(bits) for bits in range(1 << o.n))
-    return Fraction(count, 1 << o.n)
-
-
 def _parse_eps(text: str) -> Fraction:
-    if "^" in text:
-        base, _, exp = text.partition("^")
-        return Fraction(int(base)) ** int(exp)
-    return Fraction(text)
+    try:
+        if "^" in text:
+            base, _, exp = text.partition("^")
+            return Fraction(int(base)) ** int(exp)
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("iid eps %r divides by zero" % text) from None
 
 
 def parse_corruption(spec: str, n: int):

@@ -1,5 +1,4 @@
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -8,12 +7,11 @@ import pytest
 from localcorrect.analysis import (
     INFLUENCE_THRESHOLD,
     fraction_low_influence,
-    influence_estimate,
     influence_exact,
     min_influence_report,
     sample_random_junta,
 )
-from localcorrect.boolfn import JuntaSpec, Point, TruthTable
+from localcorrect.boolfn import JuntaSpec, TruthTable
 
 
 class TestInfluenceExact:
@@ -60,44 +58,6 @@ class TestInfluenceExact:
             influence_exact(tt, 0)
         with pytest.raises(IndexError):
             influence_exact(tt, 4)
-
-
-class TestInfluenceEstimate:
-    def test_parity_exactly_one(self):
-        spec = JuntaSpec(8, TruthTable.parity(8), tuple(range(1, 9)))
-        assert influence_estimate(spec.evaluate, 8, 3, 10000, 1) == 1.0
-
-    def test_constant_exactly_zero(self):
-        assert influence_estimate(lambda x: 0, 8, 1, 10000, 1) == 0.0
-
-    def test_and4_concentrates_on_exact_value(self):
-        spec = JuntaSpec(12, TruthTable.and_all(4), (2, 5, 9, 11))
-        p = 1 / 8
-        est = influence_estimate(spec.evaluate, 12, 5, 100000, 77)
-        assert abs(est - p) <= 3 * math.sqrt(p * (1 - p) / 100000)
-
-    def test_deterministic_given_seed(self):
-        spec = JuntaSpec(10, TruthTable.majority(3), (1, 5, 9))
-        a = influence_estimate(spec.evaluate, 10, 5, 2000, 123)
-        b = influence_estimate(spec.evaluate, 10, 5, 2000, 123)
-        assert a == b
-
-    def test_converges_to_exact(self):
-        # 4-sigma band around the exact value, at most 2 outliers in 50.
-        rng = random.Random(101)
-        trials = 100000
-        outliers = 0
-        for _ in range(50):
-            k = rng.randint(1, 8)
-            core = TruthTable(k, rng.getrandbits(1 << k))
-            i = rng.randint(1, k)
-            exact = float(influence_exact(core, i))
-            spec = JuntaSpec(k, core, tuple(range(1, k + 1)))
-            est = influence_estimate(spec.evaluate, k, i, trials, rng.getrandbits(32))
-            tol = 4 * math.sqrt(exact * (1 - exact) / trials) + 4 / trials
-            if abs(est - exact) > tol:
-                outliers += 1
-        assert outliers <= 2
 
 
 class TestSampleRandomJunta:

@@ -104,3 +104,30 @@ class TestAmbiguity:
     def test_odd_n_exit_2(self, capsys):
         rc, _, _ = run(["ambiguity", "--n", "7"], capsys)
         assert rc == 2
+
+
+CORRECT = ["correct", "--algo", "cube", "--k", "2", "--n", "8", "--trials", "5"]
+LOWERBOUND = ["lowerbound", "--strategy", "uniform-random-queries", "--n", "40",
+              "--k", "4", "--queries", "20"]
+
+
+@pytest.mark.parametrize("argv, field", [
+    pytest.param(CORRECT + ["--seed", "-1"], "seed", id="correct-seed-negative"),
+    pytest.param(CORRECT + ["--seed", str(1 << 64)], "seed", id="correct-seed-too-large"),
+    pytest.param(CORRECT + ["--seed", "1", "--corruption", "iid:1/64:-3"],
+                 "iid seed", id="iid-seed-negative"),
+    pytest.param(CORRECT + ["--seed", "1", "--corruption", "iid:1/0:3"],
+                 "iid eps", id="iid-eps-zero-denominator"),
+    pytest.param(LOWERBOUND + ["--trials", "10", "--seed", "-1"], "seed",
+                 id="lowerbound-seed-negative"),
+    pytest.param(LOWERBOUND + ["--trials", "0", "--seed", "3"], "trials",
+                 id="lowerbound-trials-zero"),
+    pytest.param(["influence", "--k", "2", "--samples", "0", "--seed", "5"],
+                 "samples", id="influence-samples-zero"),
+])
+def test_bad_numeric_input_exit_2(argv, field, tmp_path, capsys):
+    if argv[0] != "influence":
+        argv = argv + ["--out", str(tmp_path / "x")]
+    rc, _, err = run(argv, capsys)
+    assert rc == 2
+    assert err.startswith("config error: ") and field in err

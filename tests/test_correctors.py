@@ -13,6 +13,7 @@ from localcorrect.correctors import (
     identify_influencing_parts,
     influence_correct,
     pair_rounds,
+    subcube_points,
     symmetric_correct,
 )
 from localcorrect.oracle import ExplicitFlips, NoisyOracle, random_flip_set
@@ -85,6 +86,24 @@ class TestCubeSum:
                                 cur ^= dirs[i]
                         acc ^= (table >> cur) & 1
                     assert acc == 0
+
+    @pytest.mark.parametrize("dirs", [
+        [], [0b1], [0b1, 0b10, 0b100], [0b101, 0b101], [0b11, 0b110, 0b101],
+        [0, 0b1000], [0b1, 0b1, 0b1, 0b10],
+        [0b1001, 0b110, 0b1111, 0b11, 0b1100, 0b1001],
+    ])
+    def test_subcube_points_are_nonempty_subset_sums(self, dirs):
+        offset = 0b1011
+        want = []
+        for t in range(1, 1 << len(dirs)):
+            cur = offset
+            for i, d in enumerate(dirs):
+                if (t >> i) & 1:
+                    cur ^= d
+            want.append(cur)
+        pts = subcube_points(offset, dirs)
+        assert len(pts) == (1 << len(dirs)) - 1
+        assert sorted(pts) == sorted(want)
 
     def test_failure_rate_under_two_flips(self):
         # union bound: 7 queries x eps = 2/64, plus statistical slack

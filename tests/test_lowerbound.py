@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from localcorrect import lowerbound
 from localcorrect.boolfn import Point
 from localcorrect.lowerbound import (
     HardInstance,
@@ -117,6 +118,20 @@ class TestSingleQueryProb:
 
 
 class TestDistinguisher:
+    def test_cube_sum_evaluates_through_module_global(self, monkeypatch):
+        # Tracers wrap lowerbound._eval_hard_bits; the cube-sum walk must
+        # look it up at call time, once per subcube point.
+        calls = []
+        real = lowerbound._eval_hard_bits
+
+        def counted(inst, bits):
+            calls.append(bits)
+            return real(inst, bits)
+
+        monkeypatch.setattr(lowerbound, "_eval_hard_bits", counted)
+        run_distinguisher("cube-sum-at-x_star", 15, 40, 3, 5, 1)
+        assert len(calls) == 5 * 15
+
     def test_zero_queries_no_information(self):
         trials = 2000
         rep = run_distinguisher("uniform-random-queries", 0, 40, 4, trials, 1)

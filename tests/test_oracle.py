@@ -13,12 +13,8 @@ from localcorrect.oracle import (
     NoisyOracle,
     WeightTruncation,
     disagreement_fraction,
-    exhaustive_disagreement,
     parse_corruption,
-    query,
     random_flip_set,
-    read_count,
-    reset_count,
 )
 
 
@@ -27,56 +23,78 @@ def and2_oracle(n=6, corruption=None):
     return NoisyOracle.from_junta(spec, corruption)
 
 
+def exhaustive_disagreement(o):
+    """Fraction of all 2^n points where g differs from the base."""
+    everywhere = range(1 << o.n)
+    g = o.query_many(everywhere)
+    count = sum(v != o.base_bits(bits) for bits, v in zip(everywhere, g))
+    return Fraction(count, 1 << o.n)
+
+
+CORRUPTIONS = {
+    "none": NoCorruption(),
+    "flips": random_flip_set(12, 300, 4),
+    "iid": IidFlips(Fraction(1, 8), 11),
+    "trunc": WeightTruncation(3),
+    "layer": BalancedLayerZero(),
+}
+
+
 class TestQuery:
     def test_no_corruption_passthrough(self):
         o = and2_oracle()
-        assert query(o, Point(6, 0b000011)) == 1
-        assert query(o, Point(6, 0b000001)) == 0
+        assert o.query(Point(6, 0b000011)) == 1
+        assert o.query(Point(6, 0b000001)) == 0
 
     def test_explicit_flip_definition(self):
         x0 = 0b1010
         o = NoisyOracle(4, lambda bits: 0, ExplicitFlips(4, frozenset([x0])))
-        assert query(o, Point(4, x0)) == 1
+        assert o.query(Point(4, x0)) == 1
         for bits in range(16):
             if bits != x0:
-                assert query(o, Point(4, bits)) == 0
+                assert o.query(Point(4, bits)) == 0
 
     def test_truncation_forces_zero(self):
         o = NoisyOracle(10, lambda bits: 1, WeightTruncation(3))
         y = Point(10, 0b0000001111)  # first-half weight 4
-        assert query(o, y) == 0
-        assert query(o, Point(10, 0b0000000111)) == 1
+        assert o.query(y) == 0
+        assert o.query(Point(10, 0b0000000111)) == 1
 
     def test_dimension_mismatch(self):
         o = and2_oracle()
         with pytest.raises(DimensionMismatch):
-            query(o, Point(5, 0))
+            o.query(Point(5, 0))
+
+    @pytest.mark.parametrize("model", sorted(CORRUPTIONS))
+    def test_query_many_matches_query(self, model):
+        spec = JuntaSpec(12, TruthTable(4, random.Random(8).getrandbits(16)),
+                         (2, 3, 7, 11))
+        o = NoisyOracle.from_junta(spec, CORRUPTIONS[model])
+        rng = random.Random(9)
+        pts = [rng.getrandbits(12) for _ in range(500)]
+        pts += sorted(CORRUPTIONS["flips"].flips)[:50] + [0, 4095, 0]
+        batched = o.query_many(pts)
+        assert o.query_count == len(pts)
+        assert batched == [o.query(Point(12, b)) for b in pts]
+        assert o.query_count == 2 * len(pts)
+        assert o.query_many([]) == [] and o.query_count == 2 * len(pts)
 
     def test_no_corruption_matches_base_everywhere(self):
         spec = JuntaSpec(8, TruthTable.majority(3), (2, 4, 8))
         o = NoisyOracle.from_junta(spec)
         for bits in range(256):
-            assert query(o, Point(8, bits)) == spec.evaluate(Point(8, bits))
+            assert o.query(Point(8, bits)) == spec.evaluate(Point(8, bits))
 
 
 class TestCounter:
     def test_fresh_is_zero(self):
-        assert read_count(and2_oracle()) == 0
+        assert and2_oracle().query_count == 0
 
     def test_counts_every_query(self):
         o = and2_oracle()
         for q in range(1, 8):
-            query(o, Point(6, q))
-            assert read_count(o) == q
-
-    def test_reset_then_three(self):
-        o = and2_oracle()
-        for b in range(5):
-            query(o, Point(6, b))
-        reset_count(o)
-        for b in range(3):
-            query(o, Point(6, b))
-        assert read_count(o) == 3
+            o.query(Point(6, q))
+            assert o.query_count == q
 
 
 class TestDisagreementFraction:
@@ -107,6 +125,15 @@ class TestDisagreementFraction:
         b = disagreement_fraction(o)
         assert (b.value, b.kind) == (Fraction(1, 100), "expected")
 
+    @pytest.mark.parametrize("n", [6, 12, 16])
+    def test_exact_kinds_match_exhaustive_comparison(self, n):
+        spec = JuntaSpec(n, TruthTable.majority(3), (1, 2, n))
+        for corr in (random_flip_set(n, 40, n), IidFlips(Fraction(1, 16), n)):
+            o = NoisyOracle.from_junta(spec, corr)
+            b = disagreement_fraction(o)
+            assert b.kind == "exact"
+            assert b.value == exhaustive_disagreement(o)
+
     def test_layer_bound(self):
         o = NoisyOracle(8, lambda bits: 0, BalancedLayerZero())
         b = disagreement_fraction(o)
@@ -127,7 +154,7 @@ class TestIidFlips:
         rng = random.Random(3)
         for _ in range(20000):
             p = Point(64, rng.getrandbits(64))
-            assert query(a, p) == query(b, p)
+            assert a.query(p) == b.query(p)
 
     def test_realized_fraction_concentrates(self):
         # eps = 2^-(k+3) / 2 at k=4, exhaustive over n=16.
@@ -153,19 +180,18 @@ class TestTruncationModels:
         base = spec.bits_fn()
         for corr in (WeightTruncation(3), BalancedLayerZero()):
             o = NoisyOracle(12, base, corr)
-            for bits in range(1 << 12):
-                v = o.query_bits(bits)
+            for bits, v in zip(range(1 << 12), o.query_many(range(1 << 12))):
                 assert v <= base(bits)
 
     def test_layer_zero_on_balanced_layer_only(self):
         o = NoisyOracle(8, lambda bits: 1, BalancedLayerZero())
-        for bits in range(256):
-            expected = 0 if bin(bits).count("1") == 4 else 1
-            assert o.query_bits(bits) == expected
+        expected = [0 if bin(bits).count("1") == 4 else 1 for bits in range(256)]
+        assert o.query_many(range(256)) == expected
 
     def test_exhaustive_disagreement_helper(self):
         o = NoisyOracle(8, lambda bits: 1, BalancedLayerZero())
         assert exhaustive_disagreement(o) == Fraction(70, 256)
+        assert o.query_count == 256
 
 
 class TestParseCorruption:
