@@ -24,9 +24,9 @@ from .analysis import (
 )
 from .boolfn import Point, TruthTable, _mobius
 from .correctors import (
-    InfluenceCorrectorParams,
     cube_sum_correct,
     influence_correct,
+    pair_rounds,
     subcube_points,
 )
 from .harness import derive_seed, find_corrupted_point
@@ -88,8 +88,9 @@ def criterion_2() -> CriterionResult:
     k, n, trials = 4, 16, 10000
     spec = sample_random_junta(k, n, 0xC2)
     corruption = random_flip_set(n, 256, 0xC2F)
-    x = find_corrupted_point(n, spec.bits_fn(), corruption, 0xC2A)
-    truth = spec.evaluate(x)
+    base = spec.bits_fn()
+    x = find_corrupted_point(n, base, corruption, 0xC2A)
+    truth = base(x.bits)
     ok = 0
     for t in range(trials):
         oracle = NoisyOracle.from_junta(spec, corruption)
@@ -114,12 +115,12 @@ def criterion_3() -> CriterionResult:
     >= 0.70 at x=0 and at a corrupted x; exactly 6*8*800+1 queries/trial."""
     t0 = time.perf_counter()
     k, n, trials = 8, 128, 1000
-    params = InfluenceCorrectorParams.for_k(k)
-    expected_queries = 6 * k * params.r + 1
-    if params.r != 800:
+    r = pair_rounds(k)
+    expected_queries = 6 * k * r + 1
+    if r != 800:
         return CriterionResult(
             3, "influence corrector", False,
-            "r=%d != 800 for k=8" % params.r, time.perf_counter() - t0,
+            "r=%d != 800 for k=8" % r, time.perf_counter() - t0,
         )
 
     rng = random.Random(0xC3)
@@ -141,9 +142,7 @@ def criterion_3() -> CriterionResult:
         ok = 0
         for t in range(trials):
             oracle = NoisyOracle(n, base, corruption)
-            res = influence_correct(
-                oracle, x, k, params, derive_seed(0xC3 + mode_idx, t)
-            )
+            res = influence_correct(oracle, x, k, derive_seed(0xC3 + mode_idx, t))
             if res.queries_used != expected_queries:
                 return CriterionResult(
                     3, "influence corrector", False,

@@ -7,7 +7,6 @@ coordinate i changes the function value.  All threshold comparisons
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,19 +24,6 @@ class InfluenceReport:
     per_variable: tuple
     min_influence: Fraction
     passes_threshold: bool
-
-    def to_json(self) -> str:
-        def frac(f: Fraction) -> str:
-            return "%d/%d" % (f.numerator, f.denominator)
-
-        return json.dumps(
-            {
-                "k": self.k,
-                "influences": [frac(f) for f in self.per_variable],
-                "min": frac(self.min_influence),
-                "passes": self.passes_threshold,
-            }
-        )
 
 
 def influence_exact(tt: TruthTable, i: int) -> Fraction:

@@ -1,6 +1,6 @@
-"""Core Boolean function representations: points, truth tables, juntas, ANF.
+"""Core Boolean function representations: points, truth tables, juntas.
 
-Conventions fixed bit-exactly (file formats and tests depend on them):
+Conventions fixed bit-exactly (reports and tests depend on them):
   - Coordinates are 1-based everywhere in the public API.
   - A truth table on k variables is a 2^k-bit integer; the bit at index j
     is the value at the assignment where variable i equals bit (i-1) of j
@@ -10,7 +10,7 @@ Conventions fixed bit-exactly (file formats and tests depend on them):
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MAX_TABLE_VARS = 24  # dense 2^k-bit tables; 16 MiB at the cap
 
@@ -32,24 +32,8 @@ class Point:
         if not 0 <= self.bits < 1 << self.n:
             raise ValueError("bits out of range for n=%d" % self.n)
 
-    def get(self, i: int) -> int:
-        """Value of coordinate i (1-based)."""
-        if not 1 <= i <= self.n:
-            raise IndexError("coordinate %d out of [1, %d]" % (i, self.n))
-        return (self.bits >> (i - 1)) & 1
-
-    def flip(self, i: int) -> "Point":
-        if not 1 <= i <= self.n:
-            raise IndexError("coordinate %d out of [1, %d]" % (i, self.n))
-        return Point(self.n, self.bits ^ (1 << (i - 1)))
-
     def weight(self) -> int:
         return self.bits.bit_count()
-
-    def __add__(self, other: "Point") -> "Point":
-        if self.n != other.n:
-            raise DimensionMismatch("adding points of different n")
-        return Point(self.n, self.bits ^ other.bits)
 
     def to_hex(self) -> str:
         """Lowercase hex; the integer's LSB is coordinate 1."""
@@ -62,10 +46,6 @@ class Point:
     @classmethod
     def zero(cls, n: int) -> "Point":
         return cls(n, 0)
-
-    @classmethod
-    def ones(cls, n: int) -> "Point":
-        return cls(n, (1 << n) - 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -139,89 +119,6 @@ class TruthTable:
                 bits |= 1 << j
         return cls(k, bits)
 
-    # ---- file format -----------------------------------------------------
-
-    def serialize(self) -> str:
-        """Header "k=<int>" plus one hex line, least significant digit first."""
-        digits = max(1, (self.size + 3) // 4)
-        hexstr = format(self.bits, "0%dx" % digits)[::-1]
-        return "k=%d\n%s\n" % (self.k, hexstr)
-
-    @classmethod
-    def deserialize(cls, text: str) -> "TruthTable":
-        lines = text.strip().splitlines()
-        if len(lines) != 2 or not lines[0].startswith("k="):
-            raise ValueError("bad truth-table file: expected header and hex line")
-        k = int(lines[0][2:])
-        return cls(k, int(lines[1].strip()[::-1], 16))
-
-
-@dataclass(frozen=True)
-class AnfPolynomial:
-    """Algebraic normal form over GF(2): a set of monomials on m variables.
-
-    Each monomial is a frozenset of 1-based variable indices; the empty
-    frozenset is the constant 1.
-    """
-
-    m: int
-    monomials: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        for mono in self.monomials:
-            if any(not 1 <= v <= self.m for v in mono):
-                raise ValueError("monomial variable out of [1, m]")
-
-    @property
-    def degree(self) -> int:
-        return max((len(mono) for mono in self.monomials), default=0)
-
-    def evaluate(self, x: Point) -> int:
-        if x.n != self.m:
-            raise DimensionMismatch("point arity differs from polynomial arity")
-        acc = 0
-        for mono in self.monomials:
-            if all((x.bits >> (v - 1)) & 1 for v in mono):
-                acc ^= 1
-        return acc
-
-
-def anf_from_truth_table(tt: TruthTable) -> AnfPolynomial:
-    """The unique ANF of tt (Moebius transform over GF(2))."""
-    coeffs = _mobius(tt.bits, tt.k)
-    monomials = []
-    j = coeffs
-    while j:
-        low = j & -j
-        idx = low.bit_length() - 1
-        monomials.append(frozenset(v + 1 for v in range(tt.k) if (idx >> v) & 1))
-        j ^= low
-    return AnfPolynomial(tt.k, frozenset(monomials))
-
-
-def truth_table_from_anf(poly: AnfPolynomial) -> TruthTable:
-    coeffs = 0
-    for mono in poly.monomials:
-        idx = 0
-        for v in mono:
-            idx |= 1 << (v - 1)
-        coeffs |= 1 << idx
-    return TruthTable(poly.m, _mobius(coeffs, poly.m))
-
-
-def degree(tt: TruthTable) -> int:
-    """Degree of tt as a GF(2) polynomial; constants have degree 0."""
-    coeffs = _mobius(tt.bits, tt.k)
-    best = 0
-    j = coeffs
-    while j:
-        low = j & -j
-        best = max(best, (low.bit_length() - 1).bit_count())
-        j ^= low
-    return best
-
 
 def _check_embedding(n: int, k: int, embedding) -> tuple:
     emb = tuple(embedding)
@@ -257,9 +154,6 @@ class JuntaSpec:
     def k(self) -> int:
         return self.core.k
 
-    def evaluate(self, x: Point) -> int:
-        return eval_junta(self, x)
-
     def bits_fn(self):
         """Fast evaluator on raw n-bit integers (hot oracle path)."""
         masks = [1 << (c - 1) for c in self.embedding]
@@ -273,19 +167,3 @@ class JuntaSpec:
             return (table >> idx) & 1
 
         return fn
-
-
-def eval_junta(spec: JuntaSpec, x: Point) -> int:
-    """Evaluate the embedded core at x (depends only on embedded coords)."""
-    if x.n != spec.n:
-        raise DimensionMismatch("point has n=%d, spec has n=%d" % (x.n, spec.n))
-    idx = 0
-    for i, c in enumerate(spec.embedding):
-        if (x.bits >> (c - 1)) & 1:
-            idx |= 1 << i
-    return (spec.core.bits >> idx) & 1
-
-
-def relabel(spec: JuntaSpec, new_embedding) -> JuntaSpec:
-    """Same core carried by a different injective embedding."""
-    return JuntaSpec(spec.n, spec.core, tuple(new_embedding))

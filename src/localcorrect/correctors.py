@@ -21,33 +21,26 @@ from .oracle import NoisyOracle
 
 @dataclass(frozen=True)
 class InfluenceCorrectorParams:
-    """Partition size s = 3k, pair count r, re-randomization bias p = 3/4."""
+    """The corrector's parameters, all fixed by k: s = 3k parts, r =
+    pair_rounds(k) query pairs per part, re-randomization bias p = 3/4."""
 
     k: int
-    s: int
-    r: int
-    p: Fraction
-    experimental: bool = False
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not self.experimental:
-            if self.s != 3 * self.k:
-                raise ValueError("s must equal 3k")
-            if self.r != pair_rounds(self.k):
-                raise ValueError("r must equal ceil(100*log2 k) + 500")
-            if self.p != Fraction(3, 4):
-                raise ValueError("p must equal 3/4")
 
-    @classmethod
-    def for_k(cls, k: int) -> "InfluenceCorrectorParams":
-        return cls(k, 3 * k, pair_rounds(k), Fraction(3, 4))
+    @property
+    def s(self) -> int:
+        return 3 * self.k
 
-    @classmethod
-    def experimental_params(cls, k, s, r, p) -> "InfluenceCorrectorParams":
-        """Off-contract parameters; flagged so reports can surface it."""
-        return cls(k, s, r, Fraction(p), experimental=True)
+    @property
+    def r(self) -> int:
+        return pair_rounds(self.k)
+
+    @property
+    def p(self) -> Fraction:
+        return Fraction(3, 4)
 
 
 def pair_rounds(k: int) -> int:
@@ -88,14 +81,6 @@ class CorrectionResult:
     queries_used: int
     marked_parts: int | None = None
     s_size: int | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "queries": self.queries_used,
-            "marked_parts": self.marked_parts,
-            "s_size": self.s_size,
-        }
 
 
 def subcube_points(offset: int, dirs) -> list:
@@ -198,13 +183,7 @@ def build_masked_input(x: Point, S, p: Fraction, seed: int) -> Point:
     return Point(x.n, bits)
 
 
-def influence_correct(
-    o: NoisyOracle,
-    x: Point,
-    k: int,
-    params: InfluenceCorrectorParams | None = None,
-    seed: int = 0,
-) -> CorrectionResult:
+def influence_correct(o: NoisyOracle, x: Point, k: int, seed: int = 0) -> CorrectionResult:
     """Correct a high-influence k-junta with 6*k*r + 1 queries.
 
     Success >= 2/3 per invocation requires every relevant variable to have
@@ -213,10 +192,7 @@ def influence_correct(
     """
     if x.n != o.n:
         raise DimensionMismatch("point n=%d, oracle n=%d" % (x.n, o.n))
-    if params is None:
-        params = InfluenceCorrectorParams.for_k(k)
-    if params.k != k:
-        raise ValueError("params built for k=%d, got k=%d" % (params.k, k))
+    params = InfluenceCorrectorParams(k)
     rng = random.Random(seed)
     parts_seed = rng.getrandbits(64)
     mask_seed = rng.getrandbits(64)

@@ -12,14 +12,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .analysis import INFLUENCE_THRESHOLD, min_influence_report, sample_random_junta
+from .analysis import min_influence_report, sample_random_junta
 from .boolfn import Point
-from .correctors import (
-    InfluenceCorrectorParams,
-    cube_sum_correct,
-    influence_correct,
-    symmetric_correct,
-)
+from .correctors import cube_sum_correct, influence_correct, symmetric_correct
 from .oracle import ExplicitFlips, NoCorruption, NoisyOracle, parse_corruption
 
 ALGOS = ("cube", "influence", "symmetric")
@@ -161,9 +156,7 @@ def _run_single(cfg, oracle, x, trial_seed, profile):
     if cfg.algo == "cube":
         return cube_sum_correct(oracle, x, cfg.k, trial_seed)
     if cfg.algo == "influence":
-        return influence_correct(
-            oracle, x, cfg.k, InfluenceCorrectorParams.for_k(cfg.k), trial_seed
-        )
+        return influence_correct(oracle, x, cfg.k, trial_seed)
     return symmetric_correct(profile, x)
 
 

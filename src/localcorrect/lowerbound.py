@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .boolfn import DimensionMismatch, Point
+from .boolfn import Point
 from .correctors import subcube_points
 
 STRATEGIES = ("uniform-random-queries", "fixed-point-list", "cube-sum-at-x_star")
@@ -55,12 +55,6 @@ class HardInstance:
         half = self.n // 2
         return Point(self.n, ((1 << half) - 1) << half)
 
-    def base_value(self, y: Point) -> int:
-        """Uncorrupted AND junta value (no truncation)."""
-        if y.n != self.n:
-            raise DimensionMismatch("point n=%d, instance n=%d" % (y.n, self.n))
-        return int(all((y.bits >> (c - 1)) & 1 for c in self.relevant))
-
 
 def sample_hard_instance(n: int, k: int, label: int, seed: int) -> HardInstance:
     """relevant is a uniform k-subset of the half designated by the label."""
@@ -73,13 +67,6 @@ def sample_hard_instance(n: int, k: int, label: int, seed: int) -> HardInstance:
     lo = 1 if label == 0 else half + 1
     relevant = frozenset(rng.sample(range(lo, lo + half), k))
     return HardInstance(n, k, relevant, label, default_threshold(n))
-
-
-def eval_hard_g(inst: HardInstance, y: Point) -> int:
-    """Closed-form g(y): the truncated AND junta, O(n) at any n."""
-    if y.n != inst.n:
-        raise DimensionMismatch("point n=%d, instance n=%d" % (y.n, inst.n))
-    return _eval_hard_bits(inst, y.bits)
 
 
 def _eval_hard_bits(inst: HardInstance, bits: int) -> int:
@@ -101,11 +88,6 @@ def single_query_one_prob(n: int, k: int, m: int) -> Fraction:
     if m < k:
         return Fraction(0)
     return Fraction(comb(m, k), comb(n // 2, k))
-
-
-def _half_weights(n: int, bits: int):
-    half = n // 2
-    return (bits & ((1 << half) - 1)).bit_count(), (bits >> half).bit_count()
 
 
 def _guess_from_hits(n: int, k: int, hits) -> int:
@@ -141,13 +123,23 @@ def run_distinguisher(
 ) -> dict:
     """Empirical D0-vs-D1 distinguishing advantage of a query strategy.
 
-    advantage = |Pr[guess correct] - 1/2|; one_hit_rate is the fraction of
-    trials in which any query returned 1.
+    q is the query budget per trial; cube-sum-at-x_star always spends
+    2^(k+1)-1, so it must be given exactly that.  advantage = |Pr[guess
+    correct] - 1/2|; one_hit_rate is the fraction of trials in which any
+    query returned 1.
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy %r; expected one of %s" % (strategy, list(STRATEGIES)))
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 1 <= k <= n // 2:
+        raise ValueError("k must lie in [1, n/2]")
+    if strategy == "cube-sum-at-x_star":
+        if q != (1 << (k + 1)) - 1:
+            raise ValueError("queries must equal 2^(k+1)-1 = %d for %s"
+                             % ((1 << (k + 1)) - 1, strategy))
+    elif q < 0:
+        raise ValueError("queries must be >= 0")
     rng = random.Random(seed)
     correct = 0
     hit_trials = 0
@@ -219,10 +211,8 @@ def maj_ambiguity_check(n: int) -> MajAmbiguityReport:
     the two dropped coordinates differ), so zeroing that layer makes all n
     isomorphisms collide into one function.
     """
-    if n % 2:
-        raise ValueError("n must be even")
-    if n > 16:
-        raise ValueError("exhaustive check needs n <= 16")
+    if n % 2 or not 2 <= n <= 16:
+        raise ValueError("n must be even and in [2, 16] for the exhaustive check")
     half = n // 2
     maj_cut = (n - 1) // 2  # strict majority of n-1 (odd) variables
 

@@ -23,9 +23,6 @@ class NoCorruption:
     def corrupt(self, n: int, bits: int, value: int) -> int:
         return value
 
-    def describe(self) -> str:
-        return "none"
-
 
 @dataclass(frozen=True)
 class ExplicitFlips:
@@ -41,9 +38,6 @@ class ExplicitFlips:
 
     def corrupt(self, n: int, bits: int, value: int) -> int:
         return value ^ (bits in self.flips)
-
-    def describe(self) -> str:
-        return "flips[%d]" % len(self.flips)
 
 
 @dataclass(frozen=True)
@@ -79,9 +73,6 @@ class IidFlips:
     def corrupt(self, n: int, bits: int, value: int) -> int:
         return value ^ self.flips_point(n, bits)
 
-    def describe(self) -> str:
-        return "iid:%s:%d" % (self.eps, self.seed)
-
 
 @dataclass(frozen=True)
 class WeightTruncation:
@@ -97,9 +88,6 @@ class WeightTruncation:
             return 0
         return value
 
-    def describe(self) -> str:
-        return "trunc:%d" % self.threshold
-
 
 class BalancedLayerZero:
     """g(y) = 0 on the layer of Hamming weight exactly n/2 (n even)."""
@@ -108,9 +96,6 @@ class BalancedLayerZero:
         if bits.bit_count() == n // 2:
             return 0
         return value
-
-    def describe(self) -> str:
-        return "layer"
 
 
 @dataclass

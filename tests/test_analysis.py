@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -98,16 +97,6 @@ class TestMinInfluenceReport:
         rep = min_influence_report(TruthTable.majority(3))
         assert rep.min_influence == Fraction(1, 2)
         assert rep.passes_threshold
-
-    def test_json_shape(self):
-        rep = min_influence_report(TruthTable.and_all(2))
-        data = json.loads(rep.to_json())
-        assert data == {
-            "k": 2,
-            "influences": ["1/2", "1/2"],
-            "min": "1/2",
-            "passes": True,
-        }
 
     def test_recomputation_deterministic(self):
         tt = TruthTable(6, random.Random(8).getrandbits(64))

@@ -2,18 +2,8 @@ import random
 
 import pytest
 
-from localcorrect.boolfn import (
-    AnfPolynomial,
-    DimensionMismatch,
-    JuntaSpec,
-    Point,
-    TruthTable,
-    anf_from_truth_table,
-    degree,
-    eval_junta,
-    relabel,
-    truth_table_from_anf,
-)
+from localcorrect.acceptance import _random_low_degree_table
+from localcorrect.boolfn import JuntaSpec, Point, TruthTable, _mobius
 
 
 def brute_anf_coeffs(tt):
@@ -30,51 +20,52 @@ def brute_anf_coeffs(tt):
     return coeffs
 
 
-def mono_to_mask(mono):
-    mask = 0
-    for v in mono:
-        mask |= 1 << (v - 1)
-    return mask
+def anf_coeffs(tt):
+    """Monomials of tt's ANF as variable masks (bit i-1 = variable i),
+    read off the Moebius transform."""
+    coeffs = _mobius(tt.bits, tt.k)
+    return {t for t in range(tt.size) if (coeffs >> t) & 1}
+
+
+def with_coords(n, coords):
+    """Bits of the n-bit point that is 1 exactly on the 1-based coords."""
+    bits = 0
+    for c in coords:
+        bits |= 1 << (c - 1)
+    return bits
 
 
 class TestPoint:
     def test_indexing_is_one_based(self):
+        # Coordinate i is bit i-1: a 1-junta on coordinate i reads it.
         p = Point(5, 0b00101)
-        assert [p.get(i) for i in range(1, 6)] == [1, 0, 1, 0, 0]
+        reads = [JuntaSpec(5, TruthTable.parity(1), (i,)).bits_fn()(p.bits)
+                 for i in range(1, 6)]
+        assert reads == [1, 0, 1, 0, 0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             Point(0, 0)
         with pytest.raises(ValueError):
             Point(3, 8)
-        with pytest.raises(IndexError):
-            Point(3, 0).get(4)
 
     def test_large_n(self):
-        p = Point.ones(1024)
+        p = Point(1024, (1 << 1024) - 1)
         assert p.weight() == 1024
         assert Point.from_hex(p.to_hex(), 1024) == p
-
-    def test_flip_and_add(self):
-        p = Point(4, 0b0110)
-        assert p.flip(1).bits == 0b0111
-        assert (p + Point(4, 0b0011)).bits == 0b0101
-        with pytest.raises(DimensionMismatch):
-            p + Point(5, 0)
 
 
 class TestEvalJunta:
     def test_and3_all_relevant_ones(self):
         spec = JuntaSpec(10, TruthTable.and_all(3), (2, 5, 7))
-        x = Point(10, (1 << 1) | (1 << 4) | (1 << 6))
-        assert eval_junta(spec, x) == 1
+        assert spec.bits_fn()(with_coords(10, (2, 5, 7))) == 1
 
     def test_and3_zero_relevant_coordinate(self):
-        spec = JuntaSpec(10, TruthTable.and_all(3), (2, 5, 7))
+        g = JuntaSpec(10, TruthTable.and_all(3), (2, 5, 7)).bits_fn()
         rng = random.Random(1)
         for _ in range(50):
             bits = rng.getrandbits(10) & ~(1 << 1)  # x_2 = 0
-            assert eval_junta(spec, Point(10, bits)) == 0
+            assert g(bits) == 0
 
     def test_random_core_is_table_lookup(self):
         rng = random.Random(42)
@@ -82,180 +73,120 @@ class TestEvalJunta:
         spec = JuntaSpec(9, core, (3, 1, 8, 5))
         # Build x whose restriction to the embedding is assignment index 13.
         idx = 13
-        bits = 0
-        for i, c in enumerate(spec.embedding):
-            if (idx >> i) & 1:
-                bits |= 1 << (c - 1)
-        assert eval_junta(spec, Point(9, bits)) == core.value(13)
-
-    def test_dimension_mismatch(self):
-        spec = JuntaSpec(10, TruthTable.and_all(3), (2, 5, 7))
-        with pytest.raises(DimensionMismatch):
-            eval_junta(spec, Point(9, 0))
+        bits = with_coords(9, [c for i, c in enumerate(spec.embedding)
+                               if (idx >> i) & 1])
+        assert spec.bits_fn()(bits) == core.value(13)
 
     def test_locality_exhaustive_small_n(self):
         rng = random.Random(7)
         for _ in range(5):
             core = TruthTable(3, rng.getrandbits(8))
             emb = tuple(rng.sample(range(1, 11), 3))
-            spec = JuntaSpec(10, core, emb)
+            g = JuntaSpec(10, core, emb).bits_fn()
             outside = [c for c in range(1, 11) if c not in emb]
             for bits in range(1 << 10):
-                x = Point(10, bits)
-                v = eval_junta(spec, x)
+                v = g(bits)
                 for c in outside:
-                    assert eval_junta(spec, x.flip(c)) == v
+                    assert g(bits ^ (1 << (c - 1))) == v
 
     def test_locality_sampled_large_n(self):
         rng = random.Random(8)
         core = TruthTable(5, rng.getrandbits(32))
         emb = tuple(rng.sample(range(1, 201), 5))
-        spec = JuntaSpec(200, core, emb)
+        g = JuntaSpec(200, core, emb).bits_fn()
         outside = [c for c in range(1, 201) if c not in emb]
         for _ in range(200):
-            x = Point(200, rng.getrandbits(200))
-            v = eval_junta(spec, x)
+            bits = rng.getrandbits(200)
+            v = g(bits)
             c = rng.choice(outside)
-            assert eval_junta(spec, x.flip(c)) == v
+            assert g(bits ^ (1 << (c - 1))) == v
 
 
 class TestAnf:
+    """The Moebius transform `_mobius` yields the ANF coefficients;
+    criterion 1 builds its low-degree tables through it."""
+
     def test_and_k_single_monomial(self):
         for k in (2, 3, 6):
-            anf = anf_from_truth_table(TruthTable.and_all(k))
-            assert anf.monomials == frozenset([frozenset(range(1, k + 1))])
+            assert anf_coeffs(TruthTable.and_all(k)) == {(1 << k) - 1}
 
     def test_parity_linear(self):
         for k in (2, 4, 7):
-            anf = anf_from_truth_table(TruthTable.parity(k))
-            assert anf.monomials == frozenset(
-                frozenset([i]) for i in range(1, k + 1)
-            )
+            assert anf_coeffs(TruthTable.parity(k)) == {1 << i for i in range(k)}
 
     def test_maj3_against_brute_force(self):
         tt = TruthTable.majority(3)
-        anf = anf_from_truth_table(tt)
-        assert {mono_to_mask(m) for m in anf.monomials} == brute_anf_coeffs(tt)
-        assert anf.monomials == frozenset(
-            [frozenset([1, 2]), frozenset([2, 3]), frozenset([1, 3])]
-        )
+        assert anf_coeffs(tt) == brute_anf_coeffs(tt) == {0b011, 0b110, 0b101}
 
     def test_matches_brute_force_random(self):
         rng = random.Random(11)
         for _ in range(30):
-            tt = TruthTable(4, rng.getrandbits(16))
-            anf = anf_from_truth_table(tt)
-            assert {mono_to_mask(m) for m in anf.monomials} == brute_anf_coeffs(tt)
+            k = rng.randint(1, 5)
+            tt = TruthTable(k, rng.getrandbits(1 << k))
+            assert anf_coeffs(tt) == brute_anf_coeffs(tt)
 
     def test_roundtrip_random_tables(self):
+        # The transform is an involution: coefficients map back to the table.
         rng = random.Random(5)
         for _ in range(1000):
             k = rng.randint(1, 10)
-            tt = TruthTable(k, rng.getrandbits(1 << k))
-            assert truth_table_from_anf(anf_from_truth_table(tt)) == tt
+            bits = rng.getrandbits(1 << k)
+            assert _mobius(_mobius(bits, k), k) == bits
 
     def test_evaluate_matches_table(self):
+        # f(j) is the XOR of the coefficients of the monomials inside j.
         rng = random.Random(17)
         tt = TruthTable(5, rng.getrandbits(32))
-        anf = anf_from_truth_table(tt)
+        coeffs = anf_coeffs(tt)
         for j in range(32):
-            assert anf.evaluate(Point(5, j)) == tt.value(j)
+            assert sum(t & ~j == 0 for t in coeffs) % 2 == tt.value(j)
 
 
 class TestDegree:
-    def test_and_k(self):
-        for k in (1, 3, 8):
-            assert degree(TruthTable.and_all(k)) == k
-
-    def test_parity_is_linear(self):
-        for k in (2, 5, 9):
-            assert degree(TruthTable.parity(k)) == 1
-
-    def test_maj3(self):
-        assert degree(TruthTable.majority(3)) == 2
-
-    def test_constants_are_degree_zero(self):
-        assert degree(TruthTable.constant(4, 0)) == 0
-        assert degree(TruthTable.constant(4, 1)) == 0
-
     def test_bounded_by_k_and_full_monomial(self):
+        # Criterion 1's tables have degree <= max_deg, and reach it, so its
+        # subcube check is not run on lower-degree tables only.
         rng = random.Random(3)
-        for _ in range(200):
-            k = rng.randint(1, 6)
-            tt = TruthTable(k, rng.getrandbits(1 << k))
-            d = degree(tt)
-            assert d <= k
-            full = frozenset(range(1, k + 1))
-            has_full = full in anf_from_truth_table(tt).monomials
-            assert (d == k) == has_full
+        for max_deg in range(1, 6):
+            degrees = set()
+            for _ in range(20):
+                tt = TruthTable(6, _random_low_degree_table(rng, 6, max_deg))
+                degrees.add(max((t.bit_count() for t in anf_coeffs(tt)), default=0))
+            assert max(degrees) == max_deg
 
 
 class TestRelabel:
+    """Relabelling a junta is re-embedding its core: the same table under a
+    permuted embedding."""
+
     def test_symmetric_core_unchanged(self):
         xor = TruthTable.parity(2)
-        a = JuntaSpec(4, xor, (1, 2))
-        b = relabel(a, (2, 1))
+        a = JuntaSpec(4, xor, (1, 2)).bits_fn()
+        b = JuntaSpec(4, xor, (2, 1)).bits_fn()
         for bits in range(16):
-            assert eval_junta(a, Point(4, bits)) == eval_junta(b, Point(4, bits))
+            assert a(bits) == b(bits)
 
     def test_asymmetric_core_differs_where_inputs_differ(self):
         # f(a, b) = a AND (NOT b): table bit j=1 only (var1=1, var2=0)
         core = TruthTable(2, 0b0010)
-        a = JuntaSpec(4, core, (1, 2))
-        b = relabel(a, (2, 1))
+        a = JuntaSpec(4, core, (1, 2)).bits_fn()
+        b = JuntaSpec(4, core, (2, 1)).bits_fn()
         for bits in range(16):
-            p = Point(4, bits)
-            differs = eval_junta(a, p) != eval_junta(b, p)
-            assert differs == (p.get(1) != p.get(2))
+            differs = a(bits) != b(bits)
+            assert differs == ((bits & 1) != ((bits >> 1) & 1))
 
     def test_identity_relabel(self):
         spec = JuntaSpec(6, TruthTable.majority(3), (2, 4, 6))
-        same = relabel(spec, (2, 4, 6))
+        same = JuntaSpec(6, spec.core, spec.embedding)
+        assert same == spec
         for bits in range(64):
-            assert eval_junta(spec, Point(6, bits)) == eval_junta(same, Point(6, bits))
+            assert spec.bits_fn()(bits) == same.bits_fn()(bits)
 
     def test_rejects_bad_embeddings(self):
-        spec = JuntaSpec(6, TruthTable.majority(3), (2, 4, 6))
+        core = TruthTable.majority(3)
         with pytest.raises(ValueError):
-            relabel(spec, (2, 2, 6))
+            JuntaSpec(6, core, (2, 2, 6))
         with pytest.raises(ValueError):
-            relabel(spec, (2, 4, 7))
+            JuntaSpec(6, core, (2, 4, 7))
         with pytest.raises(ValueError):
-            relabel(spec, (2, 4))
-
-
-class TestFileFormat:
-    def test_known_encoding(self):
-        # AND_4: only assignment 15 is 1; table int 0x8000 -> digits reversed
-        assert TruthTable.and_all(4).serialize() == "k=4\n0008\n"
-
-    def test_single_digit(self):
-        assert TruthTable(1, 0b10).serialize() == "k=1\n2\n"
-
-    def test_roundtrip(self):
-        rng = random.Random(23)
-        for _ in range(100):
-            k = rng.randint(1, 8)
-            tt = TruthTable(k, rng.getrandbits(1 << k))
-            assert TruthTable.deserialize(tt.serialize()) == tt
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            TruthTable.deserialize("not a table")
-        with pytest.raises(ValueError):
-            TruthTable.deserialize("k=2\nzz\n")
-
-
-class TestAnfType:
-    def test_rejects_out_of_range_variables(self):
-        with pytest.raises(ValueError):
-            AnfPolynomial(2, frozenset([frozenset([3])]))
-
-    def test_empty_polynomial_is_constant_zero(self):
-        poly = AnfPolynomial(3)
-        assert poly.degree == 0
-        assert truth_table_from_anf(poly) == TruthTable.constant(3, 0)
-
-    def test_constant_one(self):
-        poly = AnfPolynomial(3, frozenset([frozenset()]))
-        assert truth_table_from_anf(poly) == TruthTable.constant(3, 1)
+            JuntaSpec(6, core, (2, 4))

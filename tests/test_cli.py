@@ -124,9 +124,19 @@ LOWERBOUND = ["lowerbound", "--strategy", "uniform-random-queries", "--n", "40",
                  id="lowerbound-trials-zero"),
     pytest.param(["influence", "--k", "2", "--samples", "0", "--seed", "5"],
                  "samples", id="influence-samples-zero"),
+    pytest.param(LOWERBOUND[:-2] + ["--queries", "-4", "--trials", "10", "--seed", "3"],
+                 "queries", id="lowerbound-queries-negative"),
+    pytest.param(["lowerbound", "--strategy", "cube-sum-at-x_star", "--n", "40",
+                  "--k", "3", "--queries", "5", "--trials", "10", "--seed", "3"],
+                 "queries", id="lowerbound-cube-sum-queries-not-subcube"),
+    pytest.param(["lowerbound", "--strategy", "cube-sum-at-x_star", "--n", "40",
+                  "--k", "-2", "--queries", "1", "--trials", "10", "--seed", "3"],
+                 "k must", id="lowerbound-k-negative"),
+    pytest.param(["ambiguity", "--n", "0"], "n must", id="ambiguity-n-zero"),
+    pytest.param(["ambiguity", "--n", "-2"], "n must", id="ambiguity-n-negative"),
 ])
 def test_bad_numeric_input_exit_2(argv, field, tmp_path, capsys):
-    if argv[0] != "influence":
+    if argv[0] in ("correct", "lowerbound"):
         argv = argv + ["--out", str(tmp_path / "x")]
     rc, _, err = run(argv, capsys)
     assert rc == 2

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from localcorrect import correctors
 from localcorrect.analysis import sample_random_junta
 from localcorrect.boolfn import JuntaSpec, Point, TruthTable, _mobius
 from localcorrect.correctors import (
@@ -35,21 +36,15 @@ class TestParams:
         assert pair_rounds(8) == 800
 
     def test_for_k(self):
-        p = InfluenceCorrectorParams.for_k(8)
+        p = InfluenceCorrectorParams(8)
         assert (p.s, p.r, p.p) == (24, 800, Fraction(3, 4))
-        assert not p.experimental
 
     def test_constructor_enforces_contract(self):
-        with pytest.raises(ValueError):
+        # k is the only settable value; s, r and p follow from it.
+        with pytest.raises(TypeError):
             InfluenceCorrectorParams(4, 11, pair_rounds(4), Fraction(3, 4))
         with pytest.raises(ValueError):
-            InfluenceCorrectorParams(4, 12, 99, Fraction(3, 4))
-        with pytest.raises(ValueError):
-            InfluenceCorrectorParams(4, 12, pair_rounds(4), Fraction(1, 2))
-
-    def test_experimental_override_is_flagged(self):
-        p = InfluenceCorrectorParams.experimental_params(4, 12, 5, Fraction(1, 2))
-        assert p.experimental
+            InfluenceCorrectorParams(0)
 
 
 class TestCubeSum:
@@ -60,7 +55,7 @@ class TestCubeSum:
             x = Point(10, rng.getrandbits(10))
             o = NoisyOracle.from_junta(spec)
             res = cube_sum_correct(o, x, 3, rng.getrandbits(32))
-            assert res.value == spec.evaluate(x)
+            assert res.value == spec.bits_fn()(x.bits)
             assert res.queries_used == 15
             assert o.query_count == 15
 
@@ -116,7 +111,7 @@ class TestCubeSum:
             x = Point(n, rng.getrandbits(n))
             o = NoisyOracle.from_junta(spec, flips)
             res = cube_sum_correct(o, x, k, rng.getrandbits(64))
-            failures += res.value != spec.evaluate(x)
+            failures += res.value != spec.bits_fn()(x.bits)
         assert failures / trials <= 7 * (2 / 64) + 0.02
 
     def test_query_count_exact(self):
@@ -128,7 +123,7 @@ class TestCubeSum:
 
 class TestIdentifyParts:
     def test_constant_base_marks_nothing(self):
-        params = InfluenceCorrectorParams.for_k(3)
+        params = InfluenceCorrectorParams(3)
         for seed in range(10):
             o = NoisyOracle(12, lambda bits: 0)
             state = identify_influencing_parts(o, 12, params, seed)
@@ -141,7 +136,7 @@ class TestIdentifyParts:
         # every influence is 1, so a relevant part escapes only with
         # probability 2^-r per part
         spec = JuntaSpec(48, TruthTable.parity(8), tuple(range(3, 48, 6)))
-        params = InfluenceCorrectorParams.for_k(8)
+        params = InfluenceCorrectorParams(8)
         for seed in range(100):
             o = NoisyOracle.from_junta(spec)
             state = identify_influencing_parts(o, 48, params, seed)
@@ -152,7 +147,7 @@ class TestIdentifyParts:
         # per-pair disagreement probability is 1/4 for a part holding one
         # AND variable; missing it across r pairs is vanishingly rare
         spec = JuntaSpec(12, TruthTable.and_all(2), (1, 12))
-        params = InfluenceCorrectorParams.for_k(2)
+        params = InfluenceCorrectorParams(2)
         hits = 0
         trials = 300
         for seed in range(trials):
@@ -168,7 +163,7 @@ class TestIdentifyParts:
 
     def test_partition_state_consistency(self):
         spec = sample_random_junta(3, 20, 11)
-        params = InfluenceCorrectorParams.for_k(3)
+        params = InfluenceCorrectorParams(3)
         o = NoisyOracle.from_junta(spec)
         state = identify_influencing_parts(o, 20, params, 5)
         assert len(state.assignment) == 20
@@ -208,15 +203,15 @@ class TestBuildMaskedInput:
 class TestInfluenceCorrect:
     def test_clean_parity_junta(self):
         spec = JuntaSpec(24, TruthTable.parity(4), (3, 9, 15, 21))
-        params = InfluenceCorrectorParams.for_k(4)
+        params = InfluenceCorrectorParams(4)
         rng = random.Random(13)
         trials = 300
         ok = 0
         for _ in range(trials):
             x = Point(24, rng.getrandbits(24))
             o = NoisyOracle.from_junta(spec)
-            res = influence_correct(o, x, 4, params, rng.getrandbits(64))
-            ok += res.value == spec.evaluate(x)
+            res = influence_correct(o, x, 4, rng.getrandbits(64))
+            ok += res.value == spec.bits_fn()(x.bits)
             assert res.queries_used == 6 * 4 * params.r + 1
         assert ok / trials >= 0.98
 
@@ -233,20 +228,14 @@ class TestInfluenceCorrect:
         res = influence_correct(o, Point.zero(18), 3, seed=1)
         assert res.marked_parts is not None
         assert res.s_size is not None
-        assert res.to_json_dict()["queries"] == res.queries_used
 
-    def test_params_k_mismatch_rejected(self):
-        o = NoisyOracle(8, lambda bits: 0)
-        with pytest.raises(ValueError):
-            influence_correct(o, Point.zero(8), 2, InfluenceCorrectorParams.for_k(3), 0)
-
-    def test_y_marginal_uniform_on_constant_base(self):
+    def test_y_marginal_uniform_on_constant_base(self, monkeypatch):
         # On a constant base nothing marks, so the chosen parts are random
         # and each coordinate of y should be a fair coin relative to x.
-        # r is shrunk through the experimental constructor purely to keep
-        # the runtime sane; marking cannot fire either way.
+        # r is shrunk to 1 purely to keep the runtime sane; marking cannot
+        # fire either way.
+        monkeypatch.setattr(correctors, "pair_rounds", lambda k: 1)
         n, k = 60, 5
-        params = InfluenceCorrectorParams.experimental_params(k, 3 * k, 1, Fraction(3, 4))
         runs = 50000
         x = Point.zero(n)
         counts = [0] * n
@@ -260,7 +249,7 @@ class TestInfluenceCorrect:
                 return _orig(p)
 
             o.query = spy
-            influence_correct(o, x, k, params, seed)
+            influence_correct(o, x, k, seed)
             yb = captured["y"].bits
             for c in range(n):
                 counts[c] += (yb >> c) & 1

@@ -5,16 +5,19 @@ from fractions import Fraction
 import pytest
 
 from localcorrect import lowerbound
-from localcorrect.boolfn import Point
 from localcorrect.lowerbound import (
     HardInstance,
     default_threshold,
-    eval_hard_g,
     maj_ambiguity_check,
     run_distinguisher,
     sample_hard_instance,
     single_query_one_prob,
 )
+
+
+def and_before_truncation(inst, bits):
+    """The instance's AND junta at bits, ignoring the weight box."""
+    return int(all((bits >> (c - 1)) & 1 for c in inst.relevant))
 
 
 class TestSampleHardInstance:
@@ -45,7 +48,7 @@ class TestSampleHardInstance:
         for seed in range(1000):
             label = seed % 2
             inst = sample_hard_instance(12, 3, label, seed)
-            assert inst.base_value(inst.x_star) == label
+            assert and_before_truncation(inst, inst.x_star.bits) == label
 
     def test_x_star_is_balanced(self):
         inst = sample_hard_instance(8, 2, 0, 1)
@@ -56,18 +59,18 @@ class TestSampleHardInstance:
 class TestEvalHardG:
     def test_inside_box_and_satisfied(self):
         inst = HardInstance(10, 2, frozenset([6, 7]), 1, 3)
-        y = Point(10, (1 << 5) | (1 << 6))
-        assert eval_hard_g(inst, y) == 1
+        y = (1 << 5) | (1 << 6)
+        assert lowerbound._eval_hard_bits(inst, y) == 1
 
     def test_first_half_over_threshold_forces_zero(self):
         inst = HardInstance(10, 2, frozenset([6, 7]), 1, 3)
-        y = Point(10, 0b1111 | (1 << 5) | (1 << 6))  # first-half weight 4
-        assert eval_hard_g(inst, y) == 0
+        y = 0b1111 | (1 << 5) | (1 << 6)  # first-half weight 4
+        assert lowerbound._eval_hard_bits(inst, y) == 0
 
     def test_x_star_is_truncated(self):
         inst = HardInstance(10, 2, frozenset([6, 7]), 1, 3)
-        assert inst.base_value(inst.x_star) == 1
-        assert eval_hard_g(inst, inst.x_star) == 0
+        assert and_before_truncation(inst, inst.x_star.bits) == 1
+        assert lowerbound._eval_hard_bits(inst, inst.x_star.bits) == 0
 
     def test_never_one_outside_box(self):
         inst = sample_hard_instance(400, 10, 1, 3)
@@ -84,7 +87,7 @@ class TestEvalHardG:
             out = lo > inst.threshold or hi > inst.threshold
             if out:
                 checked += 1
-                assert eval_hard_g(inst, Point(400, bits)) == 0
+                assert lowerbound._eval_hard_bits(inst, bits) == 0
         assert checked > 1000
 
     def test_default_threshold(self):

@@ -83,7 +83,7 @@ class TestQuery:
         spec = JuntaSpec(8, TruthTable.majority(3), (2, 4, 8))
         o = NoisyOracle.from_junta(spec)
         for bits in range(256):
-            assert o.query(Point(8, bits)) == spec.evaluate(Point(8, bits))
+            assert o.query(Point(8, bits)) == spec.bits_fn()(bits)
 
 
 class TestCounter:
