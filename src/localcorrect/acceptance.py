@@ -8,6 +8,7 @@ later calibration.
 from __future__ import annotations
 
 import filecmp
+import functools
 import os
 import random
 import tempfile
@@ -16,12 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cli
-from .analysis import (
-    fraction_low_influence,
-    influence_exact,
-    min_influence_report,
-    sample_random_junta,
-)
+from .analysis import fraction_low_influence, influence_exact, sample_random_junta
 from .boolfn import Point, TruthTable, _mobius
 from .correctors import (
     cube_sum_correct,
@@ -29,7 +25,7 @@ from .correctors import (
     pair_rounds,
     subcube_points,
 )
-from .harness import derive_seed, find_corrupted_point
+from .harness import derive_seed, find_corrupted_point, sample_influential_junta
 from .lowerbound import maj_ambiguity_check, run_distinguisher, single_query_one_prob
 from .oracle import IidFlips, NoisyOracle, random_flip_set
 
@@ -41,6 +37,24 @@ class CriterionResult:
     passed: bool
     detail: str
     elapsed: float
+
+    def line(self) -> str:
+        return "%s criterion %d: %s (%.1fs) %s" % (
+            "PASS" if self.passed else "FAIL", self.number, self.name,
+            self.elapsed, self.detail,
+        )
+
+
+def _criterion(number: int, name: str):
+    """Turn a body returning (passed, detail) into a timed criterion."""
+    def wrap(body):
+        @functools.wraps(body)
+        def run() -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, detail = body()
+            return CriterionResult(number, name, passed, detail, time.perf_counter() - t0)
+        return run
+    return wrap
 
 
 def _random_low_degree_table(rng: random.Random, m: int, max_deg: int) -> int:
@@ -60,10 +74,10 @@ def subcube_parity(table: int, m: int, offset: int, dirs) -> int:
     return acc
 
 
-def criterion_1() -> CriterionResult:
+@_criterion(1, "subcube identity")
+def criterion_1():
     """Subcube identity: degree-<=k polynomials XOR to 0 over any
     (k+1)-direction affine subcube, dependent direction sets included."""
-    t0 = time.perf_counter()
     m = 10
     rng = random.Random(0xC1)
     failures = 0
@@ -74,17 +88,13 @@ def criterion_1() -> CriterionResult:
                 offset = rng.getrandbits(m)
                 dirs = [rng.getrandbits(m) for _ in range(k + 1)]
                 failures += subcube_parity(table, m, offset, dirs)
-    return CriterionResult(
-        1, "subcube identity", failures == 0,
-        "%d nonzero subcube sums (expected 0)" % failures,
-        time.perf_counter() - t0,
-    )
+    return failures == 0, "%d nonzero subcube sums (expected 0)" % failures
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "cube-sum corrector under corruption")
+def criterion_2():
     """Cube-sum corrector at k=4, n=16 with exactly 256 explicit flips
     (eps = 2^-8), x itself a flipped point: success >= 0.85 over 10^4 trials."""
-    t0 = time.perf_counter()
     k, n, trials = 4, 16, 10000
     spec = sample_random_junta(k, n, 0xC2)
     corruption = random_flip_set(n, 256, 0xC2F)
@@ -96,38 +106,23 @@ def criterion_2() -> CriterionResult:
         oracle = NoisyOracle.from_junta(spec, corruption)
         res = cube_sum_correct(oracle, x, k, derive_seed(0xC2, t))
         if res.queries_used != (1 << (k + 1)) - 1:
-            return CriterionResult(
-                2, "cube-sum corrector under corruption", False,
-                "query count %d != %d" % (res.queries_used, (1 << (k + 1)) - 1),
-                time.perf_counter() - t0,
-            )
+            return False, "query count %d != %d" % (res.queries_used, (1 << (k + 1)) - 1)
         ok += res.value == truth
     rate = ok / trials
-    return CriterionResult(
-        2, "cube-sum corrector under corruption", rate >= 0.85,
-        "success rate %.4f (floor 0.85, theory ~0.879)" % rate,
-        time.perf_counter() - t0,
-    )
+    return rate >= 0.85, "success rate %.4f (floor 0.85, theory ~0.879)" % rate
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "influence corrector")
+def criterion_3():
     """Influence corrector at k=8, n=128 under iid eps=2^-12: success
     >= 0.70 at x=0 and at a corrupted x; exactly 6*8*800+1 queries/trial."""
-    t0 = time.perf_counter()
     k, n, trials = 8, 128, 1000
     r = pair_rounds(k)
     expected_queries = 6 * k * r + 1
     if r != 800:
-        return CriterionResult(
-            3, "influence corrector", False,
-            "r=%d != 800 for k=8" % r, time.perf_counter() - t0,
-        )
+        return False, "r=%d != 800 for k=8" % r
 
-    rng = random.Random(0xC3)
-    while True:
-        spec = sample_random_junta(k, n, rng.getrandbits(64))
-        if min_influence_report(spec.core).passes_threshold:
-            break
+    spec, _ = sample_influential_junta(k, n, 0xC3)
     corruption = IidFlips(Fraction(1, 4096), 0xC3F)
     base = spec.bits_fn()
 
@@ -144,26 +139,18 @@ def criterion_3() -> CriterionResult:
             oracle = NoisyOracle(n, base, corruption)
             res = influence_correct(oracle, x, k, derive_seed(0xC3 + mode_idx, t))
             if res.queries_used != expected_queries:
-                return CriterionResult(
-                    3, "influence corrector", False,
-                    "query count %d != %d" % (res.queries_used, expected_queries),
-                    time.perf_counter() - t0,
-                )
+                return False, "query count %d != %d" % (res.queries_used, expected_queries)
             ok += res.value == truth
         rate = ok / trials
         passed = passed and rate >= 0.70
         details.append("%s %.3f" % (mode, rate))
-    return CriterionResult(
-        3, "influence corrector", passed,
-        "success rates (floor 0.70): " + ", ".join(details),
-        time.perf_counter() - t0,
-    )
+    return passed, "success rates (floor 0.70): " + ", ".join(details)
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "masked-input marginals")
+def criterion_4():
     """Masked-input marginals with k parts fixed by index: Pr[i in S] ~ 1/3,
     flip | i not in S ~ 3/4, unconditional flip ~ 1/2, each +-0.01."""
-    t0 = time.perf_counter()
     from .correctors import build_masked_input
 
     n, k, samples = 60, 5, 100000
@@ -201,11 +188,7 @@ def criterion_4() -> CriterionResult:
             bad.append("coord %d flip|out=%.4f" % (c + 1, p_cond))
         if abs(p_flip - 0.5) > 0.01:
             bad.append("coord %d flip=%.4f" % (c + 1, p_flip))
-    return CriterionResult(
-        4, "masked-input marginals", not bad,
-        "all %d coordinates within tolerance" % n if not bad else "; ".join(bad[:4]),
-        time.perf_counter() - t0,
-    )
+    return not bad, "all %d coordinates within tolerance" % n if not bad else "; ".join(bad[:4])
 
 
 def _influence_brute(tt: TruthTable, i: int) -> Fraction:
@@ -215,9 +198,9 @@ def _influence_brute(tt: TruthTable, i: int) -> Fraction:
     return Fraction(count, tt.size)
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "exact influences vs brute force")
+def criterion_5():
     """Exact influences agree with brute force and the closed forms."""
-    t0 = time.perf_counter()
     problems = []
     for k in range(1, 11):
         tt = TruthTable.and_all(k)
@@ -238,29 +221,21 @@ def criterion_5() -> CriterionResult:
     for i in range(1, 4):
         if influence_exact(maj3, i) != Fraction(1, 2) or _influence_brute(maj3, i) != Fraction(1, 2):
             problems.append("Maj_3 var %d" % i)
-    return CriterionResult(
-        5, "exact influences vs brute force", not problems,
-        "all closed forms match" if not problems else "; ".join(problems[:4]),
-        time.perf_counter() - t0,
-    )
+    return not problems, "all closed forms match" if not problems else "; ".join(problems[:4])
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "random-junta concentration")
+def criterion_6():
     """Random-core concentration: none of 200 sampled k=10 cores has
     minimum influence below 1/50."""
-    t0 = time.perf_counter()
     frac = fraction_low_influence(10, 200, 0xC6)
-    return CriterionResult(
-        6, "random-junta concentration", frac == 0.0,
-        "low-influence fraction %.4f (must be exactly 0)" % frac,
-        time.perf_counter() - t0,
-    )
+    return frac == 0.0, "low-influence fraction %.4f (must be exactly 0)" % frac
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "single-query probability bound")
+def criterion_7():
     """Single-query success bound: C(m,k)/C(n/2,k) <= (3/5)^k exactly for
     n=1000, k in 5..20, m <= 300; spot value 1/6 at n=20, k=3, m=6."""
-    t0 = time.perf_counter()
     problems = []
     n = 1000
     for k in range(5, 21):
@@ -270,17 +245,13 @@ def criterion_7() -> CriterionResult:
                 problems.append("k=%d m=%d" % (k, m))
     if single_query_one_prob(20, 3, 6) != Fraction(1, 6):
         problems.append("spot value n=20 k=3 m=6")
-    return CriterionResult(
-        7, "single-query probability bound", not problems,
-        "all exact comparisons hold" if not problems else "; ".join(problems[:4]),
-        time.perf_counter() - t0,
-    )
+    return not problems, "all exact comparisons hold" if not problems else "; ".join(problems[:4])
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "distinguisher blindness")
+def criterion_8():
     """Distinguisher blindness at lower-bound scale; the exponential-query
     cube-sum corrector still distinguishes in the same regime."""
-    t0 = time.perf_counter()
     uni = run_distinguisher("uniform-random-queries", 1000, 400, 20, 2000, 0xC8)
     cube = run_distinguisher("cube-sum-at-x_star", 127, 1000, 6, 1000, 0xC8C)
     passed = (
@@ -288,38 +259,31 @@ def criterion_8() -> CriterionResult:
         and uni["advantage"] <= 0.05
         and cube["advantage"] >= 0.35
     )
-    return CriterionResult(
-        8, "distinguisher blindness", passed,
+    return passed, (
         "uniform hit=%.4f adv=%.4f (caps 0.06/0.05); cube adv=%.4f (floor 0.35)"
-        % (uni["one_hit_rate"], uni["advantage"], cube["advantage"]),
-        time.perf_counter() - t0,
+        % (uni["one_hit_rate"], uni["advantage"], cube["advantage"])
     )
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(9, "majority ambiguity")
+def criterion_9():
     """Majority-minus-one ambiguity at n=8, exhaustively."""
-    t0 = time.perf_counter()
     rep = maj_ambiguity_check(8)
     passed = (
         rep.disagreements_on_balanced_layer_only
         and rep.truncated_all_identical
         and rep.layer_fraction == Fraction(70, 256)
     )
-    return CriterionResult(
-        9, "majority ambiguity", passed,
-        "layer-only=%s identical=%s fraction=%s"
-        % (
-            rep.disagreements_on_balanced_layer_only,
-            rep.truncated_all_identical,
-            rep.layer_fraction,
-        ),
-        time.perf_counter() - t0,
+    return passed, "layer-only=%s identical=%s fraction=%s" % (
+        rep.disagreements_on_balanced_layer_only,
+        rep.truncated_all_identical,
+        rep.layer_fraction,
     )
 
 
-def criterion_10() -> CriterionResult:
+@_criterion(10, "reproducibility")
+def criterion_10():
     """Reproducibility: identical CLI invocations yield byte-identical files."""
-    t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         pairs = []
         for tag, argv in (
@@ -339,17 +303,10 @@ def criterion_10() -> CriterionResult:
                 path = os.path.join(tmp, "%s_%d.jsonl" % (tag, run))
                 rc = cli.main(argv + ["--out", path])
                 if rc != 0:
-                    return CriterionResult(
-                        10, "reproducibility", False,
-                        "%s run exited %d" % (tag, rc), time.perf_counter() - t0,
-                    )
+                    return False, "%s run exited %d" % (tag, rc)
                 outs.append(path)
             pairs.append(filecmp.cmp(outs[0], outs[1], shallow=False))
-    return CriterionResult(
-        10, "reproducibility", all(pairs),
-        "byte-identical: correct=%s lowerbound=%s" % tuple(pairs),
-        time.perf_counter() - t0,
-    )
+    return all(pairs), "byte-identical: correct=%s lowerbound=%s" % tuple(pairs)
 
 
 ALL_CRITERIA = [
@@ -364,9 +321,5 @@ def run_all(verbose: bool = False):
         res = fn()
         results.append(res)
         if verbose:
-            print(
-                "%s criterion %d: %s (%.1fs) %s"
-                % ("PASS" if res.passed else "FAIL", res.number, res.name,
-                   res.elapsed, res.detail)
-            )
+            print(res.line())
     return results

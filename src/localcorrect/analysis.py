@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boolfn import JuntaSpec, TruthTable, _low_mask
+from .boolfn import ConfigError, JuntaSpec, TruthTable, _low_mask, check_seed
 
 INFLUENCE_THRESHOLD = Fraction(1, 50)
 
@@ -55,10 +55,11 @@ def min_influence_report(tt: TruthTable) -> InfluenceReport:
 
 def fraction_low_influence(k: int, samples: int, seed: int) -> float:
     """Fraction of uniform random cores whose minimum influence is < 1/50."""
-    if k > 16:
-        raise ValueError("k > 16 is too expensive to sample densely")
+    if not 1 <= k <= 16:
+        raise ConfigError("k", "must lie in [1, 16]; larger k is too costly to sample")
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise ConfigError("samples", "must be >= 1")
+    check_seed(seed)
     rng = random.Random(seed)
     low = 0
     for _ in range(samples):

@@ -19,6 +19,20 @@ class DimensionMismatch(ValueError):
     """A Point was used with an object of a different arity."""
 
 
+class ConfigError(ValueError):
+    """Bad input from outside the program; names the offending field."""
+
+    def __init__(self, fieldname: str, message: str):
+        super().__init__("%s: %s" % (fieldname, message))
+        self.fieldname = fieldname
+
+
+def check_seed(seed: int) -> None:
+    """The seed rule of every seeded subcommand: a 64-bit unsigned int."""
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError("seed", "must lie in [0, 2^64)")
+
+
 @dataclass(frozen=True, slots=True)
 class Point:
     """An element of Z_2^n, stored as an n-bit integer (bit i-1 = x_i)."""

@@ -1,7 +1,9 @@
 """Command-line workbench.
 
 Subcommands: correct, lowerbound, influence, ambiguity, bench.
-Exit codes: 0 success, 2 config error, 1 runtime error.
+Exit codes: 0 success; 2 bad input (a ConfigError, which names the
+field); 1 an I/O failure, or an internal fault, which propagates with its
+traceback.
 """
 
 from __future__ import annotations
@@ -11,27 +13,21 @@ import json
 import sys
 
 from .analysis import fraction_low_influence
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    check_seed,
-    emit_report,
-    run_correction_experiment,
-)
-from .lowerbound import STRATEGIES, maj_ambiguity_check, run_distinguisher
+from .boolfn import ConfigError
+from .harness import ALGOS, X_MODES, ExperimentConfig, emit_report, run_correction_experiment
+from .lowerbound import maj_ambiguity_check, run_distinguisher
 
 
 def _add_correct(sub):
     p = sub.add_parser("correct", help="run a correction experiment")
-    p.add_argument("--algo", required=True, choices=["cube", "influence", "symmetric"])
+    p.add_argument("--algo", required=True, choices=ALGOS)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--corruption", default="none",
                    help="none | flips:<file> | iid:<eps>:<seed> | trunc:<t> | layer")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--x-mode", default="random",
-                   choices=["fixed-hex", "random", "adversarial-flipped"])
+    p.add_argument("--x-mode", default="random", choices=X_MODES)
     p.add_argument("--x", dest="x_hex", default=None, help="hex point for fixed-hex mode")
     p.add_argument("--repeat-t", type=int, default=None,
                    help="odd majority-vote repetition count")
@@ -87,6 +83,9 @@ def _cmd_correct(args) -> int:
         x_hex=args.x_hex,
         repeat_t=args.repeat_t,
     )
+    # An unwritable --out fails before any trial; "a" keeps an existing
+    # report intact when the config turns out to be bad.
+    open(args.out, "a").close()
     records, summary = run_correction_experiment(cfg)
     emit_report(records, summary, args.out)
     print(json.dumps({"summary": summary}, sort_keys=True))
@@ -94,9 +93,7 @@ def _cmd_correct(args) -> int:
 
 
 def _cmd_lowerbound(args) -> int:
-    if args.strategy not in STRATEGIES:
-        raise ConfigError("strategy", "expected one of %s" % list(STRATEGIES))
-    check_seed(args.seed)
+    open(args.out, "a").close()
     report = run_distinguisher(
         args.strategy, args.queries, args.n, args.k, args.trials, args.seed
     )
@@ -141,9 +138,6 @@ def main(argv=None) -> int:
     try:
         return handlers[args.subcommand](args)
     except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except OSError as exc:

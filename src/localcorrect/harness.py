@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .analysis import min_influence_report, sample_random_junta
-from .boolfn import Point
+from .boolfn import MAX_TABLE_VARS, ConfigError, Point, check_seed
 from .correctors import cube_sum_correct, influence_correct, symmetric_correct
 from .oracle import ExplicitFlips, NoCorruption, NoisyOracle, parse_corruption
 
@@ -23,20 +23,6 @@ X_MODES = ("fixed-hex", "random", "adversarial-flipped")
 # Reserved derive_seed indices for non-trial randomness.
 _BASE_STREAM = 1 << 48
 _X_STREAM = (1 << 48) + 1
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration; names the offending field."""
-
-    def __init__(self, fieldname: str, message: str):
-        super().__init__("%s: %s" % (fieldname, message))
-        self.fieldname = fieldname
-
-
-def check_seed(seed: int) -> None:
-    """The seed rule of `correct` and `lowerbound`: a 64-bit unsigned int."""
-    if not 0 <= seed < 1 << 64:
-        raise ConfigError("seed", "must lie in [0, 2^64)")
 
 
 def derive_seed(master_seed: int, trial_index: int) -> int:
@@ -60,24 +46,34 @@ class ExperimentConfig:
     x_hex: str | None = None
     repeat_t: int | None = None
 
-    def validate(self) -> None:
+    def validate(self):
+        """Check every field, naming the first bad one; returns the parsed
+        corruption."""
         if self.algo not in ALGOS:
             raise ConfigError("algo", "expected one of %s" % list(ALGOS))
         if self.trials < 1:
             raise ConfigError("trials", "must be >= 1")
         if self.k < 1:
             raise ConfigError("k", "must be >= 1")
+        if self.algo != "symmetric" and self.k > MAX_TABLE_VARS:
+            raise ConfigError("k", "must be <= %d for %s" % (MAX_TABLE_VARS, self.algo))
         if self.n < self.k:
             raise ConfigError("n", "must be >= k")
         if self.x_mode not in X_MODES:
             raise ConfigError("x_mode", "expected one of %s" % list(X_MODES))
-        if self.x_mode == "fixed-hex" and not self.x_hex:
-            raise ConfigError("x_hex", "required when x_mode is fixed-hex")
+        if self.x_mode == "fixed-hex":
+            if not self.x_hex:
+                raise ConfigError("x_hex", "required when x_mode is fixed-hex")
+            try:
+                Point.from_hex(self.x_hex, self.n)
+            except ValueError:
+                raise ConfigError("x_hex", "%r is not a hex point of n=%d bits"
+                                  % (self.x_hex, self.n)) from None
         if self.repeat_t is not None and (self.repeat_t < 1 or self.repeat_t % 2 == 0):
             raise ConfigError("repeat_t", "must be a positive odd integer")
         check_seed(self.master_seed)
         try:
-            parse_corruption(self.corruption, self.n)
+            return parse_corruption(self.corruption, self.n)
         except (ValueError, OSError) as exc:
             raise ConfigError("corruption", str(exc)) from exc
 
@@ -118,19 +114,21 @@ def _build_base(cfg: ExperimentConfig):
         fn = lambda bits: profile[bits.bit_count()]
         return fn, extras
     if cfg.algo == "influence":
-        redraws = 0
-        rng = random.Random(base_seed)
-        while True:
-            spec = sample_random_junta(cfg.k, cfg.n, rng.getrandbits(64))
-            if min_influence_report(spec.core).passes_threshold:
-                break
-            redraws += 1
-        extras["redraws"] = redraws
-        extras["junta"] = spec
+        spec, extras["redraws"] = sample_influential_junta(cfg.k, cfg.n, base_seed)
         return spec.bits_fn(), extras
-    spec = sample_random_junta(cfg.k, cfg.n, base_seed)
-    extras["junta"] = spec
-    return spec.bits_fn(), extras
+    return sample_random_junta(cfg.k, cfg.n, base_seed).bits_fn(), extras
+
+
+def sample_influential_junta(k: int, n: int, seed: int):
+    """Redraw random juntas until every variable has influence >= 1/50;
+    returns (spec, number of rejected draws)."""
+    rng = random.Random(seed)
+    redraws = 0
+    while True:
+        spec = sample_random_junta(k, n, rng.getrandbits(64))
+        if min_influence_report(spec.core).passes_threshold:
+            return spec, redraws
+        redraws += 1
 
 
 def find_corrupted_point(
@@ -162,9 +160,8 @@ def _run_single(cfg, oracle, x, trial_seed, profile):
 
 def run_correction_experiment(cfg: ExperimentConfig):
     """Run cfg.trials independent trials; returns (records, summary)."""
-    cfg.validate()
+    corruption = cfg.validate()
     base_fn, extras = _build_base(cfg)
-    corruption = parse_corruption(cfg.corruption, cfg.n)
     profile = extras.get("profile")
 
     if cfg.x_mode == "fixed-hex":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .boolfn import Point
+from .boolfn import ConfigError, Point, check_seed
 from .correctors import subcube_points
 
 STRATEGIES = ("uniform-random-queries", "fixed-point-list", "cube-sum-at-x_star")
@@ -58,10 +58,6 @@ class HardInstance:
 
 def sample_hard_instance(n: int, k: int, label: int, seed: int) -> HardInstance:
     """relevant is a uniform k-subset of the half designated by the label."""
-    if n % 2:
-        raise ValueError("n must be even")
-    if k > n // 2:
-        raise ValueError("k exceeds n/2")
     rng = random.Random(seed)
     half = n // 2
     lo = 1 if label == 0 else half + 1
@@ -129,17 +125,20 @@ def run_distinguisher(
     query returned 1.
     """
     if strategy not in STRATEGIES:
-        raise ValueError("unknown strategy %r; expected one of %s" % (strategy, list(STRATEGIES)))
+        raise ConfigError("strategy", "expected one of %s" % list(STRATEGIES))
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ConfigError("trials", "must be >= 1")
+    if n < 2 or n % 2:
+        raise ConfigError("n", "must be even and >= 2")
     if not 1 <= k <= n // 2:
-        raise ValueError("k must lie in [1, n/2]")
+        raise ConfigError("k", "must lie in [1, n/2]")
     if strategy == "cube-sum-at-x_star":
         if q != (1 << (k + 1)) - 1:
-            raise ValueError("queries must equal 2^(k+1)-1 = %d for %s"
-                             % ((1 << (k + 1)) - 1, strategy))
+            raise ConfigError("queries", "must equal 2^(k+1)-1 = %d for %s"
+                              % ((1 << (k + 1)) - 1, strategy))
     elif q < 0:
-        raise ValueError("queries must be >= 0")
+        raise ConfigError("queries", "must be >= 0")
+    check_seed(seed)
     rng = random.Random(seed)
     correct = 0
     hit_trials = 0
@@ -212,7 +211,7 @@ def maj_ambiguity_check(n: int) -> MajAmbiguityReport:
     isomorphisms collide into one function.
     """
     if n % 2 or not 2 <= n <= 16:
-        raise ValueError("n must be even and in [2, 16] for the exhaustive check")
+        raise ConfigError("n", "must be even and in [2, 16] for the exhaustive check")
     half = n // 2
     maj_cut = (n - 1) // 2  # strict majority of n-1 (odd) variables
 

@@ -9,11 +9,7 @@ from localcorrect import acceptance
 
 
 def _check(result):
-    print(
-        "%s criterion %d: %s (%.1fs) %s"
-        % ("PASS" if result.passed else "FAIL", result.number, result.name,
-           result.elapsed, result.detail)
-    )
+    print(result.line())
     assert result.passed, "%s: %s" % (result.name, result.detail)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from localcorrect import cli
+from localcorrect import cli, harness
 
 
 def run(argv, capsys):
@@ -44,7 +44,15 @@ class TestCorrect:
         assert rc == 2
         assert "repeat_t" in err
 
-    def test_unwritable_out_exit_1(self, tmp_path, capsys):
+    def test_unwritable_out_exit_1(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = harness.cube_sum_correct
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "cube_sum_correct", counted)
         rc, _, err = run(
             ["correct", "--algo", "cube", "--k", "2", "--n", "8",
              "--trials", "5", "--seed", "1",
@@ -52,6 +60,27 @@ class TestCorrect:
             capsys,
         )
         assert rc == 1
+        assert calls == []
+
+    def test_config_error_keeps_existing_out(self, tmp_path, capsys):
+        out = tmp_path / "report.jsonl"
+        out.write_bytes(b"an earlier report\n")
+        rc, _, _ = run(
+            ["correct", "--algo", "cube", "--k", "2", "--n", "8",
+             "--trials", "0", "--seed", "1", "--out", str(out)],
+            capsys,
+        )
+        assert rc == 2
+        assert out.read_bytes() == b"an earlier report\n"
+
+    def test_internal_fault_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(harness, "cube_sum_correct", broken)
+        with pytest.raises(ValueError, match="internal"):
+            cli.main(["correct", "--algo", "cube", "--k", "2", "--n", "8",
+                      "--trials", "5", "--seed", "1", "--out", str(tmp_path / "x")])
 
     def test_unknown_algo_argparse_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -111,33 +140,48 @@ LOWERBOUND = ["lowerbound", "--strategy", "uniform-random-queries", "--n", "40",
               "--k", "4", "--queries", "20"]
 
 
-@pytest.mark.parametrize("argv, field", [
-    pytest.param(CORRECT + ["--seed", "-1"], "seed", id="correct-seed-negative"),
-    pytest.param(CORRECT + ["--seed", str(1 << 64)], "seed", id="correct-seed-too-large"),
+@pytest.mark.parametrize("argv, field, fragment", [
+    pytest.param(CORRECT + ["--seed", "-1"], "seed", "", id="correct-seed-negative"),
+    pytest.param(CORRECT + ["--seed", str(1 << 64)], "seed", "", id="correct-seed-too-large"),
     pytest.param(CORRECT + ["--seed", "1", "--corruption", "iid:1/64:-3"],
-                 "iid seed", id="iid-seed-negative"),
+                 "corruption", "iid seed", id="iid-seed-negative"),
     pytest.param(CORRECT + ["--seed", "1", "--corruption", "iid:1/0:3"],
-                 "iid eps", id="iid-eps-zero-denominator"),
-    pytest.param(LOWERBOUND + ["--trials", "10", "--seed", "-1"], "seed",
+                 "corruption", "iid eps", id="iid-eps-zero-denominator"),
+    pytest.param(CORRECT + ["--seed", "1", "--x-mode", "fixed-hex", "--x", "zz"],
+                 "x_hex", "", id="correct-x-not-hex"),
+    pytest.param(CORRECT + ["--seed", "1", "--x-mode", "fixed-hex", "--x", "1ff"],
+                 "x_hex", "", id="correct-x-too-wide"),
+    pytest.param(["correct", "--algo", "cube", "--k", "25", "--n", "30", "--trials", "5",
+                  "--seed", "1"], "k", "", id="correct-k-above-table-limit"),
+    pytest.param(LOWERBOUND + ["--trials", "10", "--seed", "-1"], "seed", "",
                  id="lowerbound-seed-negative"),
-    pytest.param(LOWERBOUND + ["--trials", "0", "--seed", "3"], "trials",
+    pytest.param(LOWERBOUND + ["--trials", "0", "--seed", "3"], "trials", "",
                  id="lowerbound-trials-zero"),
     pytest.param(["influence", "--k", "2", "--samples", "0", "--seed", "5"],
-                 "samples", id="influence-samples-zero"),
+                 "samples", "", id="influence-samples-zero"),
+    pytest.param(["influence", "--k", "0", "--samples", "5", "--seed", "5"],
+                 "k", "", id="influence-k-zero"),
+    pytest.param(["influence", "--k", "-1", "--samples", "5", "--seed", "5"],
+                 "k", "", id="influence-k-negative"),
+    pytest.param(["influence", "--k", "3", "--samples", "50", "--seed", "-7"],
+                 "seed", "", id="influence-seed-negative"),
     pytest.param(LOWERBOUND[:-2] + ["--queries", "-4", "--trials", "10", "--seed", "3"],
-                 "queries", id="lowerbound-queries-negative"),
+                 "queries", "", id="lowerbound-queries-negative"),
     pytest.param(["lowerbound", "--strategy", "cube-sum-at-x_star", "--n", "40",
                   "--k", "3", "--queries", "5", "--trials", "10", "--seed", "3"],
-                 "queries", id="lowerbound-cube-sum-queries-not-subcube"),
+                 "queries", "", id="lowerbound-cube-sum-queries-not-subcube"),
     pytest.param(["lowerbound", "--strategy", "cube-sum-at-x_star", "--n", "40",
                   "--k", "-2", "--queries", "1", "--trials", "10", "--seed", "3"],
-                 "k must", id="lowerbound-k-negative"),
-    pytest.param(["ambiguity", "--n", "0"], "n must", id="ambiguity-n-zero"),
-    pytest.param(["ambiguity", "--n", "-2"], "n must", id="ambiguity-n-negative"),
+                 "k", "", id="lowerbound-k-negative"),
+    pytest.param(["lowerbound", "--strategy", "uniform-random-queries", "--n", "41",
+                  "--k", "4", "--queries", "20", "--trials", "10", "--seed", "3"],
+                 "n", "", id="lowerbound-n-odd"),
+    pytest.param(["ambiguity", "--n", "0"], "n", "", id="ambiguity-n-zero"),
+    pytest.param(["ambiguity", "--n", "-2"], "n", "", id="ambiguity-n-negative"),
 ])
-def test_bad_numeric_input_exit_2(argv, field, tmp_path, capsys):
+def test_bad_numeric_input_exit_2(argv, field, fragment, tmp_path, capsys):
     if argv[0] in ("correct", "lowerbound"):
         argv = argv + ["--out", str(tmp_path / "x")]
     rc, _, err = run(argv, capsys)
     assert rc == 2
-    assert err.startswith("config error: ") and field in err
+    assert err.startswith("config error: %s: " % field) and fragment in err

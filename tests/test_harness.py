@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from localcorrect.analysis import min_influence_report, sample_random_junta
 from localcorrect.harness import (
     ConfigError,
     ExperimentConfig,
@@ -11,6 +12,7 @@ from localcorrect.harness import (
     emit_report,
     find_corrupted_point,
     run_correction_experiment,
+    sample_influential_junta,
 )
 from localcorrect.oracle import ExplicitFlips, NoCorruption, random_flip_set
 
@@ -86,6 +88,16 @@ class TestRunExperiment:
         cfg = ExperimentConfig(algo="influence", k=2, n=10, trials=3, master_seed=4)
         _, summary = run_correction_experiment(cfg)
         assert "junta_redraws" in summary
+
+    def test_sample_influential_junta_replays_draws(self):
+        # The first draw whose every variable has influence >= 1/50, with
+        # the earlier draws of the same seed stream counted as redraws.
+        spec, redraws = sample_influential_junta(2, 10, 4)
+        rng = random.Random(4)
+        drawn = [sample_random_junta(2, 10, rng.getrandbits(64)) for _ in range(redraws + 1)]
+        assert drawn[-1] == spec
+        assert [min_influence_report(s.core).passes_threshold for s in drawn] == (
+            [False] * redraws + [True])
 
     def test_fixed_x_mode(self):
         cfg = ExperimentConfig(

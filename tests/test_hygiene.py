@@ -1,4 +1,5 @@
-"""Static checks on the package source: no unused imports, stdlib only."""
+"""Static checks on the package source: no unused imports, stdlib only,
+no broad exception handler that swallows what it catches."""
 
 import ast
 import pathlib
@@ -50,3 +51,26 @@ def test_imports_stdlib_only(path):
             continue
         outside += [t for t in tops if t not in sys.stdlib_module_names]
     assert not outside, "%s imports non-stdlib modules: %s" % (path.name, outside)
+
+
+BROAD = {"ValueError", "Exception", "BaseException"}
+
+
+def caught_names(handler):
+    nodes = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {node.id for node in nodes if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_broad_handlers_reraise(path):
+    """Bad input is a ConfigError raised where it is found, so a handler of
+    ValueError or wider may only translate what it catches, never end it."""
+    swallowing = [
+        "line %d" % node.lineno
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ExceptHandler)
+        and (node.type is None or caught_names(node) & BROAD)
+        and not isinstance(node.body[-1], ast.Raise)
+    ]
+    assert not swallowing, "%s: broad handler without a final raise at %s" % (
+        path.name, ", ".join(swallowing))
