@@ -7,8 +7,10 @@ later calibration.
 
 from __future__ import annotations
 
+import contextlib
 import filecmp
 import functools
+import io
 import os
 import random
 import tempfile
@@ -301,7 +303,8 @@ def criterion_10():
             outs = []
             for run in (0, 1):
                 path = os.path.join(tmp, "%s_%d.jsonl" % (tag, run))
-                rc = cli.main(argv + ["--out", path])
+                with contextlib.redirect_stdout(io.StringIO()):
+                    rc = cli.main(argv + ["--out", path])
                 if rc != 0:
                     return False, "%s run exited %d" % (tag, rc)
                 outs.append(path)

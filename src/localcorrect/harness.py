@@ -145,7 +145,8 @@ def find_corrupted_point(
     rng = random.Random(seed)
     for _ in range(max_scan):
         bits = rng.getrandbits(n)
-        if corruption.corrupt(n, bits, base_fn(bits)) != base_fn(bits):
+        value = base_fn(bits)
+        if corruption.corrupt(n, bits, value) != value:
             return Point(n, bits)
     raise ConfigError("x_mode", "no corrupted point found in %d draws" % max_scan)
 

@@ -57,18 +57,17 @@ class IidFlips:
             raise ValueError("eps must lie in [0, 1)")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("iid seed must lie in [0, 2^64)")
-
-    def _key(self) -> bytes:
-        return self.seed.to_bytes(8, "little", signed=False)
+        # Built once; not fields, so repr, == and hash are unchanged.
+        key = self.seed.to_bytes(8, "little", signed=False)
+        object.__setattr__(self, "_hasher", hashlib.blake2b(digest_size=8, key=key))
+        # h / 2^64 < eps  <=>  h < ceil(eps * 2^64) for integer h, exactly
+        num, den = self.eps.numerator, self.eps.denominator
+        object.__setattr__(self, "_threshold", -(-(num << 64) // den))
 
     def flips_point(self, n: int, bits: int) -> bool:
-        key = self._key()
-        digest = hashlib.blake2b(
-            bits.to_bytes((n + 7) // 8, "little"), digest_size=8, key=key
-        ).digest()
-        h = int.from_bytes(digest, "little")
-        # h / 2^64 < eps, compared exactly
-        return h * self.eps.denominator < self.eps.numerator << 64
+        h = self._hasher.copy()
+        h.update(bits.to_bytes((n + 7) // 8, "little"))
+        return int.from_bytes(h.digest(), "little") < self._threshold
 
     def corrupt(self, n: int, bits: int, value: int) -> int:
         return value ^ self.flips_point(n, bits)
@@ -79,6 +78,10 @@ class WeightTruncation:
     """g(y) = 0 whenever either half of y has Hamming weight > threshold."""
 
     threshold: int
+
+    def __post_init__(self):
+        if self.threshold < 0:
+            raise ValueError("truncation threshold must be >= 0")
 
     def corrupt(self, n: int, bits: int, value: int) -> int:
         half = n // 2

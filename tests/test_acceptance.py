@@ -49,5 +49,8 @@ def test_criterion_9_majority_ambiguity():
     _check(acceptance.criterion_9())
 
 
-def test_criterion_10_reproducibility():
-    _check(acceptance.criterion_10())
+def test_criterion_10_reproducibility(capsys):
+    result = acceptance.criterion_10()
+    # Its CLI runs must not print into `bench` output.
+    assert capsys.readouterr().out == ""
+    _check(result)

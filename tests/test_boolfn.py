@@ -35,6 +35,20 @@ def with_coords(n, coords):
     return bits
 
 
+def reference_bits_fn(spec):
+    """The plain evaluator: one test per relevant coordinate."""
+    masks = [1 << (c - 1) for c in spec.embedding]
+
+    def fn(bits):
+        idx = 0
+        for i, m in enumerate(masks):
+            if bits & m:
+                idx |= 1 << i
+        return (spec.core.bits >> idx) & 1
+
+    return fn
+
+
 class TestPoint:
     def test_indexing_is_one_based(self):
         # Coordinate i is bit i-1: a 1-junta on coordinate i reads it.
@@ -100,6 +114,27 @@ class TestEvalJunta:
             v = g(bits)
             c = rng.choice(outside)
             assert g(bits ^ (1 << (c - 1))) == v
+
+    @pytest.mark.parametrize("k", [1, 4, 8, 9, 16, 17, 24])
+    def test_matches_mask_loop_reference(self, k):
+        # bits_fn's per-chunk dicts against the plain per-mask loop, on
+        # random cores and embeddings that hold coordinates 1 and n.
+        rng = random.Random(1000 + k)
+        for _ in range(3):
+            n = rng.randint(max(k, 2), 200)
+            core = TruthTable(k, rng.getrandbits(1 << k))
+            ends = [1, n][:k]
+            middle = rng.sample(range(2, n), k - len(ends))
+            emb = ends + middle
+            rng.shuffle(emb)
+            spec = JuntaSpec(n, core, tuple(emb))
+            fast, ref = spec.bits_fn(), reference_bits_fn(spec)
+            on_junta = with_coords(n, emb)
+            points = [0, (1 << n) - 1, on_junta]
+            points += [rng.getrandbits(n) for _ in range(400)]
+            points += [rng.getrandbits(n) & on_junta for _ in range(100)]
+            for bits in points:
+                assert fast(bits) == ref(bits)
 
 
 class TestAnf:

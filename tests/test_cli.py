@@ -147,6 +147,8 @@ LOWERBOUND = ["lowerbound", "--strategy", "uniform-random-queries", "--n", "40",
                  "corruption", "iid seed", id="iid-seed-negative"),
     pytest.param(CORRECT + ["--seed", "1", "--corruption", "iid:1/0:3"],
                  "corruption", "iid eps", id="iid-eps-zero-denominator"),
+    pytest.param(CORRECT + ["--seed", "1", "--corruption", "trunc:-3"],
+                 "corruption", "threshold", id="trunc-negative"),
     pytest.param(CORRECT + ["--seed", "1", "--x-mode", "fixed-hex", "--x", "zz"],
                  "x_hex", "", id="correct-x-not-hex"),
     pytest.param(CORRECT + ["--seed", "1", "--x-mode", "fixed-hex", "--x", "1ff"],

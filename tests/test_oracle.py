@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -29,6 +30,19 @@ def exhaustive_disagreement(o):
     g = o.query_many(everywhere)
     count = sum(v != o.base_bits(bits) for bits, v in zip(everywhere, g))
     return Fraction(count, 1 << o.n)
+
+
+def reference_hash(n, bits, seed):
+    digest = hashlib.blake2b(bits.to_bytes((n + 7) // 8, "little"), digest_size=8,
+                             key=seed.to_bytes(8, "little")).digest()
+    return int.from_bytes(digest, "little")
+
+
+def reference_flips_point(corr, n, bits):
+    """The plain flip rule: a freshly keyed hash, h / 2^64 < eps compared
+    as h * den < num * 2^64."""
+    h = reference_hash(n, bits, corr.seed)
+    return h * corr.eps.denominator < corr.eps.numerator << 64
 
 
 CORRUPTIONS = {
@@ -171,6 +185,45 @@ class TestIidFlips:
         with pytest.raises(ValueError):
             IidFlips(Fraction(3, 2), 0)
 
+    @pytest.mark.parametrize("eps", [
+        Fraction(0), Fraction(1, 1 << 12), Fraction(1, 3), Fraction(2, 7),
+        1 - Fraction(1, 1 << 64),
+    ])
+    @pytest.mark.parametrize("n", [1, 7, 8, 13, 64, 129])
+    def test_matches_fraction_reference(self, eps, n):
+        corr = IidFlips(eps, 0x5EED + n)
+        rng = random.Random(n)
+        points = range(1 << n) if n <= 13 else [rng.getrandbits(n) for _ in range(4000)]
+        for bits in points:
+            assert corr.flips_point(n, bits) == reference_flips_point(corr, n, bits)
+
+    def test_pinned_flip_set(self):
+        # Any change to g's definition (key, byte order, threshold) moves this.
+        corr = IidFlips(Fraction(1, 1 << 12), 0xC3F)
+        flipped = [b for b in range(1 << 16) if corr.flips_point(16, b)]
+        digest = hashlib.sha256(b"".join(b.to_bytes(2, "little") for b in flipped))
+        assert len(flipped) == 19
+        assert digest.hexdigest() == (
+            "858ec8f91d55cbb39491f146ac5fdaceff13258be672e53f804017682b999f54")
+
+    def test_cached_state_is_not_a_field(self):
+        a, b = IidFlips(Fraction(1, 3), 5), IidFlips(Fraction(1, 3), 5)
+        assert repr(a) == "IidFlips(eps=Fraction(1, 3), seed=5)"
+        assert a == b and hash(a) == hash(b)
+        assert a != IidFlips(Fraction(1, 3), 6)
+
+
+    def test_threshold_is_exact_at_the_hash(self):
+        # eps placed just below, at and just above h / 2^64 for one point's h.
+        h = reference_hash(16, 0xBEEF, 7)
+        for eps, flips in ((Fraction(3 * h - 1, 3 << 64), False),
+                           (Fraction(h, 1 << 64), False),
+                           (Fraction(3 * h + 1, 3 << 64), True),
+                           (Fraction(h + 1, 1 << 64), True)):
+            corr = IidFlips(eps, 7)
+            assert reference_flips_point(corr, 16, 0xBEEF) is flips
+            assert corr.flips_point(16, 0xBEEF) is flips
+
 
 class TestTruncationModels:
     def test_never_creates_ones(self):
@@ -202,6 +255,9 @@ class TestParseCorruption:
     def test_trunc(self):
         c = parse_corruption("trunc:5", 16)
         assert isinstance(c, WeightTruncation) and c.threshold == 5
+        assert parse_corruption("trunc:0", 16).threshold == 0
+        with pytest.raises(ValueError, match="threshold"):
+            parse_corruption("trunc:-3", 16)
 
     def test_iid_forms(self):
         c = parse_corruption("iid:1/64:7", 16)
