@@ -28,7 +28,12 @@ from .correctors import (
     subcube_points,
 )
 from .harness import derive_seed, find_corrupted_point, sample_influential_junta
-from .lowerbound import maj_ambiguity_check, run_distinguisher, single_query_one_prob
+from .lowerbound import (
+    maj_ambiguity_check,
+    run_distinguisher,
+    single_query_one_prob,
+    uniform_one_hit_prob,
+)
 from .oracle import IidFlips, NoisyOracle, random_flip_set
 
 
@@ -254,7 +259,8 @@ def criterion_7():
 def criterion_8():
     """Distinguisher blindness at lower-bound scale; the exponential-query
     cube-sum corrector still distinguishes in the same regime."""
-    uni = run_distinguisher("uniform-random-queries", 1000, 400, 20, 2000, 0xC8)
+    n, k, q = 400, 20, 1000
+    uni = run_distinguisher("uniform-random-queries", q, n, k, 2000, 0xC8)
     cube = run_distinguisher("cube-sum-at-x_star", 127, 1000, 6, 1000, 0xC8C)
     passed = (
         uni["one_hit_rate"] <= 0.06
@@ -262,8 +268,10 @@ def criterion_8():
         and cube["advantage"] >= 0.35
     )
     return passed, (
-        "uniform hit=%.4f adv=%.4f (caps 0.06/0.05); cube adv=%.4f (floor 0.35)"
-        % (uni["one_hit_rate"], uni["advantage"], cube["advantage"])
+        "uniform hit=%.4f theory=%.6f adv=%.4f (caps 0.06/0.05); cube adv=%.4f "
+        "(floor 0.35)"
+        % (uni["one_hit_rate"], uniform_one_hit_prob(n, k, q),
+           uni["advantage"], cube["advantage"])
     )
 
 

@@ -5,6 +5,12 @@ half of the coordinates, with the function forced to 0 outside the box of
 per-half Hamming weight <= floor(0.3n).  The target input is the balanced
 point (first half zeros, second half ones): D0 instances answer 0 there,
 D1 instances answer 1, yet queries almost never reveal which.
+
+Each instance precomputes two masks: the relevant coordinates and the low
+half.  A point is evaluated relevance first: it answers 1 only if it
+covers the relevance mask, which a uniform point misses with probability
+1 - 2^-k, and only then are the two half-weights compared with the
+threshold.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ class HardInstance:
     def __post_init__(self):
         if self.n % 2:
             raise ValueError("n must be even")
+        if self.label not in (0, 1):
+            raise ValueError("label must be 0 or 1")
         if not 1 <= self.k <= self.n // 2:
             raise ValueError("k must lie in [1, n/2]")
         if len(self.relevant) != self.k:
@@ -48,6 +56,11 @@ class HardInstance:
             ok = all(half + 1 <= c <= self.n for c in self.relevant)
         if not ok:
             raise ValueError("relevant coordinates must sit in the label's half")
+        rel = 0
+        for c in self.relevant:
+            rel |= 1 << (c - 1)
+        object.__setattr__(self, "_rel_mask", rel)
+        object.__setattr__(self, "_low_mask", (1 << half) - 1)
 
     @property
     def x_star(self) -> Point:
@@ -66,12 +79,14 @@ def sample_hard_instance(n: int, k: int, label: int, seed: int) -> HardInstance:
 
 
 def _eval_hard_bits(inst: HardInstance, bits: int) -> int:
-    half = inst.n // 2
-    if (bits & ((1 << half) - 1)).bit_count() > inst.threshold:
+    # The AND of the relevant bits first: it is a single mask test and
+    # almost always false, so the half-weight box test rarely runs.
+    rel = inst._rel_mask
+    if bits & rel != rel:
         return 0
-    if (bits >> half).bit_count() > inst.threshold:
-        return 0
-    return int(all((bits >> (c - 1)) & 1 for c in inst.relevant))
+    t = inst.threshold
+    return int((bits & inst._low_mask).bit_count() <= t
+               and (bits >> (inst.n >> 1)).bit_count() <= t)
 
 
 def single_query_one_prob(n: int, k: int, m: int) -> Fraction:
@@ -84,6 +99,26 @@ def single_query_one_prob(n: int, k: int, m: int) -> Fraction:
     if m < k:
         return Fraction(0)
     return Fraction(comb(m, k), comb(n // 2, k))
+
+
+def uniform_one_hit_prob(n: int, k: int, q: int) -> Fraction:
+    """Pr that q uniform queries include a 1 of the hard instance:
+    1 - (1 - p)^q, where p is the fraction of points inside the weight box
+    (half-weights <= default_threshold(n)) that cover the k relevant
+    coordinates.  p is the same for every instance, so this is exact."""
+    if n < 2 or n % 2:
+        raise ValueError("n must be even and >= 2")
+    if not 1 <= k <= n // 2:
+        raise ValueError("k must lie in [1, n/2]")
+    if q < 0:
+        raise ValueError("q must be >= 0")
+    h, t = n // 2, default_threshold(n)
+    # Points by half-weights (w1 free, w2 in the relevant half); a weight-w2
+    # half covers the relevant k-set in C(w2, k) of its C(h, k) placements.
+    free = sum(comb(h, w) for w in range(t + 1))
+    covering = sum(comb(h, w) * comb(w, k) for w in range(t + 1))
+    p = Fraction(free * covering, (1 << n) * comb(h, k))
+    return 1 - (1 - p) ** q
 
 
 def _guess_from_hits(n: int, k: int, hits) -> int:
@@ -101,7 +136,8 @@ def _uniform_queries(rng, n: int, q: int):
 
 def _fixed_queries(n: int, k: int, q: int):
     # Deterministic probe list: weight-k windows sliding across alternating
-    # halves; every point is inside the weight box.
+    # halves.  Every point is inside the weight box only when k <=
+    # default_threshold(n); for larger k every probe lies outside it.
     half = n // 2
     pts = []
     for j in range(q):
@@ -140,6 +176,7 @@ def run_distinguisher(
         raise ConfigError("queries", "must be >= 0")
     check_seed(seed)
     rng = random.Random(seed)
+    fixed = _fixed_queries(n, k, q) if strategy == "fixed-point-list" else None
     correct = 0
     hit_trials = 0
     for _ in range(trials):
@@ -151,7 +188,7 @@ def run_distinguisher(
             if strategy == "uniform-random-queries":
                 pts = _uniform_queries(rng, n, q)
             else:
-                pts = _fixed_queries(n, k, q)
+                pts = fixed
             hits = [b for b in pts if _eval_hard_bits(inst, b)]
             hit = bool(hits)
             guess = _guess_from_hits(n, k, hits)

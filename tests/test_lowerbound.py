@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -12,12 +16,33 @@ from localcorrect.lowerbound import (
     run_distinguisher,
     sample_hard_instance,
     single_query_one_prob,
+    uniform_one_hit_prob,
 )
 
 
 def and_before_truncation(inst, bits):
     """The instance's AND junta at bits, ignoring the weight box."""
     return int(all((bits >> (c - 1)) & 1 for c in inst.relevant))
+
+
+def reference_eval_hard_bits(inst, bits):
+    """The hard instance's value by its definition: both half-weights
+    within the threshold, then the AND over the relevant coordinates."""
+    half = inst.n // 2
+    if (bits & ((1 << half) - 1)).bit_count() > inst.threshold:
+        return 0
+    if (bits >> half).bit_count() > inst.threshold:
+        return 0
+    return and_before_truncation(inst, bits)
+
+
+def weight_w_half(rng, half, w, forced=0):
+    """A w-bit subset of range(half) containing the bits of forced."""
+    free = [i for i in range(half) if not (forced >> i) & 1]
+    bits = forced
+    for i in rng.sample(free, w - forced.bit_count()):
+        bits |= 1 << i
+    return bits
 
 
 class TestSampleHardInstance:
@@ -42,6 +67,8 @@ class TestSampleHardInstance:
             sample_hard_instance(9, 2, 0, 0)
         with pytest.raises(ValueError):
             sample_hard_instance(10, 6, 0, 0)
+        with pytest.raises(ValueError):
+            HardInstance(10, 2, frozenset([6, 7]), 5, 3)
 
     def test_label_consistency_at_x_star(self):
         # the uncorrupted AND junta answers the label at the balanced input
@@ -90,6 +117,49 @@ class TestEvalHardG:
                 assert lowerbound._eval_hard_bits(inst, bits) == 0
         assert checked > 1000
 
+    def test_matches_generator_reference(self):
+        # Uniform points, points covering the relevance mask (so the box
+        # test runs) and points with half-weights threshold and
+        # threshold + 1, against the definition.
+        rng = random.Random(6)
+        checked = ones = 0
+        for n in (2, 10, 40, 400, 1000):
+            half, t = n // 2, default_threshold(n)
+            for label, k in itertools.product((0, 1), sorted({1, half})):
+                inst = sample_hard_instance(n, k, label, rng.getrandbits(64))
+                rel = 0
+                for c in inst.relevant:
+                    rel |= 1 << (c - 1)
+                shift = 0 if label == 0 else half
+                pts = [rng.getrandbits(n) for _ in range(200)]
+                pts += [rng.getrandbits(n) | rel for _ in range(200)]
+                for w_rel, w_free in itertools.product((t, t + 1), repeat=2):
+                    if not k <= w_rel <= half or w_free > half:
+                        continue
+                    for _ in range(20):
+                        inside = weight_w_half(rng, half, w_rel, rel >> shift)
+                        other = weight_w_half(rng, half, w_free)
+                        pts.append((inside << shift) | (other << (half - shift)))
+                for bits in pts:
+                    want = reference_eval_hard_bits(inst, bits)
+                    assert lowerbound._eval_hard_bits(inst, bits) == want
+                    checked += 1
+                    ones += want
+        assert checked > 4000 and ones > 200
+
+    def test_cached_state_is_not_a_field(self):
+        a = HardInstance(10, 2, frozenset([6, 7]), 1, 3)
+        b = HardInstance(10, 2, frozenset([7, 6]), 1, 3)
+        assert [f.name for f in dataclasses.fields(a)] == [
+            "n", "k", "relevant", "label", "threshold",
+        ]
+        assert repr(a) == (
+            "HardInstance(n=10, k=2, relevant=frozenset({6, 7}), label=1, "
+            "threshold=3)"
+        )
+        assert a == b and hash(a) == hash(b)
+        assert a != HardInstance(10, 2, frozenset([6, 8]), 1, 3)
+
     def test_default_threshold(self):
         assert default_threshold(10) == 3
         assert default_threshold(400) == 120
@@ -120,7 +190,62 @@ class TestSingleQueryProb:
                 assert single_query_one_prob(n, k, m) <= bound
 
 
+class TestUniformOneHitProb:
+    def test_exhaustive_small_n(self):
+        # Every instance of every label and every point of the cube: the
+        # count of 1s is the same for each instance, and equals p * 2^n.
+        for n in range(2, 13, 2):
+            half = n // 2
+            for k in range(1, half + 1):
+                counts = set()
+                for label in (0, 1):
+                    lo = 1 if label == 0 else half + 1
+                    for rel in itertools.combinations(range(lo, lo + half), k):
+                        inst = HardInstance(n, k, frozenset(rel), label,
+                                            default_threshold(n))
+                        counts.add(sum(reference_eval_hard_bits(inst, b)
+                                       for b in range(1 << n)))
+                assert len(counts) == 1
+                p = Fraction(counts.pop(), 1 << n)
+                for q in (0, 1, 3):
+                    assert uniform_one_hit_prob(n, k, q) == 1 - (1 - p) ** q
+
+    def test_spot_values(self):
+        assert uniform_one_hit_prob(8, 2, 1) == Fraction(11, 256)
+        assert round(float(uniform_one_hit_prob(400, 20, 1000)), 6) == 0.000896
+
+    def test_rejects_bad_shapes(self):
+        for args in ((7, 2, 1), (8, 0, 1), (8, 5, 1), (8, 2, -1)):
+            with pytest.raises(ValueError):
+                uniform_one_hit_prob(*args)
+
+
 class TestDistinguisher:
+    @pytest.mark.parametrize("args, digest", [
+        (("uniform-random-queries", 50, 40, 4, 300, 7),
+         "91ff6734f2fcd206c8678dac7279bcc0bdba9a9b0262ddd020403e19b093d616"),
+        (("fixed-point-list", 60, 40, 3, 500, 9),
+         "9ee34a5b462dc9fcb2148bb8e472724891582184ca1f4e42e38212c523c43f0a"),
+        (("cube-sum-at-x_star", 7, 10, 2, 3000, 4),
+         "eeb8a4fbf2969c81a51e5c936d0f2169bfe2c5f2738cfb54f0473d0ad2b6c76b"),
+    ], ids=["uniform", "fixed", "cube-sum"])
+    def test_pinned_report_bytes(self, args, digest):
+        # The sha256 of the --out line, as the CLI writes it.
+        line = json.dumps(run_distinguisher(*args), sort_keys=True) + "\n"
+        assert hashlib.sha256(line.encode()).hexdigest() == digest
+
+    def test_fixed_probes_built_once(self, monkeypatch):
+        calls = []
+        real = lowerbound._fixed_queries
+
+        def counted(n, k, q):
+            calls.append((n, k, q))
+            return real(n, k, q)
+
+        monkeypatch.setattr(lowerbound, "_fixed_queries", counted)
+        run_distinguisher("fixed-point-list", 20, 40, 3, 50, 1)
+        assert calls == [(40, 3, 20)]
+
     def test_cube_sum_evaluates_through_module_global(self, monkeypatch):
         # Tracers wrap lowerbound._eval_hard_bits; the cube-sum walk must
         # look it up at call time, once per subcube point.
