@@ -108,9 +108,9 @@ def criterion_2():
     base = spec.bits_fn()
     x = find_corrupted_point(n, base, corruption, 0xC2A)
     truth = base(x.bits)
+    oracle = NoisyOracle.from_junta(spec, corruption)
     ok = 0
     for t in range(trials):
-        oracle = NoisyOracle.from_junta(spec, corruption)
         res = cube_sum_correct(oracle, x, k, derive_seed(0xC2, t))
         if res.queries_used != (1 << (k + 1)) - 1:
             return False, "query count %d != %d" % (res.queries_used, (1 << (k + 1)) - 1)
@@ -141,9 +141,9 @@ def criterion_3():
     passed = True
     for mode_idx, (mode, x) in enumerate(xs.items()):
         truth = base(x.bits)
+        oracle = NoisyOracle(n, base, corruption)
         ok = 0
         for t in range(trials):
-            oracle = NoisyOracle(n, base, corruption)
             res = influence_correct(oracle, x, k, derive_seed(0xC3 + mode_idx, t))
             if res.queries_used != expected_queries:
                 return False, "query count %d != %d" % (res.queries_used, expected_queries)

@@ -13,6 +13,7 @@ import functools
 from dataclasses import dataclass
 
 MAX_TABLE_VARS = 24  # dense 2^k-bit tables; 16 MiB at the cap
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 class DimensionMismatch(ValueError):
@@ -55,6 +56,10 @@ class Point:
 
     @classmethod
     def from_hex(cls, s: str, n: int) -> "Point":
+        """Inverse of to_hex: ASCII hex digits of either case and nothing
+        else (no sign, 0x prefix, whitespace or underscore)."""
+        if not s or not _HEX_DIGITS.issuperset(s):
+            raise ValueError("%r is not a string of hex digits" % s)
         return cls(n, int(s, 16))
 
     @classmethod

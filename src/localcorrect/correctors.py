@@ -45,8 +45,6 @@ class InfluenceCorrectorParams:
 
 def pair_rounds(k: int) -> int:
     """r = ceil(100*log2 k) + 500; base-2 log so 0.99^r < (1/k)*0.99^500."""
-    if k == 1:
-        return 500
     return math.ceil(100 * math.log2(k)) + 500
 
 

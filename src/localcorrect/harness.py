@@ -24,6 +24,9 @@ X_MODES = ("fixed-hex", "random", "adversarial-flipped")
 _BASE_STREAM = 1 << 48
 _X_STREAM = (1 << 48) + 1
 
+# Draws find_corrupted_point makes before giving up.
+MAX_SCAN = 500000
+
 
 def derive_seed(master_seed: int, trial_index: int) -> int:
     """Collision-resistant 64-bit per-trial seed, stable across platforms."""
@@ -78,45 +81,28 @@ class ExperimentConfig:
             raise ConfigError("corruption", str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    index: int
-    x_hex: str
-    returned: int
-    truth: int
-    success: bool
-    queries: int
-    seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "trial": self.index,
-            "x": self.x_hex,
-            "returned": self.returned,
-            "truth": self.truth,
-            "success": self.success,
-            "queries": self.queries,
-            "seed": self.seed,
-        }
-
-
 def _majority_profile(n: int):
     return tuple(int(w > n / 2) for w in range(n + 1))
 
 
 def _build_base(cfg: ExperimentConfig):
-    """Base function for the experiment; returns (bits_fn, extras)."""
-    extras = {}
+    """The experiment's base function and corrector; returns (bits_fn,
+    correct, redraws) with correct(o, x, seed) -> CorrectionResult, and
+    redraws None unless the influence base was redrawn to fit."""
     base_seed = derive_seed(cfg.master_seed, _BASE_STREAM)
+    k = cfg.k
+    # The closures look the correctors up when called, so patching the
+    # module globals reaches every trial.
     if cfg.algo == "symmetric":
         profile = _majority_profile(cfg.n)
-        extras["profile"] = profile
-        fn = lambda bits: profile[bits.bit_count()]
-        return fn, extras
+        return (lambda bits: profile[bits.bit_count()],
+                lambda o, x, seed: symmetric_correct(profile, x), None)
     if cfg.algo == "influence":
-        spec, extras["redraws"] = sample_influential_junta(cfg.k, cfg.n, base_seed)
-        return spec.bits_fn(), extras
-    return sample_random_junta(cfg.k, cfg.n, base_seed).bits_fn(), extras
+        spec, redraws = sample_influential_junta(k, cfg.n, base_seed)
+        return (spec.bits_fn(),
+                lambda o, x, seed: influence_correct(o, x, k, seed), redraws)
+    return (sample_random_junta(k, cfg.n, base_seed).bits_fn(),
+            lambda o, x, seed: cube_sum_correct(o, x, k, seed), None)
 
 
 def sample_influential_junta(k: int, n: int, seed: int):
@@ -131,9 +117,7 @@ def sample_influential_junta(k: int, n: int, seed: int):
         redraws += 1
 
 
-def find_corrupted_point(
-    n: int, base_fn, corruption, seed: int, max_scan: int = 500000
-) -> Point:
+def find_corrupted_point(n: int, base_fn, corruption, seed: int) -> Point:
     """A point where the corrupted oracle disagrees with the base."""
     if isinstance(corruption, NoCorruption):
         raise ConfigError("x_mode", "no corrupted point exists under 'none'")
@@ -143,27 +127,19 @@ def find_corrupted_point(
         rng = random.Random(seed)
         return Point(n, rng.choice(sorted(corruption.flips)))
     rng = random.Random(seed)
-    for _ in range(max_scan):
+    for _ in range(MAX_SCAN):
         bits = rng.getrandbits(n)
         value = base_fn(bits)
         if corruption.corrupt(n, bits, value) != value:
             return Point(n, bits)
-    raise ConfigError("x_mode", "no corrupted point found in %d draws" % max_scan)
-
-
-def _run_single(cfg, oracle, x, trial_seed, profile):
-    if cfg.algo == "cube":
-        return cube_sum_correct(oracle, x, cfg.k, trial_seed)
-    if cfg.algo == "influence":
-        return influence_correct(oracle, x, cfg.k, trial_seed)
-    return symmetric_correct(profile, x)
+    raise ConfigError("x_mode", "no corrupted point found in %d draws" % MAX_SCAN)
 
 
 def run_correction_experiment(cfg: ExperimentConfig):
-    """Run cfg.trials independent trials; returns (records, summary)."""
+    """Run cfg.trials independent trials, each a majority of
+    cfg.repeat_t or 1 corrector runs; returns (records, summary)."""
     corruption = cfg.validate()
-    base_fn, extras = _build_base(cfg)
-    profile = extras.get("profile")
+    base_fn, correct, redraws = _build_base(cfg)
 
     if cfg.x_mode == "fixed-hex":
         fixed_x = Point.from_hex(cfg.x_hex, cfg.n)
@@ -174,39 +150,34 @@ def run_correction_experiment(cfg: ExperimentConfig):
     else:
         fixed_x = None
 
+    # g is one fixed function, so one oracle serves every trial and vote;
+    # its counter is read as a difference.
+    oracle = NoisyOracle(cfg.n, base_fn, corruption)
+    runs = cfg.repeat_t or 1
     records = []
-    total_queries = 0
-    successes = 0
     for t in range(cfg.trials):
         seed = derive_seed(cfg.master_seed, t)
         rng = random.Random(seed)
         x = fixed_x if fixed_x is not None else Point(cfg.n, rng.getrandbits(cfg.n))
         truth = base_fn(x.bits)
+        before = oracle.query_count
+        votes = sum(correct(oracle, x, rng.getrandbits(64)).value for _ in range(runs))
+        value = int(2 * votes > runs)
+        records.append({
+            "trial": t,
+            "x": x.to_hex(),
+            "returned": value,
+            "truth": truth,
+            "success": value == truth,
+            "queries": oracle.query_count - before,
+            "seed": seed,
+        })
 
-        if cfg.repeat_t:
-            votes = 0
-            queries = 0
-            for _ in range(cfg.repeat_t):
-                oracle = NoisyOracle(cfg.n, base_fn, corruption)
-                res = _run_single(cfg, oracle, x, rng.getrandbits(64), profile)
-                votes += res.value
-                queries += res.queries_used
-            value = int(votes * 2 > cfg.repeat_t)
-        else:
-            oracle = NoisyOracle(cfg.n, base_fn, corruption)
-            res = _run_single(cfg, oracle, x, rng.getrandbits(64), profile)
-            value, queries = res.value, res.queries_used
-
-        ok = value == truth
-        successes += ok
-        total_queries += queries
-        records.append(TrialRecord(t, x.to_hex(), value, truth, ok, queries, seed))
-
-    rate = successes / cfg.trials
+    rate = sum(r["success"] for r in records) / cfg.trials
     summary = {
         "trials": cfg.trials,
         "success_rate": rate,
-        "mean_queries": total_queries / cfg.trials,
+        "mean_queries": oracle.query_count / cfg.trials,
         "ci_halfwidth": 1.96 * math.sqrt(rate * (1 - rate) / cfg.trials),
         "algo": cfg.algo,
         "k": cfg.k,
@@ -216,14 +187,14 @@ def run_correction_experiment(cfg: ExperimentConfig):
         "seed": cfg.master_seed,
         "repeat_t": cfg.repeat_t,
     }
-    if "redraws" in extras:
-        summary["junta_redraws"] = extras["redraws"]
+    if redraws is not None:
+        summary["junta_redraws"] = redraws
     return records, summary
 
 
 def emit_report(records, summary, path: str) -> None:
     """JSON lines: one record per line, then the summary object."""
-    lines = [json.dumps(r.to_json_dict(), sort_keys=True) for r in records]
+    lines = [json.dumps(r, sort_keys=True) for r in records]
     lines.append(json.dumps({"summary": summary}, sort_keys=True))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

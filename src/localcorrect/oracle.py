@@ -105,14 +105,15 @@ class BalancedLayerZero:
 class NoisyOracle:
     """Base function plus corruption, with a per-instance query counter.
 
-    A single trial owns an oracle at a time; independent trials build
-    their own instances, so the counter needs no locking.
+    g is a fixed function, so one oracle may serve many trials in turn;
+    each reads its own queries as a difference of query_count.  The
+    counter is not locked, so concurrent trials need their own oracles.
     """
 
     n: int
     base_bits: object  # Callable[[int], int] on raw n-bit integers
     corruption: object = field(default_factory=NoCorruption)
-    query_count: int = 0
+    query_count: int = field(default=0, init=False)
 
     @classmethod
     def from_junta(cls, spec: JuntaSpec, corruption=None) -> "NoisyOracle":
@@ -190,6 +191,8 @@ def parse_corruption(spec: str, n: int):
     if spec == "none":
         return NoCorruption()
     if spec == "layer":
+        if n % 2:
+            raise ValueError("layer needs an even n, got n=%d" % n)
         return BalancedLayerZero()
     kind, _, rest = spec.partition(":")
     if kind == "trunc":

@@ -68,6 +68,12 @@ class TestPoint:
         assert p.weight() == 1024
         assert Point.from_hex(p.to_hex(), 1024) == p
 
+    def test_from_hex_takes_hex_digits_only(self):
+        assert Point.from_hex("A5", 8) == Point.from_hex("a5", 8) == Point(8, 0xA5)
+        for text in ("", "0xa5", "a_5", " a5", "a5\n", "+a5", "-1", "\u0663"):
+            with pytest.raises(ValueError):
+                Point.from_hex(text, 8)
+
 
 class TestEvalJunta:
     def test_and3_all_relevant_ones(self):

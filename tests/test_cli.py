@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -82,6 +83,23 @@ class TestCorrect:
             cli.main(["correct", "--algo", "cube", "--k", "2", "--n", "8",
                       "--trials", "5", "--seed", "1", "--out", str(tmp_path / "x")])
 
+    @pytest.mark.parametrize("argv, digest", [
+        ("--algo cube --k 3 --n 12 --corruption iid:1/64:5 --trials 200 --seed 42",
+         "f1d1f605481722fe9c9d751a037ab1e86b028252e8e836587acd953789616e5c"),
+        ("--algo cube --k 2 --n 8 --corruption iid:1/32:3 --repeat-t 3 --trials 300 --seed 3",
+         "9ab2b46610939971288c82eda8d628853e6741041efd5721b7114d8cd9f324d2"),
+        ("--algo influence --k 3 --n 24 --corruption trunc:6 --repeat-t 3 --trials 4 --seed 3",
+         "fba1cbeefe4ded5637c0cbadb7ba2d2947e448ecd4d82fbb599effb307b66c4c"),
+        ("--algo symmetric --k 3 --n 40 --corruption layer --repeat-t 5 --trials 50 --seed 9",
+         "ea586183390d278603670d8c3637433e97d3c294cc829aed5df79cd0fe35f13f"),
+    ], ids=["cube-iid", "cube-repeat-3", "influence-trunc-repeat-3", "symmetric-layer-repeat-5"])
+    def test_pinned_report_bytes(self, argv, digest, tmp_path, capsys):
+        # The sha256 of the --out file; the first run is criterion 10's.
+        out = tmp_path / "report.jsonl"
+        rc, _, _ = run(["correct"] + argv.split() + ["--out", str(out)], capsys)
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_unknown_algo_argparse_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["correct", "--algo", "quantum", "--k", "2", "--n", "8",
@@ -153,6 +171,15 @@ LOWERBOUND = ["lowerbound", "--strategy", "uniform-random-queries", "--n", "40",
                  "x_hex", "", id="correct-x-not-hex"),
     pytest.param(CORRECT + ["--seed", "1", "--x-mode", "fixed-hex", "--x", "1ff"],
                  "x_hex", "", id="correct-x-too-wide"),
+    pytest.param(CORRECT + ["--seed", "1", "--x-mode", "fixed-hex", "--x", "0xa5"],
+                 "x_hex", "", id="correct-x-0x-prefix"),
+    pytest.param(CORRECT + ["--seed", "1", "--x-mode", "fixed-hex", "--x", "a_5"],
+                 "x_hex", "", id="correct-x-underscore"),
+    pytest.param(CORRECT + ["--seed", "1", "--x-mode", "fixed-hex", "--x", " a5"],
+                 "x_hex", "", id="correct-x-space"),
+    pytest.param(["correct", "--algo", "cube", "--k", "2", "--n", "9", "--corruption",
+                  "layer", "--trials", "5", "--seed", "1"],
+                 "corruption", "even n", id="layer-n-odd"),
     pytest.param(["correct", "--algo", "cube", "--k", "25", "--n", "30", "--trials", "5",
                   "--seed", "1"], "k", "", id="correct-k-above-table-limit"),
     pytest.param(LOWERBOUND + ["--trials", "10", "--seed", "-1"], "seed", "",

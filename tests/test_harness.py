@@ -3,11 +3,11 @@ import random
 
 import pytest
 
+from localcorrect import harness
 from localcorrect.analysis import min_influence_report, sample_random_junta
 from localcorrect.harness import (
     ConfigError,
     ExperimentConfig,
-    TrialRecord,
     derive_seed,
     emit_report,
     find_corrupted_point,
@@ -80,9 +80,9 @@ class TestRunExperiment:
             algo="cube", k=2, n=8, corruption="iid:1/32:3", trials=250, master_seed=3
         )
         records, summary = run_correction_experiment(cfg)
-        assert summary["success_rate"] == sum(r.success for r in records) / 250
-        assert summary["mean_queries"] == sum(r.queries for r in records) / 250
-        assert all(r.success == (r.returned == r.truth) for r in records)
+        assert summary["success_rate"] == sum(r["success"] for r in records) / 250
+        assert summary["mean_queries"] == sum(r["queries"] for r in records) / 250
+        assert all(r["success"] == (r["returned"] == r["truth"]) for r in records)
 
     def test_influence_redraws_logged(self):
         cfg = ExperimentConfig(algo="influence", k=2, n=10, trials=3, master_seed=4)
@@ -105,13 +105,33 @@ class TestRunExperiment:
             x_mode="fixed-hex", x_hex="a5",
         )
         records, _ = run_correction_experiment(cfg)
-        assert {r.x_hex for r in records} == {"a5"}
+        assert {r["x"] for r in records} == {"a5"}
 
-    def test_adversarial_x_is_corrupted(self):
+    def test_adversarial_x_is_corrupted(self, tmp_path):
         flips = random_flip_set(10, 8, 7)
-        cfg = ExperimentConfig(algo="cube", k=2, n=10, trials=10, master_seed=6)
-        x = find_corrupted_point(10, lambda bits: 0, flips, 11)
-        assert x.bits in flips.flips
+        path = tmp_path / "flips.txt"
+        path.write_text("".join("%03x\n" % b for b in sorted(flips.flips)))
+        cfg = ExperimentConfig(algo="cube", k=2, n=10, corruption="flips:%s" % path,
+                               trials=10, master_seed=6, x_mode="adversarial-flipped")
+        records, _ = run_correction_experiment(cfg)
+        assert len(records) == 10
+        assert all(int(r["x"], 16) in flips.flips for r in records)
+
+    def test_one_oracle_per_experiment(self, monkeypatch):
+        built = []
+        real = harness.NoisyOracle
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "NoisyOracle", counted)
+        cfg = ExperimentConfig(algo="cube", k=2, n=8, corruption="iid:1/32:3",
+                               trials=30, master_seed=3, repeat_t=3)
+        records, summary = run_correction_experiment(cfg)
+        assert len(built) == 1
+        assert {r["queries"] for r in records} == {3 * 7}
+        assert summary["mean_queries"] == 21.0
 
     def test_adversarial_without_corruption_rejected(self):
         with pytest.raises(ConfigError) as exc:
@@ -134,7 +154,8 @@ class TestRunExperiment:
 
 class TestEmitReport:
     def _record(self, i):
-        return TrialRecord(i, "00", 1, 1, True, 7, 123)
+        return {"trial": i, "x": "00", "returned": 1, "truth": 1,
+                "success": True, "queries": 7, "seed": 123}
 
     def test_empty_records_single_line(self, tmp_path):
         path = tmp_path / "r.jsonl"

@@ -104,6 +104,10 @@ class TestCounter:
     def test_fresh_is_zero(self):
         assert and2_oracle().query_count == 0
 
+    def test_count_is_not_an_init_argument(self):
+        with pytest.raises(TypeError):
+            NoisyOracle(6, lambda bits: 0, NoCorruption(), 5)
+
     def test_counts_every_query(self):
         o = and2_oracle()
         for q in range(1, 8):
