@@ -70,12 +70,13 @@ class Point:
 @functools.lru_cache(maxsize=None)
 def _low_mask(k: int, i: int) -> int:
     """Mask over [0, 2^k) selecting indices whose bit i is 0."""
-    step = 1 << i
-    block = (1 << step) - 1
-    period = 2 * step
-    mask = 0
-    for b in range(0, 1 << k, period):
-        mask |= block << b
+    # Start from one period (2^i ones, 2^i zeros) and double it until it
+    # spans 2^k bits: log2(2^k / 2^(i+1)) shifts, linear in the table.
+    mask = (1 << (1 << i)) - 1
+    width = 2 << i
+    while width < 1 << k:
+        mask |= mask << width
+        width *= 2
     return mask
 
 

@@ -11,6 +11,14 @@ half.  A point is evaluated relevance first: it answers 1 only if it
 covers the relevance mask, which a uniform point misses with probability
 1 - 2^-k, and only then are the two half-weights compared with the
 threshold.
+
+The distinguishers screen their query points in bulk.  Uniform points are
+drawn by mapping `getrandbits` over the budget, and `_hard_hits` keeps
+only the points that cover the relevance mask before it calls
+`_eval_hard_bits`, which stays the one full point rule.  So a uniform or
+fixed trial makes no Python function call per point: the draws run in C,
+and on uniform points the evaluator is called about q * 2^-k times per
+trial instead of q times.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import comb
 
 from .boolfn import ConfigError, Point, check_seed
@@ -131,7 +140,16 @@ def _guess_from_hits(n: int, k: int, hits) -> int:
 
 
 def _uniform_queries(rng, n: int, q: int):
-    return [rng.getrandbits(n) for _ in range(q)]
+    # The same q calls in the same order as a loop, made from C.
+    return list(map(rng.getrandbits, repeat(n, q)))
+
+
+def _hard_hits(inst: HardInstance, points) -> list:
+    # The points where g is 1.  Points missing a relevant coordinate fail
+    # the mask test with no Python call; _eval_hard_bits decides the rest
+    # and is read as a module global so tracers can wrap it.
+    rel = inst._rel_mask
+    return [b for b in points if b & rel == rel and _eval_hard_bits(inst, b)]
 
 
 def _fixed_queries(n: int, k: int, q: int):
@@ -189,7 +207,7 @@ def run_distinguisher(
                 pts = _uniform_queries(rng, n, q)
             else:
                 pts = fixed
-            hits = [b for b in pts if _eval_hard_bits(inst, b)]
+            hits = _hard_hits(inst, pts)
             hit = bool(hits)
             guess = _guess_from_hits(n, k, hits)
         correct += guess == label

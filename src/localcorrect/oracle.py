@@ -186,7 +186,9 @@ def parse_corruption(spec: str, n: int):
     """Parse a CLI corruption descriptor.
 
     Grammar: "none" | "flips:<file>" | "iid:<eps>:<seed>" | "trunc:<threshold>"
-    | "layer".  Flip files hold one hex point per line, LSB = coordinate 1.
+    | "layer".  Flip files hold one hex point per line, LSB = coordinate 1,
+    spelled as `Point.from_hex` reads it; surrounding whitespace and blank
+    lines are ignored.
     """
     if spec == "none":
         return NoCorruption()
@@ -203,10 +205,9 @@ def parse_corruption(spec: str, n: int):
             raise ValueError("iid descriptor needs iid:<eps>:<seed>")
         return IidFlips(_parse_eps(eps_text), int(seed_text))
     if kind == "flips":
-        with open(rest) as fh:
-            flips = frozenset(
-                int(line.strip(), 16) for line in fh if line.strip()
-            )
+        with open(rest, encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh]
+        flips = frozenset(Point.from_hex(line, n).bits for line in lines if line)
         return ExplicitFlips(n, flips)
     raise ValueError("unknown corruption descriptor %r" % spec)
 

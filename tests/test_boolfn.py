@@ -3,7 +3,7 @@ import random
 import pytest
 
 from localcorrect.acceptance import _random_low_degree_table
-from localcorrect.boolfn import JuntaSpec, Point, TruthTable, _mobius
+from localcorrect.boolfn import JuntaSpec, Point, TruthTable, _low_mask, _mobius
 
 
 def brute_anf_coeffs(tt):
@@ -181,6 +181,27 @@ class TestAnf:
         coeffs = anf_coeffs(tt)
         for j in range(32):
             assert sum(t & ~j == 0 for t in coeffs) % 2 == tt.value(j)
+
+
+class TestLowMask:
+    """`_low_mask(k, i)` selects the table indices whose bit i is 0; it
+    feeds `_mobius` and `influence_exact`."""
+
+    @staticmethod
+    def loop_mask(k, i):
+        # The construction the doubling replaced: one shifted block per
+        # period, quadratic in the table size.
+        step = 1 << i
+        block = (1 << step) - 1
+        mask = 0
+        for b in range(0, 1 << k, 2 * step):
+            mask |= block << b
+        return mask
+
+    def test_matches_loop_construction(self):
+        for k in range(1, 17):
+            for i in range(k):
+                assert _low_mask(k, i) == self.loop_mask(k, i), (k, i)
 
 
 class TestDegree:

@@ -154,6 +154,7 @@ class TestAmbiguity:
 
 
 CORRECT = ["correct", "--algo", "cube", "--k", "2", "--n", "8", "--trials", "5"]
+FLIPS = CORRECT + ["--seed", "1", "--x-mode", "adversarial-flipped", "--corruption"]
 LOWERBOUND = ["lowerbound", "--strategy", "uniform-random-queries", "--n", "40",
               "--k", "4", "--queries", "20"]
 
@@ -180,6 +181,12 @@ LOWERBOUND = ["lowerbound", "--strategy", "uniform-random-queries", "--n", "40",
     pytest.param(["correct", "--algo", "cube", "--k", "2", "--n", "9", "--corruption",
                   "layer", "--trials", "5", "--seed", "1"],
                  "corruption", "even n", id="layer-n-odd"),
+    # "flips:<line>" rows: the test writes a flips file holding " 2 ", a
+    # blank line and <line>, and passes its path instead.
+    pytest.param(FLIPS + ["flips:0x1_0"], "corruption", "hex digits", id="flips-0x-underscore"),
+    pytest.param(FLIPS + ["flips:1_0"], "corruption", "hex digits", id="flips-underscore"),
+    pytest.param(FLIPS + ["flips:+1"], "corruption", "hex digits", id="flips-sign"),
+    pytest.param(FLIPS + ["flips:\u0661"], "corruption", "hex digits", id="flips-non-ascii-digit"),
     pytest.param(["correct", "--algo", "cube", "--k", "25", "--n", "30", "--trials", "5",
                   "--seed", "1"], "k", "", id="correct-k-above-table-limit"),
     pytest.param(LOWERBOUND + ["--trials", "10", "--seed", "-1"], "seed", "",
@@ -211,6 +218,11 @@ LOWERBOUND = ["lowerbound", "--strategy", "uniform-random-queries", "--n", "40",
 def test_bad_numeric_input_exit_2(argv, field, fragment, tmp_path, capsys):
     if argv[0] in ("correct", "lowerbound"):
         argv = argv + ["--out", str(tmp_path / "x")]
+    flips = tmp_path / "flips.hex"
+    for arg in argv:
+        if arg.startswith("flips:"):
+            flips.write_text(" 2 \n\n%s\n" % arg[len("flips:"):], encoding="utf-8")
+    argv = ["flips:%s" % flips if a.startswith("flips:") else a for a in argv]
     rc, _, err = run(argv, capsys)
     assert rc == 2
     assert err.startswith("config error: %s: " % field) and fragment in err

@@ -45,6 +45,35 @@ def weight_w_half(rng, half, w, forced=0):
     return bits
 
 
+def loop_distinguisher(strategy, q, n, k, trials, seed):
+    """run_distinguisher's uniform and fixed strategies as a plain loop:
+    the uniform points are drawn by a comprehension, and every point goes
+    through _eval_hard_bits."""
+    rng = random.Random(seed)
+    fixed = lowerbound._fixed_queries(n, k, q)
+    correct = hit_trials = 0
+    for _ in range(trials):
+        label = rng.getrandbits(1)
+        inst = sample_hard_instance(n, k, label, rng.getrandbits(64))
+        if strategy == "uniform-random-queries":
+            pts = [rng.getrandbits(n) for _ in range(q)]
+        else:
+            pts = fixed
+        hits = [b for b in pts if lowerbound._eval_hard_bits(inst, b)]
+        correct += lowerbound._guess_from_hits(n, k, hits) == label
+        hit_trials += bool(hits)
+    return {
+        "strategy": strategy,
+        "n": n,
+        "k": k,
+        "q": q,
+        "trials": trials,
+        "advantage": abs(correct / trials - 0.5),
+        "one_hit_rate": hit_trials / trials,
+        "seed": seed,
+    }
+
+
 class TestSampleHardInstance:
     def test_d0_relevant_in_first_half(self):
         for seed in range(50):
@@ -233,6 +262,51 @@ class TestDistinguisher:
         # The sha256 of the --out line, as the CLI writes it.
         line = json.dumps(run_distinguisher(*args), sort_keys=True) + "\n"
         assert hashlib.sha256(line.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("q, n, k, trials, seed", [
+        (50, 40, 4, 300, 7),
+        (0, 40, 4, 50, 1),
+        (5, 2, 1, 400, 2),
+        (30, 20, 1, 300, 3),
+        (30, 20, 2, 300, 4),
+        (200, 40, 20, 100, 5),
+        (1000, 400, 20, 40, 6),
+    ], ids=["n40-k4", "q0", "n2-k1", "dense-k1", "dense-k2", "k-half", "n400-k20"])
+    @pytest.mark.parametrize("strategy", ["uniform-random-queries", "fixed-point-list"])
+    def test_matches_loop(self, strategy, q, n, k, trials, seed):
+        # The bulk draws and the relevance screen give the plain loop's
+        # report, with or without hits.
+        rep = run_distinguisher(strategy, q, n, k, trials, seed)
+        assert rep == loop_distinguisher(strategy, q, n, k, trials, seed)
+        if n == 20:
+            assert rep["one_hit_rate"] > 0
+
+    def test_uniform_draws_match_comprehension(self):
+        for n, q in ((2, 7), (40, 100), (400, 30), (64, 0)):
+            a, b = random.Random(n + q), random.Random(n + q)
+            assert lowerbound._uniform_queries(a, n, q) == [
+                b.getrandbits(n) for _ in range(q)
+            ]
+            # Same calls in the same order: the generators stay in step.
+            assert a.getrandbits(64) == b.getrandbits(64)
+
+    def test_screen_evaluates_through_module_global(self, monkeypatch):
+        # Tracers wrap lowerbound._eval_hard_bits: the screen must call it
+        # at run time, for exactly the points covering the relevance mask.
+        calls = []
+        real = lowerbound._eval_hard_bits
+
+        def counted(inst, bits):
+            calls.append(bits & inst._rel_mask == inst._rel_mask)
+            return real(inst, bits)
+
+        monkeypatch.setattr(lowerbound, "_eval_hard_bits", counted)
+        inst = sample_hard_instance(20, 2, 1, 8)
+        pts = lowerbound._uniform_queries(random.Random(9), 20, 400)
+        hits = lowerbound._hard_hits(inst, pts)
+        covering = sum(b & inst._rel_mask == inst._rel_mask for b in pts)
+        assert calls == [True] * covering and covering > 50
+        assert hits == [b for b in pts if real(inst, b)] and hits
 
     def test_fixed_probes_built_once(self, monkeypatch):
         calls = []

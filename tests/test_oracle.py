@@ -279,6 +279,18 @@ class TestParseCorruption:
         assert isinstance(c, ExplicitFlips)
         assert c.flips == frozenset(p.bits for p in pts)
 
+    def test_flips_file_spelling(self, tmp_path):
+        # Each line is stripped and read as Point.from_hex reads it; blank
+        # lines are skipped.  Other spellings, and points wider than n,
+        # are rejected (more spellings are in test_cli's exit-2 rows).
+        path = tmp_path / "flips.txt"
+        path.write_text(" 2 \n\n\tA0\n00f\n")
+        assert parse_corruption("flips:%s" % path, 8).flips == {0x2, 0xA0, 0xF}
+        for line in ("0x10", "-1", "1 0", "100"):
+            path.write_text("2\n%s\n" % line)
+            with pytest.raises(ValueError):
+                parse_corruption("flips:%s" % path, 8)
+
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             parse_corruption("bogus:1", 8)
