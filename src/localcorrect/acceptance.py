@@ -134,7 +134,7 @@ def criterion_3():
     base = spec.bits_fn()
 
     xs = {
-        "all-zeros": Point.zero(n),
+        "all-zeros": Point(n),
         "corrupted": find_corrupted_point(n, base, corruption, 0xC3A),
     }
     details = []
@@ -164,7 +164,7 @@ def criterion_4():
     s = 3 * k
     chosen = set(range(k))  # fixed by part index, independent of assignments
     rng = random.Random(0xC4)
-    x = Point.zero(n)
+    x = Point(n)
     in_s = [0] * n
     flips = [0] * n
     out_count = [0] * n
@@ -279,16 +279,11 @@ def criterion_8():
 def criterion_9():
     """Majority-minus-one ambiguity at n=8, exhaustively."""
     rep = maj_ambiguity_check(8)
-    passed = (
-        rep.disagreements_on_balanced_layer_only
-        and rep.truncated_all_identical
-        and rep.layer_fraction == Fraction(70, 256)
-    )
-    return passed, "layer-only=%s identical=%s fraction=%s" % (
-        rep.disagreements_on_balanced_layer_only,
-        rep.truncated_all_identical,
-        rep.layer_fraction,
-    )
+    layer_only = rep["disagreements_on_balanced_layer_only"]
+    identical = rep["truncated_all_identical"]
+    fraction = rep["layer_fraction"]
+    passed = layer_only and identical and fraction == "35/128"
+    return passed, "layer-only=%s identical=%s fraction=%s" % (layer_only, identical, fraction)
 
 
 @_criterion(10, "reproducibility")

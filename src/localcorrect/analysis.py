@@ -18,10 +18,9 @@ INFLUENCE_THRESHOLD = Fraction(1, 50)
 
 @dataclass(frozen=True)
 class InfluenceReport:
-    """Exact per-variable influences of a core function."""
+    """The exact minimum influence of a core function, and whether it
+    reaches INFLUENCE_THRESHOLD."""
 
-    k: int
-    per_variable: tuple
     min_influence: Fraction
     passes_threshold: bool
 
@@ -48,9 +47,8 @@ def sample_random_junta(k: int, n: int, seed: int) -> JuntaSpec:
 
 
 def min_influence_report(tt: TruthTable) -> InfluenceReport:
-    per_var = tuple(influence_exact(tt, i) for i in range(1, tt.k + 1))
-    lo = min(per_var)
-    return InfluenceReport(tt.k, per_var, lo, lo >= INFLUENCE_THRESHOLD)
+    lo = min(influence_exact(tt, i) for i in range(1, tt.k + 1))
+    return InfluenceReport(lo, lo >= INFLUENCE_THRESHOLD)
 
 
 def fraction_low_influence(k: int, samples: int, seed: int) -> float:
@@ -64,6 +62,5 @@ def fraction_low_influence(k: int, samples: int, seed: int) -> float:
     low = 0
     for _ in range(samples):
         tt = TruthTable(k, rng.getrandbits(1 << k))
-        if min(influence_exact(tt, i) for i in range(1, k + 1)) < INFLUENCE_THRESHOLD:
-            low += 1
+        low += not min_influence_report(tt).passes_threshold
     return low / samples

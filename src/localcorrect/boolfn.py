@@ -62,10 +62,6 @@ class Point:
             raise ValueError("%r is not a string of hex digits" % s)
         return cls(n, int(s, 16))
 
-    @classmethod
-    def zero(cls, n: int) -> "Point":
-        return cls(n, 0)
-
 
 @functools.lru_cache(maxsize=None)
 def _low_mask(k: int, i: int) -> int:

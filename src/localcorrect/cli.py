@@ -2,8 +2,8 @@
 
 Subcommands: correct, lowerbound, influence, ambiguity, bench.
 Exit codes: 0 success; 2 bad input (a ConfigError, which names the
-field); 1 an I/O failure, or an internal fault, which propagates with its
-traceback.
+field); 1 an I/O failure, an internal fault, which propagates with its
+traceback, or a failed `bench` criterion.
 """
 
 from __future__ import annotations
@@ -114,8 +114,7 @@ def _cmd_influence(args) -> int:
 
 
 def _cmd_ambiguity(args) -> int:
-    report = maj_ambiguity_check(args.n)
-    print(json.dumps(report.to_json_dict(), sort_keys=True))
+    print(json.dumps(maj_ambiguity_check(args.n), sort_keys=True))
     return 0
 
 

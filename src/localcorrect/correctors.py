@@ -56,21 +56,10 @@ class PartitionState:
     chosen is the ordered list of exactly k part ids whose union is S.
     """
 
-    n: int
-    s: int
     assignment: tuple
     marked: frozenset
     chosen: tuple
     S: frozenset
-
-    def __post_init__(self):
-        if len(self.assignment) != self.n:
-            raise ValueError("assignment must cover all n coordinates")
-        union = frozenset(
-            c + 1 for c, p in enumerate(self.assignment) if p in set(self.chosen)
-        )
-        if union != self.S:
-            raise ValueError("S must be the union of the chosen parts")
 
 
 @dataclass(frozen=True)
@@ -161,7 +150,7 @@ def identify_influencing_parts(
 
     chosen_set = set(chosen)
     S = frozenset(c + 1 for c, p in enumerate(assignment) if p in chosen_set)
-    return PartitionState(n, s, assignment, frozenset(marked), tuple(chosen), S)
+    return PartitionState(assignment, frozenset(marked), tuple(chosen), S)
 
 
 def build_masked_input(x: Point, S, p: Fraction, seed: int) -> Point:

@@ -62,6 +62,9 @@ class ExperimentConfig:
             raise ConfigError("k", "must be <= %d for %s" % (MAX_TABLE_VARS, self.algo))
         if self.n < self.k:
             raise ConfigError("n", "must be >= k")
+        # The symmetric base is the majority of all n coordinates.
+        if self.algo == "symmetric" and self.k != self.n:
+            raise ConfigError("k", "must equal n for symmetric")
         if self.x_mode not in X_MODES:
             raise ConfigError("x_mode", "expected one of %s" % list(X_MODES))
         if self.x_mode == "fixed-hex":
@@ -72,6 +75,8 @@ class ExperimentConfig:
             except ValueError:
                 raise ConfigError("x_hex", "%r is not a hex point of n=%d bits"
                                   % (self.x_hex, self.n)) from None
+        elif self.x_hex is not None:
+            raise ConfigError("x_hex", "only read when x_mode is fixed-hex")
         if self.repeat_t is not None and (self.repeat_t < 1 or self.repeat_t % 2 == 0):
             raise ConfigError("repeat_t", "must be a positive odd integer")
         check_seed(self.master_seed)

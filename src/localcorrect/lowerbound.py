@@ -236,34 +236,13 @@ def _cube_sum_guess(inst: HardInstance, k: int, seed: int):
     return sum(vals) & 1, any(vals)
 
 
-@dataclass(frozen=True)
-class MajAmbiguityReport:
-    """Exhaustive check that Maj over n-1 of n variables is uncorrectable
-    once the balanced layer is zeroed."""
-
-    n: int
-    num_functions: int
-    disagreements_on_balanced_layer_only: bool
-    truncated_all_identical: bool
-    layer_fraction: Fraction
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "num_functions": self.num_functions,
-            "disagreements_on_balanced_layer_only": self.disagreements_on_balanced_layer_only,
-            "truncated_all_identical": self.truncated_all_identical,
-            "layer_fraction": "%d/%d"
-            % (self.layer_fraction.numerator, self.layer_fraction.denominator),
-        }
-
-
-def maj_ambiguity_check(n: int) -> MajAmbiguityReport:
+def maj_ambiguity_check(n: int) -> dict:
     """Compare the n strict majorities over [n] minus one coordinate.
 
     Any two differ exactly on the weight-n/2 layer (at the points where
     the two dropped coordinates differ), so zeroing that layer makes all n
-    isomorphisms collide into one function.
+    isomorphisms collide into one function.  Returns the JSON-ready dict
+    that `ambiguity` prints, with layer_fraction as an "a/b" string.
     """
     if n % 2 or not 2 <= n <= 16:
         raise ConfigError("n", "must be even and in [2, 16] for the exhaustive check")
@@ -297,10 +276,11 @@ def maj_ambiguity_check(n: int) -> MajAmbiguityReport:
             layer_mask |= 1 << bits
     truncated = {tbl & ~layer_mask for tbl in tables}
 
-    return MajAmbiguityReport(
-        n=n,
-        num_functions=n,
-        disagreements_on_balanced_layer_only=layer_only,
-        truncated_all_identical=len(truncated) == 1,
-        layer_fraction=Fraction(comb(n, half), 1 << n),
-    )
+    return {
+        "n": n,
+        "num_functions": n,
+        "disagreements_on_balanced_layer_only": layer_only,
+        "truncated_all_identical": len(truncated) == 1,
+        # Never a whole number for n >= 2, so always "a/b".
+        "layer_fraction": str(Fraction(comb(n, half), 1 << n)),
+    }

@@ -90,9 +90,13 @@ class TestCorrect:
          "9ab2b46610939971288c82eda8d628853e6741041efd5721b7114d8cd9f324d2"),
         ("--algo influence --k 3 --n 24 --corruption trunc:6 --repeat-t 3 --trials 4 --seed 3",
          "fba1cbeefe4ded5637c0cbadb7ba2d2947e448ecd4d82fbb599effb307b66c4c"),
-        ("--algo symmetric --k 3 --n 40 --corruption layer --repeat-t 5 --trials 50 --seed 9",
-         "ea586183390d278603670d8c3637433e97d3c294cc829aed5df79cd0fe35f13f"),
-    ], ids=["cube-iid", "cube-repeat-3", "influence-trunc-repeat-3", "symmetric-layer-repeat-5"])
+        ("--algo symmetric --k 40 --n 40 --corruption layer --repeat-t 5 --trials 50 --seed 9",
+         "45e555100f2e12f930479c5b2f440baa11c0afc7e8d0280ce6fef895d185b108"),
+        ("--algo influence --k 8 --n 128 --corruption iid:2^-12:99 --trials 4 --seed 5"
+         " --x-mode adversarial-flipped",
+         "80899e562bca92e15aace7dfec8ccd8b48140b1630690bdd9633845c5bc6fd1a"),
+    ], ids=["cube-iid", "cube-repeat-3", "influence-trunc-repeat-3", "symmetric-layer-repeat-5",
+            "influence-iid-adversarial"])
     def test_pinned_report_bytes(self, argv, digest, tmp_path, capsys):
         # The sha256 of the --out file; the first run is criterion 10's.
         out = tmp_path / "report.jsonl"
@@ -144,6 +148,8 @@ class TestAmbiguity:
     def test_n8(self, capsys):
         rc, stdout, _ = run(["ambiguity", "--n", "8"], capsys)
         assert rc == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "77f71e92f0e60df6ede539b99d44494ab60f27974e762491c8fa473cb65e1872")
         data = json.loads(stdout)
         assert data["truncated_all_identical"] is True
         assert data["layer_fraction"] == "35/128"
@@ -178,6 +184,12 @@ LOWERBOUND = ["lowerbound", "--strategy", "uniform-random-queries", "--n", "40",
                  "x_hex", "", id="correct-x-underscore"),
     pytest.param(CORRECT + ["--seed", "1", "--x-mode", "fixed-hex", "--x", " a5"],
                  "x_hex", "", id="correct-x-space"),
+    pytest.param(CORRECT + ["--seed", "1", "--x", "a5"],
+                 "x_hex", "fixed-hex", id="correct-x-random-mode"),
+    pytest.param(FLIPS[:-1] + ["--x", "zz"],
+                 "x_hex", "fixed-hex", id="correct-x-adversarial-mode"),
+    pytest.param(["correct", "--algo", "symmetric", "--k", "3", "--n", "40", "--trials", "5",
+                  "--seed", "9"], "k", "equal n", id="symmetric-k-not-n"),
     pytest.param(["correct", "--algo", "cube", "--k", "2", "--n", "9", "--corruption",
                   "layer", "--trials", "5", "--seed", "1"],
                  "corruption", "even n", id="layer-n-odd"),

@@ -17,7 +17,7 @@ from localcorrect.correctors import (
     subcube_points,
     symmetric_correct,
 )
-from localcorrect.oracle import ExplicitFlips, NoisyOracle, random_flip_set
+from localcorrect.oracle import ExplicitFlips, IidFlips, NoisyOracle, random_flip_set
 
 
 def random_low_degree_table(rng, m, max_deg):
@@ -117,8 +117,19 @@ class TestCubeSum:
     def test_query_count_exact(self):
         spec = sample_random_junta(4, 12, 1)
         o = NoisyOracle.from_junta(spec)
-        res = cube_sum_correct(o, Point.zero(12), 4, 0)
+        res = cube_sum_correct(o, Point(12), 4, 0)
         assert res.queries_used == 31 == o.query_count
+
+
+def assert_partition_state(state, n, k):
+    # S is the union of the k distinct chosen parts of an n-coordinate
+    # assignment; over-marked, the chosen parts are marked ones.
+    assert len(state.assignment) == n
+    assert len(state.chosen) == len(set(state.chosen)) == k
+    chosen = set(state.chosen)
+    assert state.S == frozenset(c + 1 for c, p in enumerate(state.assignment) if p in chosen)
+    if len(state.marked) > k:
+        assert chosen <= state.marked
 
 
 class TestIdentifyParts:
@@ -128,9 +139,18 @@ class TestIdentifyParts:
             o = NoisyOracle(12, lambda bits: 0)
             state = identify_influencing_parts(o, 12, params, seed)
             assert state.marked == frozenset()
-            assert len(state.chosen) == 3
-            assert len(set(state.chosen)) == 3
+            assert_partition_state(state, 12, 3)
             assert o.query_count == 2 * params.s * params.r
+
+    def test_heavy_corruption_over_marks(self):
+        # Under iid eps = 1/4 nearly every part marks, so the k parts come
+        # from the over-marked branch.
+        params = InfluenceCorrectorParams(3)
+        for seed in range(5):
+            o = NoisyOracle(20, lambda bits: 0, IidFlips(Fraction(1, 4), seed))
+            state = identify_influencing_parts(o, 20, params, seed)
+            assert len(state.marked) > 3
+            assert_partition_state(state, 20, 3)
 
     def test_parity_marks_every_relevant_part(self):
         # every influence is 1, so a relevant part escapes only with
@@ -166,11 +186,8 @@ class TestIdentifyParts:
         params = InfluenceCorrectorParams(3)
         o = NoisyOracle.from_junta(spec)
         state = identify_influencing_parts(o, 20, params, 5)
-        assert len(state.assignment) == 20
         assert all(0 <= p < params.s for p in state.assignment)
-        assert state.S == frozenset(
-            c + 1 for c, p in enumerate(state.assignment) if p in set(state.chosen)
-        )
+        assert_partition_state(state, 20, 3)
 
 
 class TestBuildMaskedInput:
@@ -185,7 +202,7 @@ class TestBuildMaskedInput:
 
     def test_flip_frequency(self):
         n = 20
-        x = Point.zero(n)
+        x = Point(n)
         counts = [0] * n
         runs = 100000
         for seed in range(runs):
@@ -197,7 +214,7 @@ class TestBuildMaskedInput:
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
-            build_masked_input(Point.zero(4), (), Fraction(5, 4), 0)
+            build_masked_input(Point(4), (), Fraction(5, 4), 0)
 
 
 class TestInfluenceCorrect:
@@ -225,7 +242,7 @@ class TestInfluenceCorrect:
     def test_diagnostics_populated(self):
         spec = sample_random_junta(3, 18, 2)
         o = NoisyOracle.from_junta(spec)
-        res = influence_correct(o, Point.zero(18), 3, seed=1)
+        res = influence_correct(o, Point(18), 3, seed=1)
         assert res.marked_parts is not None
         assert res.s_size is not None
 
@@ -237,7 +254,7 @@ class TestInfluenceCorrect:
         monkeypatch.setattr(correctors, "pair_rounds", lambda k: 1)
         n, k = 60, 5
         runs = 50000
-        x = Point.zero(n)
+        x = Point(n)
         counts = [0] * n
         for seed in range(runs):
             o = NoisyOracle(n, lambda bits: 0)

@@ -70,7 +70,7 @@ class TestRunExperiment:
         assert summary["mean_queries"] == 15.0
 
     def test_symmetric_uses_zero_queries(self):
-        cfg = ExperimentConfig(algo="symmetric", k=1, n=9, trials=50, master_seed=2)
+        cfg = ExperimentConfig(algo="symmetric", k=9, n=9, trials=50, master_seed=2)
         _, summary = run_correction_experiment(cfg)
         assert summary["mean_queries"] == 0.0
         assert summary["success_rate"] == 1.0

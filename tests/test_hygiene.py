@@ -74,3 +74,40 @@ def test_broad_handlers_reraise(path):
     ]
     assert not swallowing, "%s: broad handler without a final raise at %s" % (
         path.name, ", ".join(swallowing))
+
+
+# Public names that no module reads yet, each with the reason it stays.
+UNREAD_PUBLIC = {
+    # Kept for the realised-disagreement summary of ROADMAP item 4.
+    "oracle.disagreement_fraction",
+}
+
+
+def public_top_level_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (name for name in names if not name.startswith("_"))
+
+
+def test_every_public_name_is_read():
+    """A public function, class or constant that no module of the package
+    reads, by name or as an attribute, exists only for its tests."""
+    trees = {path.stem: parse(path) for path in MODULES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = {"%s.%s" % (module, name)
+              for module, tree in trees.items()
+              for name in public_top_level_names(tree) if name not in read}
+    assert unread == UNREAD_PUBLIC

@@ -257,7 +257,12 @@ class TestDistinguisher:
          "9ee34a5b462dc9fcb2148bb8e472724891582184ca1f4e42e38212c523c43f0a"),
         (("cube-sum-at-x_star", 7, 10, 2, 3000, 4),
          "eeb8a4fbf2969c81a51e5c936d0f2169bfe2c5f2738cfb54f0473d0ad2b6c76b"),
-    ], ids=["uniform", "fixed", "cube-sum"])
+        # Criterion 8's two runs, at full scale.
+        (("uniform-random-queries", 1000, 400, 20, 2000, 200),
+         "2c512cbf521325149195d142d10a6966c68fe81d05eda40fd0a196419ee46ae5"),
+        (("cube-sum-at-x_star", 127, 1000, 6, 1000, 3212),
+         "1e9dc95671330c1189af689bb4bb1cb441d4cf677eeb500cab5b2744a9d19c47"),
+    ], ids=["uniform", "fixed", "cube-sum", "criterion-8-uniform", "criterion-8-cube-sum"])
     def test_pinned_report_bytes(self, args, digest):
         # The sha256 of the --out line, as the CLI writes it.
         line = json.dumps(run_distinguisher(*args), sort_keys=True) + "\n"
@@ -365,21 +370,24 @@ class TestDistinguisher:
 class TestMajAmbiguity:
     def test_n8_report(self):
         rep = maj_ambiguity_check(8)
-        assert rep.num_functions == 8
-        assert rep.disagreements_on_balanced_layer_only
-        assert rep.truncated_all_identical
-        assert rep.layer_fraction == Fraction(70, 256)
+        assert rep["num_functions"] == 8
+        assert rep["disagreements_on_balanced_layer_only"]
+        assert rep["truncated_all_identical"]
+        assert rep["layer_fraction"] == "35/128"
 
     def test_n6(self):
         rep = maj_ambiguity_check(6)
-        assert rep.disagreements_on_balanced_layer_only
-        assert rep.truncated_all_identical
-        assert rep.layer_fraction == Fraction(20, 64)
+        assert rep["disagreements_on_balanced_layer_only"]
+        assert rep["truncated_all_identical"]
+        assert rep["layer_fraction"] == "5/16"
 
     def test_rejects_odd_n(self):
         with pytest.raises(ValueError):
             maj_ambiguity_check(7)
 
     def test_json_dict(self):
-        d = maj_ambiguity_check(6).to_json_dict()
-        assert d["layer_fraction"] == "5/16"
+        # The dict is the `ambiguity` stdout: five keys, the fraction as "a/b".
+        d = maj_ambiguity_check(2)
+        assert json.dumps(d, sort_keys=True) == (
+            '{"disagreements_on_balanced_layer_only": true, "layer_fraction": "1/2", '
+            '"n": 2, "num_functions": 2, "truncated_all_identical": true}')
