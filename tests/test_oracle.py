@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,17 @@ def reference_flips_point(corr, n, bits):
     as h * den < num * 2^64."""
     h = reference_hash(n, bits, corr.seed)
     return h * corr.eps.denominator < corr.eps.numerator << 64
+
+
+def per_point_query_many(o, points):
+    """query_many as it was before batch corruption: one corrupt call per
+    point, without the count."""
+    base, corrupt, n = o.base_bits, o.corruption.corrupt, o.n
+    return [corrupt(n, bits, base(bits)) for bits in points]
+
+
+# Two slice edges of IidFlips.corrupt_many crossed, and one point beyond.
+LONG_BATCH = 2 * (1 << 12) + 1
 
 
 CORRUPTIONS = {
@@ -93,11 +105,70 @@ class TestQuery:
         assert o.query_count == 2 * len(pts)
         assert o.query_many([]) == [] and o.query_count == 2 * len(pts)
 
+    @pytest.mark.parametrize("model", sorted(CORRUPTIONS))
+    def test_query_many_matches_per_point_rule(self, model):
+        spec = JuntaSpec(12, TruthTable(4, random.Random(6).getrandbits(16)),
+                         (1, 5, 6, 12))
+        o = NoisyOracle.from_junta(spec, CORRUPTIONS[model])
+        rng = random.Random(7)
+        pts = [rng.getrandbits(12) for _ in range(LONG_BATCH)]
+        pts += sorted(CORRUPTIONS["flips"].flips)
+        for batch in ([], pts[:1], pts[:800], pts, range(1 << 12)):
+            before = o.query_count
+            assert o.query_many(batch) == per_point_query_many(o, batch)
+            assert o.query_count - before == len(batch)
+
     def test_no_corruption_matches_base_everywhere(self):
         spec = JuntaSpec(8, TruthTable.majority(3), (2, 4, 8))
         o = NoisyOracle.from_junta(spec)
         for bits in range(256):
             assert o.query(Point(8, bits)) == spec.bits_fn()(bits)
+
+
+def batch_models(n, points):
+    """One instance of each model at n, with both outcomes reachable."""
+    yield NoCorruption()
+    yield ExplicitFlips(n, frozenset(points[::3]))
+    yield ExplicitFlips(n, frozenset())
+    for eps in (Fraction(0), Fraction(1, 1 << 12), Fraction(1, 3),
+                1 - Fraction(1, 1 << 64)):
+        yield IidFlips(eps, 0xBA7C + n)
+    yield WeightTruncation(n // 4)
+    yield WeightTruncation(0)
+    yield BalancedLayerZero()
+
+
+class TestCorruptMany:
+    """Each model's batch rule against its per-point reference rule."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 13, 64, 129])
+    def test_matches_per_point_rule(self, n):
+        rng = random.Random(n)
+        pts = [rng.getrandbits(n) for _ in range(LONG_BATCH)]
+        vals = [rng.getrandbits(1) for _ in pts]
+        for m in (0, 1, 800, len(pts)):
+            batch = pts[:m]
+            for values in (vals[:m], [0] * m, [1] * m):
+                for corr in batch_models(n, batch):
+                    got = corr.corrupt_many(n, batch, values)
+                    assert got == [corr.corrupt(n, b, v)
+                                   for b, v in zip(batch, values)], (corr, m)
+                    assert all(type(v) is int for v in got)
+
+    def test_iid_memory_is_bounded_by_the_slice(self):
+        # Hasher copies live for one slice at a time; a whole-batch chain
+        # held 20,000 copies and peaked near 9 MB.
+        corr = IidFlips(Fraction(1, 4096), 3)
+        rng = random.Random(1)
+        pts = [rng.getrandbits(64) for _ in range(20000)]
+        vals = [0] * len(pts)
+        tracemalloc.start()
+        try:
+            corr.corrupt_many(64, pts, vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 1024 * 1024
 
 
 class TestCounter:
@@ -129,6 +200,21 @@ class TestDisagreementFraction:
         o = NoisyOracle(10, lambda bits: 0, WeightTruncation(3))
         b = disagreement_fraction(o)
         assert (b.value, b.kind) == (Fraction(87, 256), "upper_bound")
+        # At odd n the high half has the extra bit: 4 and 5 bits at n=9.
+        o = NoisyOracle(9, lambda bits: 1, WeightTruncation(2))
+        assert disagreement_fraction(o).value == Fraction(21, 32)
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 11])
+    def test_truncation_bound_matches_exhaustive_count(self, n):
+        # Exact for a constant-1 base, an upper bound for any other.
+        spec = JuntaSpec(n, TruthTable(3, 0b10010110), (1, 4, n))
+        for t in range(n // 2 + 3):
+            corr = WeightTruncation(t)
+            ones = NoisyOracle(n, lambda bits: 1, corr)
+            b = disagreement_fraction(ones)
+            assert b.kind == "upper_bound"
+            assert b.value == exhaustive_disagreement(ones)
+            assert b.value >= exhaustive_disagreement(NoisyOracle.from_junta(spec, corr))
 
     def test_iid_small_n_exact(self):
         corr = IidFlips(Fraction(1, 8), 5)
