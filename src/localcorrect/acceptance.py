@@ -73,7 +73,7 @@ def _random_low_degree_table(rng: random.Random, m: int, max_deg: int) -> int:
     return _mobius(coeffs, m)
 
 
-def subcube_parity(table: int, m: int, offset: int, dirs) -> int:
+def subcube_parity(table: int, offset: int, dirs) -> int:
     """XOR of the table over the full affine subcube spanned by dirs at offset."""
     acc = (table >> offset) & 1
     for cur in subcube_points(offset, dirs):
@@ -94,7 +94,7 @@ def criterion_1():
             for _ in range(100):
                 offset = rng.getrandbits(m)
                 dirs = [rng.getrandbits(m) for _ in range(k + 1)]
-                failures += subcube_parity(table, m, offset, dirs)
+                failures += subcube_parity(table, offset, dirs)
     return failures == 0, "%d nonzero subcube sums (expected 0)" % failures
 
 
@@ -108,7 +108,7 @@ def criterion_2():
     base = spec.bits_fn()
     x = find_corrupted_point(n, base, corruption, 0xC2A)
     truth = base(x.bits)
-    oracle = NoisyOracle.from_junta(spec, corruption)
+    oracle = NoisyOracle(n, base, corruption)
     ok = 0
     for t in range(trials):
         res = cube_sum_correct(oracle, x, k, derive_seed(0xC2, t))
@@ -172,7 +172,7 @@ def criterion_4():
     for _ in range(samples):
         assignment = [rng.randrange(s) for _ in range(n)]
         S = [c + 1 for c in range(n) if assignment[c] in chosen]
-        y = build_masked_input(x, S, Fraction(3, 4), rng.getrandbits(64))
+        y = build_masked_input(x, S, rng.getrandbits(64))
         sset = set(S)
         yb = y.bits
         for c in range(n):
@@ -321,11 +321,11 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(verbose: bool = False):
+def run_all():
+    """Run every criterion, printing each line as it finishes."""
     results = []
     for fn in ALL_CRITERIA:
         res = fn()
         results.append(res)
-        if verbose:
-            print(res.line())
+        print(res.line())
     return results

@@ -121,7 +121,7 @@ def _cmd_ambiguity(args) -> int:
 def _cmd_bench(_args) -> int:
     from .acceptance import run_all
 
-    results = run_all(verbose=True)
+    results = run_all()
     return 0 if all(r.passed for r in results) else 1
 
 

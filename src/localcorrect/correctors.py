@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .boolfn import DimensionMismatch, Point
 from .oracle import NoisyOracle
@@ -21,8 +20,8 @@ from .oracle import NoisyOracle
 
 @dataclass(frozen=True)
 class InfluenceCorrectorParams:
-    """The corrector's parameters, all fixed by k: s = 3k parts, r =
-    pair_rounds(k) query pairs per part, re-randomization bias p = 3/4."""
+    """The corrector's parameters, all fixed by k: s = 3k parts and r =
+    pair_rounds(k) query pairs per part."""
 
     k: int
 
@@ -37,10 +36,6 @@ class InfluenceCorrectorParams:
     @property
     def r(self) -> int:
         return pair_rounds(self.k)
-
-    @property
-    def p(self) -> Fraction:
-        return Fraction(3, 4)
 
 
 def pair_rounds(k: int) -> int:
@@ -153,24 +148,20 @@ def identify_influencing_parts(
     return PartitionState(assignment, frozenset(marked), tuple(chosen), S)
 
 
-def build_masked_input(x: Point, S, p: Fraction, seed: int) -> Point:
-    """y agreeing with x on S; elsewhere each bit flips with probability p."""
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError("p must lie in [0, 1]")
+def build_masked_input(x: Point, S, seed: int) -> Point:
+    """y agreeing with x on S; elsewhere each bit flips with probability 3/4."""
     rng = random.Random(seed)
-    num, den = p.numerator, p.denominator
     bits = x.bits
     frozen = set(S)
     for i in range(1, x.n + 1):
         if i in frozen:
             continue
-        if rng.randrange(den) < num:
+        if rng.randrange(4) < 3:
             bits ^= 1 << (i - 1)
     return Point(x.n, bits)
 
 
-def influence_correct(o: NoisyOracle, x: Point, k: int, seed: int = 0) -> CorrectionResult:
+def influence_correct(o: NoisyOracle, x: Point, k: int, seed: int) -> CorrectionResult:
     """Correct a high-influence k-junta with 6*k*r + 1 queries.
 
     Success >= 2/3 per invocation requires every relevant variable to have
@@ -185,7 +176,7 @@ def influence_correct(o: NoisyOracle, x: Point, k: int, seed: int = 0) -> Correc
     mask_seed = rng.getrandbits(64)
     before = o.query_count
     state = identify_influencing_parts(o, o.n, params, parts_seed)
-    y = build_masked_input(x, state.S, params.p, mask_seed)
+    y = build_masked_input(x, state.S, mask_seed)
     value = o.query(y)
     return CorrectionResult(
         value,

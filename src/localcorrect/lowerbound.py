@@ -2,9 +2,11 @@
 
 The hard instance is an AND junta whose relevant variables all sit in one
 half of the coordinates, with the function forced to 0 outside the box of
-per-half Hamming weight <= floor(0.3n).  The target input is the balanced
-point (first half zeros, second half ones): D0 instances answer 0 there,
-D1 instances answer 1, yet queries almost never reveal which.
+per-half Hamming weight <= floor(0.3n).  An instance is n and its
+relevant set: the half holding the set is its label, and n fixes the
+threshold.  The target input is the balanced point (first half zeros,
+second half ones): D0 instances answer 0 there, D1 instances answer 1,
+yet queries almost never reveal which.
 
 Each instance precomputes two masks: the relevant coordinates and the low
 half.  A point is evaluated relevance first: it answers 1 only if it
@@ -29,7 +31,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import comb
 
-from .boolfn import ConfigError, Point, check_seed
+from .boolfn import MAX_TABLE_VARS, ConfigError, Point, _low_mask, check_seed
 from .correctors import subcube_points
 
 STRATEGIES = ("uniform-random-queries", "fixed-point-list", "cube-sum-at-x_star")
@@ -41,35 +43,28 @@ def default_threshold(n: int) -> int:
 
 @dataclass(frozen=True)
 class HardInstance:
-    """AND of k coordinates confined to one half, weight-truncated to 0."""
+    """AND of the relevant coordinates, truncated to 0 above the derived
+    threshold default_threshold(n).  relevant lies in one half, and that
+    half is the label: the first for D0, the second for D1."""
 
     n: int
-    k: int
     relevant: frozenset
-    label: int  # 0 for D0 (first half), 1 for D1 (second half)
-    threshold: int
 
     def __post_init__(self):
         if self.n % 2:
             raise ValueError("n must be even")
-        if self.label not in (0, 1):
-            raise ValueError("label must be 0 or 1")
-        if not 1 <= self.k <= self.n // 2:
-            raise ValueError("k must lie in [1, n/2]")
-        if len(self.relevant) != self.k:
-            raise ValueError("relevant must have k coordinates")
         half = self.n // 2
-        if self.label == 0:
-            ok = all(1 <= c <= half for c in self.relevant)
-        else:
-            ok = all(half + 1 <= c <= self.n for c in self.relevant)
-        if not ok:
-            raise ValueError("relevant coordinates must sit in the label's half")
+        if not self.relevant or not (
+            all(1 <= c <= half for c in self.relevant)
+            or all(half < c <= self.n for c in self.relevant)
+        ):
+            raise ValueError("relevant must be a nonempty subset of one half")
         rel = 0
         for c in self.relevant:
             rel |= 1 << (c - 1)
         object.__setattr__(self, "_rel_mask", rel)
         object.__setattr__(self, "_low_mask", (1 << half) - 1)
+        object.__setattr__(self, "threshold", default_threshold(self.n))
 
     @property
     def x_star(self) -> Point:
@@ -80,11 +75,12 @@ class HardInstance:
 
 def sample_hard_instance(n: int, k: int, label: int, seed: int) -> HardInstance:
     """relevant is a uniform k-subset of the half designated by the label."""
+    if label not in (0, 1):
+        raise ValueError("label must be 0 or 1")
     rng = random.Random(seed)
     half = n // 2
     lo = 1 if label == 0 else half + 1
-    relevant = frozenset(rng.sample(range(lo, lo + half), k))
-    return HardInstance(n, k, relevant, label, default_threshold(n))
+    return HardInstance(n, frozenset(rng.sample(range(lo, lo + half), k)))
 
 
 def _eval_hard_bits(inst: HardInstance, bits: int) -> int:
@@ -140,8 +136,9 @@ def _guess_from_hits(n: int, k: int, hits) -> int:
 
 
 def _uniform_queries(rng, n: int, q: int):
-    # The same q calls in the same order as a loop, made from C.
-    return list(map(rng.getrandbits, repeat(n, q)))
+    # The same q calls in the same order as a loop, made from C and
+    # streamed into _hard_hits, so no list of q points is held.
+    return map(rng.getrandbits, repeat(n, q))
 
 
 def _hard_hits(inst: HardInstance, points) -> list:
@@ -187,6 +184,9 @@ def run_distinguisher(
     if not 1 <= k <= n // 2:
         raise ConfigError("k", "must lie in [1, n/2]")
     if strategy == "cube-sum-at-x_star":
+        # The walk lists 2^(k+1)-1 points: correct --algo cube's cap holds.
+        if k > MAX_TABLE_VARS:
+            raise ConfigError("k", "must be <= %d for %s" % (MAX_TABLE_VARS, strategy))
         if q != (1 << (k + 1)) - 1:
             raise ConfigError("queries", "must equal 2^(k+1)-1 = %d for %s"
                               % ((1 << (k + 1)) - 1, strategy))
@@ -258,22 +258,17 @@ def maj_ambiguity_check(n: int) -> dict:
                 tbl |= 1 << bits
         tables.append(tbl)
 
-    layer_only = True
-    for a in range(n):
-        for b in range(a + 1, n):
-            # The disagreement set must be exactly the balanced-layer points
-            # where the two dropped coordinates differ.
-            expected = 0
-            for bits in range(1 << n):
-                if bits.bit_count() == half and ((bits >> a) ^ (bits >> b)) & 1:
-                    expected |= 1 << bits
-            if tables[a] ^ tables[b] != expected:
-                layer_only = False
-
     layer_mask = 0
     for bits in range(1 << n):
         if bits.bit_count() == half:
             layer_mask |= 1 << bits
+
+    # Each disagreement set must be the balanced-layer points where the two
+    # dropped coordinates differ, i.e. where exactly one has bit 0.
+    layer_only = all(
+        tables[a] ^ tables[b] == layer_mask & (_low_mask(n, a) ^ _low_mask(n, b))
+        for a in range(n) for b in range(a + 1, n)
+    )
     truncated = {tbl & ~layer_mask for tbl in tables}
 
     return {

@@ -23,7 +23,7 @@ from itertools import repeat, starmap
 from math import comb
 from operator import xor
 
-from .boolfn import DimensionMismatch, JuntaSpec, Point
+from .boolfn import DimensionMismatch, Point
 
 EXHAUSTIVE_MAX_N = 20
 
@@ -159,10 +159,6 @@ class NoisyOracle:
     base_bits: object  # Callable[[int], int] on raw n-bit integers
     corruption: object = field(default_factory=NoCorruption)
     query_count: int = field(default=0, init=False)
-
-    @classmethod
-    def from_junta(cls, spec: JuntaSpec, corruption=None) -> "NoisyOracle":
-        return cls(spec.n, spec.bits_fn(), corruption or NoCorruption())
 
     def query(self, x: Point) -> int:
         """g at one checked point; counts one query."""

@@ -221,6 +221,9 @@ LOWERBOUND = ["lowerbound", "--strategy", "uniform-random-queries", "--n", "40",
     pytest.param(["lowerbound", "--strategy", "cube-sum-at-x_star", "--n", "40",
                   "--k", "-2", "--queries", "1", "--trials", "10", "--seed", "3"],
                  "k", "", id="lowerbound-k-negative"),
+    pytest.param(["lowerbound", "--strategy", "cube-sum-at-x_star", "--n", "100",
+                  "--k", "40", "--queries", str((1 << 41) - 1), "--trials", "1",
+                  "--seed", "3"], "k", "<= 24", id="lowerbound-cube-sum-k-above-table-limit"),
     pytest.param(["lowerbound", "--strategy", "uniform-random-queries", "--n", "41",
                   "--k", "4", "--queries", "20", "--trials", "10", "--seed", "3"],
                  "n", "", id="lowerbound-n-odd"),

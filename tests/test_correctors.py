@@ -37,12 +37,12 @@ class TestParams:
 
     def test_for_k(self):
         p = InfluenceCorrectorParams(8)
-        assert (p.s, p.r, p.p) == (24, 800, Fraction(3, 4))
+        assert (p.s, p.r) == (24, 800)
 
     def test_constructor_enforces_contract(self):
-        # k is the only settable value; s, r and p follow from it.
+        # k is the only settable value; s and r follow from it.
         with pytest.raises(TypeError):
-            InfluenceCorrectorParams(4, 11, pair_rounds(4), Fraction(3, 4))
+            InfluenceCorrectorParams(4, 11, pair_rounds(4))
         with pytest.raises(ValueError):
             InfluenceCorrectorParams(0)
 
@@ -53,7 +53,7 @@ class TestCubeSum:
         rng = random.Random(0)
         for _ in range(30):
             x = Point(10, rng.getrandbits(10))
-            o = NoisyOracle.from_junta(spec)
+            o = NoisyOracle(spec.n, spec.bits_fn())
             res = cube_sum_correct(o, x, 3, rng.getrandbits(32))
             assert res.value == spec.bits_fn()(x.bits)
             assert res.queries_used == 15
@@ -109,14 +109,14 @@ class TestCubeSum:
         failures = 0
         for t in range(trials):
             x = Point(n, rng.getrandbits(n))
-            o = NoisyOracle.from_junta(spec, flips)
+            o = NoisyOracle(spec.n, spec.bits_fn(), flips)
             res = cube_sum_correct(o, x, k, rng.getrandbits(64))
             failures += res.value != spec.bits_fn()(x.bits)
         assert failures / trials <= 7 * (2 / 64) + 0.02
 
     def test_query_count_exact(self):
         spec = sample_random_junta(4, 12, 1)
-        o = NoisyOracle.from_junta(spec)
+        o = NoisyOracle(spec.n, spec.bits_fn())
         res = cube_sum_correct(o, Point(12), 4, 0)
         assert res.queries_used == 31 == o.query_count
 
@@ -158,7 +158,7 @@ class TestIdentifyParts:
         spec = JuntaSpec(48, TruthTable.parity(8), tuple(range(3, 48, 6)))
         params = InfluenceCorrectorParams(8)
         for seed in range(100):
-            o = NoisyOracle.from_junta(spec)
+            o = NoisyOracle(spec.n, spec.bits_fn())
             state = identify_influencing_parts(o, 48, params, seed)
             relevant_parts = {state.assignment[c - 1] for c in spec.embedding}
             assert relevant_parts <= set(state.marked)
@@ -171,7 +171,7 @@ class TestIdentifyParts:
         hits = 0
         trials = 300
         for seed in range(trials):
-            o = NoisyOracle.from_junta(spec)
+            o = NoisyOracle(spec.n, spec.bits_fn())
             state = identify_influencing_parts(o, 12, params, seed)
             p1 = state.assignment[0]
             p2 = state.assignment[11]
@@ -184,7 +184,7 @@ class TestIdentifyParts:
     def test_partition_state_consistency(self):
         spec = sample_random_junta(3, 20, 11)
         params = InfluenceCorrectorParams(3)
-        o = NoisyOracle.from_junta(spec)
+        o = NoisyOracle(spec.n, spec.bits_fn())
         state = identify_influencing_parts(o, 20, params, 5)
         assert all(0 <= p < params.s for p in state.assignment)
         assert_partition_state(state, 20, 3)
@@ -193,12 +193,7 @@ class TestIdentifyParts:
 class TestBuildMaskedInput:
     def test_full_freeze(self):
         x = Point(12, 0b101010101010)
-        assert build_masked_input(x, range(1, 13), Fraction(3, 4), 1) == x
-
-    def test_forced_complement(self):
-        x = Point(8, 0b11001100)
-        y = build_masked_input(x, (), Fraction(1), 1)
-        assert y.bits == 0b00110011
+        assert build_masked_input(x, range(1, 13), 1) == x
 
     def test_flip_frequency(self):
         n = 20
@@ -206,15 +201,11 @@ class TestBuildMaskedInput:
         counts = [0] * n
         runs = 100000
         for seed in range(runs):
-            y = build_masked_input(x, (), Fraction(3, 4), seed)
+            y = build_masked_input(x, (), seed)
             for c in range(n):
                 counts[c] += (y.bits >> c) & 1
         for c in range(n):
             assert abs(counts[c] / runs - 0.75) <= 0.01
-
-    def test_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
-            build_masked_input(Point(4), (), Fraction(5, 4), 0)
 
 
 class TestInfluenceCorrect:
@@ -226,7 +217,7 @@ class TestInfluenceCorrect:
         ok = 0
         for _ in range(trials):
             x = Point(24, rng.getrandbits(24))
-            o = NoisyOracle.from_junta(spec)
+            o = NoisyOracle(spec.n, spec.bits_fn())
             res = influence_correct(o, x, 4, rng.getrandbits(64))
             ok += res.value == spec.bits_fn()(x.bits)
             assert res.queries_used == 6 * 4 * params.r + 1
@@ -241,7 +232,7 @@ class TestInfluenceCorrect:
 
     def test_diagnostics_populated(self):
         spec = sample_random_junta(3, 18, 2)
-        o = NoisyOracle.from_junta(spec)
+        o = NoisyOracle(spec.n, spec.bits_fn())
         res = influence_correct(o, Point(18), 3, seed=1)
         assert res.marked_parts is not None
         assert res.s_size is not None

@@ -4,11 +4,13 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from localcorrect import lowerbound
+from localcorrect.boolfn import ConfigError
 from localcorrect.lowerbound import (
     HardInstance,
     default_threshold,
@@ -85,6 +87,19 @@ class TestSampleHardInstance:
             inst = sample_hard_instance(10, 2, 1, seed)
             assert all(6 <= c <= 10 for c in inst.relevant)
 
+    def test_derived_state(self):
+        # The label picks the half that holds relevant; the threshold
+        # follows from n alone.
+        rng = random.Random(12)
+        for n in (2, 10, 40, 400):
+            half = n // 2
+            for label, k in itertools.product((0, 1), sorted({1, half})):
+                inst = sample_hard_instance(n, k, label, rng.getrandbits(64))
+                lo = 1 if label == 0 else half + 1
+                assert inst.threshold == default_threshold(n)
+                assert len(inst.relevant) == k
+                assert all(lo <= c < lo + half for c in inst.relevant)
+
     def test_marginal_coordinate_frequency(self):
         used = sum(
             1 in sample_hard_instance(10, 2, 0, s).relevant for s in range(10000)
@@ -97,7 +112,12 @@ class TestSampleHardInstance:
         with pytest.raises(ValueError):
             sample_hard_instance(10, 6, 0, 0)
         with pytest.raises(ValueError):
-            HardInstance(10, 2, frozenset([6, 7]), 5, 3)
+            sample_hard_instance(10, 0, 0, 0)
+        with pytest.raises(ValueError, match="label"):
+            sample_hard_instance(10, 2, 5, 0)
+        for relevant in ([], [5, 6], [0, 1], [10, 11], [1, 10]):
+            with pytest.raises(ValueError):
+                HardInstance(10, frozenset(relevant))
 
     def test_label_consistency_at_x_star(self):
         # the uncorrupted AND junta answers the label at the balanced input
@@ -114,17 +134,17 @@ class TestSampleHardInstance:
 
 class TestEvalHardG:
     def test_inside_box_and_satisfied(self):
-        inst = HardInstance(10, 2, frozenset([6, 7]), 1, 3)
+        inst = HardInstance(10, frozenset([6, 7]))
         y = (1 << 5) | (1 << 6)
         assert lowerbound._eval_hard_bits(inst, y) == 1
 
     def test_first_half_over_threshold_forces_zero(self):
-        inst = HardInstance(10, 2, frozenset([6, 7]), 1, 3)
+        inst = HardInstance(10, frozenset([6, 7]))
         y = 0b1111 | (1 << 5) | (1 << 6)  # first-half weight 4
         assert lowerbound._eval_hard_bits(inst, y) == 0
 
     def test_x_star_is_truncated(self):
-        inst = HardInstance(10, 2, frozenset([6, 7]), 1, 3)
+        inst = HardInstance(10, frozenset([6, 7]))
         assert and_before_truncation(inst, inst.x_star.bits) == 1
         assert lowerbound._eval_hard_bits(inst, inst.x_star.bits) == 0
 
@@ -177,17 +197,13 @@ class TestEvalHardG:
         assert checked > 4000 and ones > 200
 
     def test_cached_state_is_not_a_field(self):
-        a = HardInstance(10, 2, frozenset([6, 7]), 1, 3)
-        b = HardInstance(10, 2, frozenset([7, 6]), 1, 3)
-        assert [f.name for f in dataclasses.fields(a)] == [
-            "n", "k", "relevant", "label", "threshold",
-        ]
-        assert repr(a) == (
-            "HardInstance(n=10, k=2, relevant=frozenset({6, 7}), label=1, "
-            "threshold=3)"
-        )
+        a = HardInstance(10, frozenset([6, 7]))
+        b = HardInstance(10, frozenset([7, 6]))
+        assert [f.name for f in dataclasses.fields(a)] == ["n", "relevant"]
+        assert repr(a) == "HardInstance(n=10, relevant=frozenset({6, 7}))"
+        assert (a.threshold, a._rel_mask, a._low_mask) == (3, 0b1100000, 0b11111)
         assert a == b and hash(a) == hash(b)
-        assert a != HardInstance(10, 2, frozenset([6, 8]), 1, 3)
+        assert a != HardInstance(10, frozenset([6, 8]))
 
     def test_default_threshold(self):
         assert default_threshold(10) == 3
@@ -230,8 +246,7 @@ class TestUniformOneHitProb:
                 for label in (0, 1):
                     lo = 1 if label == 0 else half + 1
                     for rel in itertools.combinations(range(lo, lo + half), k):
-                        inst = HardInstance(n, k, frozenset(rel), label,
-                                            default_threshold(n))
+                        inst = HardInstance(n, frozenset(rel))
                         counts.add(sum(reference_eval_hard_bits(inst, b)
                                        for b in range(1 << n)))
                 assert len(counts) == 1
@@ -289,7 +304,7 @@ class TestDistinguisher:
     def test_uniform_draws_match_comprehension(self):
         for n, q in ((2, 7), (40, 100), (400, 30), (64, 0)):
             a, b = random.Random(n + q), random.Random(n + q)
-            assert lowerbound._uniform_queries(a, n, q) == [
+            assert list(lowerbound._uniform_queries(a, n, q)) == [
                 b.getrandbits(n) for _ in range(q)
             ]
             # Same calls in the same order: the generators stay in step.
@@ -307,7 +322,7 @@ class TestDistinguisher:
 
         monkeypatch.setattr(lowerbound, "_eval_hard_bits", counted)
         inst = sample_hard_instance(20, 2, 1, 8)
-        pts = lowerbound._uniform_queries(random.Random(9), 20, 400)
+        pts = list(lowerbound._uniform_queries(random.Random(9), 20, 400))
         hits = lowerbound._hard_hits(inst, pts)
         covering = sum(b & inst._rel_mask == inst._rel_mask for b in pts)
         assert calls == [True] * covering and covering > 50
@@ -338,6 +353,31 @@ class TestDistinguisher:
         monkeypatch.setattr(lowerbound, "_eval_hard_bits", counted)
         run_distinguisher("cube-sum-at-x_star", 15, 40, 3, 5, 1)
         assert len(calls) == 5 * 15
+
+    def test_uniform_draws_are_streamed(self):
+        # The q draws of a trial are screened as they are made, not held
+        # as a list: 200,000 points of 400 bits would take about 17 MB.
+        tracemalloc.start()
+        try:
+            run_distinguisher("uniform-random-queries", 200000, 400, 20, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cube_sum_k_capped_before_any_walk(self, monkeypatch):
+        # The walk would list 2^(k+1)-1 points, so k above the table cap
+        # is a config error, raised before a single instance is drawn.
+        walks = []
+        monkeypatch.setattr(lowerbound, "_cube_sum_guess",
+                            lambda inst, k, seed: walks.append(k) or (0, False))
+        run_distinguisher("cube-sum-at-x_star", (1 << 25) - 1, 100, 24, 1, 0)
+        assert walks == [24]
+        for k in (25, 40):
+            with pytest.raises(ConfigError) as err:
+                run_distinguisher("cube-sum-at-x_star", (1 << (k + 1)) - 1, 100, k, 1, 0)
+            assert err.value.fieldname == "k" and "<= 24" in str(err.value)
+        assert walks == [24]
 
     def test_zero_queries_no_information(self):
         trials = 2000

@@ -20,9 +20,9 @@ from localcorrect.oracle import (
 )
 
 
-def and2_oracle(n=6, corruption=None):
+def and2_oracle(n=6):
     spec = JuntaSpec(n, TruthTable.and_all(2), (1, 2))
-    return NoisyOracle.from_junta(spec, corruption)
+    return NoisyOracle(n, spec.bits_fn())
 
 
 def exhaustive_disagreement(o):
@@ -95,7 +95,7 @@ class TestQuery:
     def test_query_many_matches_query(self, model):
         spec = JuntaSpec(12, TruthTable(4, random.Random(8).getrandbits(16)),
                          (2, 3, 7, 11))
-        o = NoisyOracle.from_junta(spec, CORRUPTIONS[model])
+        o = NoisyOracle(12, spec.bits_fn(), CORRUPTIONS[model])
         rng = random.Random(9)
         pts = [rng.getrandbits(12) for _ in range(500)]
         pts += sorted(CORRUPTIONS["flips"].flips)[:50] + [0, 4095, 0]
@@ -109,7 +109,7 @@ class TestQuery:
     def test_query_many_matches_per_point_rule(self, model):
         spec = JuntaSpec(12, TruthTable(4, random.Random(6).getrandbits(16)),
                          (1, 5, 6, 12))
-        o = NoisyOracle.from_junta(spec, CORRUPTIONS[model])
+        o = NoisyOracle(12, spec.bits_fn(), CORRUPTIONS[model])
         rng = random.Random(7)
         pts = [rng.getrandbits(12) for _ in range(LONG_BATCH)]
         pts += sorted(CORRUPTIONS["flips"].flips)
@@ -120,7 +120,7 @@ class TestQuery:
 
     def test_no_corruption_matches_base_everywhere(self):
         spec = JuntaSpec(8, TruthTable.majority(3), (2, 4, 8))
-        o = NoisyOracle.from_junta(spec)
+        o = NoisyOracle(8, spec.bits_fn())
         for bits in range(256):
             assert o.query(Point(8, bits)) == spec.bits_fn()(bits)
 
@@ -214,7 +214,7 @@ class TestDisagreementFraction:
             b = disagreement_fraction(ones)
             assert b.kind == "upper_bound"
             assert b.value == exhaustive_disagreement(ones)
-            assert b.value >= exhaustive_disagreement(NoisyOracle.from_junta(spec, corr))
+            assert b.value >= exhaustive_disagreement(NoisyOracle(spec.n, spec.bits_fn(), corr))
 
     def test_iid_small_n_exact(self):
         corr = IidFlips(Fraction(1, 8), 5)
@@ -233,7 +233,7 @@ class TestDisagreementFraction:
     def test_exact_kinds_match_exhaustive_comparison(self, n):
         spec = JuntaSpec(n, TruthTable.majority(3), (1, 2, n))
         for corr in (random_flip_set(n, 40, n), IidFlips(Fraction(1, 16), n)):
-            o = NoisyOracle.from_junta(spec, corr)
+            o = NoisyOracle(spec.n, spec.bits_fn(), corr)
             b = disagreement_fraction(o)
             assert b.kind == "exact"
             assert b.value == exhaustive_disagreement(o)
@@ -253,8 +253,8 @@ class TestIidFlips:
     def test_two_oracles_agree_everywhere(self):
         spec = JuntaSpec(64, TruthTable.majority(5), (1, 10, 20, 40, 60))
         corr = IidFlips(Fraction(1, 16), 9)
-        a = NoisyOracle.from_junta(spec, corr)
-        b = NoisyOracle.from_junta(spec, corr)
+        a = NoisyOracle(spec.n, spec.bits_fn(), corr)
+        b = NoisyOracle(spec.n, spec.bits_fn(), corr)
         rng = random.Random(3)
         for _ in range(20000):
             p = Point(64, rng.getrandbits(64))
