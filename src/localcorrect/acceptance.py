@@ -17,6 +17,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import cli
 from .analysis import fraction_low_influence, influence_exact, sample_random_junta
@@ -25,7 +26,7 @@ from .correctors import (
     cube_sum_correct,
     influence_correct,
     pair_rounds,
-    subcube_points,
+    subcube_blocks,
 )
 from .harness import derive_seed, find_corrupted_point, sample_influential_junta
 from .lowerbound import (
@@ -76,7 +77,7 @@ def _random_low_degree_table(rng: random.Random, m: int, max_deg: int) -> int:
 def subcube_parity(table: int, offset: int, dirs) -> int:
     """XOR of the table over the full affine subcube spanned by dirs at offset."""
     acc = (table >> offset) & 1
-    for cur in subcube_points(offset, dirs):
+    for cur in chain.from_iterable(subcube_blocks(offset, dirs)):
         acc ^= (table >> cur) & 1
     return acc
 

@@ -14,7 +14,8 @@ import sys
 
 from .analysis import fraction_low_influence
 from .boolfn import ConfigError
-from .harness import ALGOS, X_MODES, ExperimentConfig, emit_report, run_correction_experiment
+from .harness import (ALGOS, REPORT_ENCODER, X_MODES, ExperimentConfig, emit_report,
+                      run_correction_experiment)
 from .lowerbound import maj_ambiguity_check, run_distinguisher
 
 
@@ -88,7 +89,7 @@ def _cmd_correct(args) -> int:
     open(args.out, "a").close()
     records, summary = run_correction_experiment(cfg)
     emit_report(records, summary, args.out)
-    print(json.dumps({"summary": summary}, sort_keys=True))
+    print(REPORT_ENCODER.encode({"summary": summary}))
     return 0
 
 

@@ -65,19 +65,33 @@ class CorrectionResult:
     s_size: int | None = None
 
 
-def subcube_points(offset: int, dirs) -> list:
-    """The 2^len(dirs) - 1 points offset ^ (nonempty subset sum of dirs).
+# Points per block of subcube_blocks, and the ruler table one block reads:
+# _RULER[t-1] is the index of the lowest set bit of t, for t < 2^12.
+_BLOCK_BITS = 12
+_RULER = bytes((t & -t).bit_length() - 1 for t in range(1, 1 << _BLOCK_BITS))
+
+
+def subcube_blocks(offset: int, dirs):
+    """The 2^len(dirs) - 1 points offset ^ (nonempty subset sum of dirs),
+    yielded in order as lists of at most 2^12 points.
 
     A Gray-code walk: step t toggles the direction at t's lowest set bit,
-    so each point costs one XOR.  Dependent or repeated directions give
-    repeated points, as the subcube identity requires.
+    so each point costs one XOR.  Within a block the steps repeat the
+    ruler table, and the step that opens block B >= 1 toggles direction
+    12 + (the index of B's lowest set bit).  Dependent or repeated
+    directions give repeated points, as the subcube identity requires.
     """
-    pts = []
+    steps = _RULER[:(1 << min(len(dirs), _BLOCK_BITS)) - 1]
     cur = offset
-    for t in range(1, 1 << len(dirs)):
-        cur ^= dirs[(t & -t).bit_length() - 1]
-        pts.append(cur)
-    return pts
+    for b in range(1 << max(len(dirs) - _BLOCK_BITS, 0)):
+        block = []
+        if b:
+            cur ^= dirs[_BLOCK_BITS + (b & -b).bit_length() - 1]
+            block.append(cur)
+        for i in steps:
+            cur ^= dirs[i]
+            block.append(cur)
+        yield block
 
 
 def cube_sum_correct(o: NoisyOracle, x: Point, k: int, seed: int) -> CorrectionResult:
@@ -87,7 +101,8 @@ def cube_sum_correct(o: NoisyOracle, x: Point, k: int, seed: int) -> CorrectionR
     identity holds regardless) and XORs the oracle over the 2^(k+1)-1
     nonempty subset sums offset by x.  Each queried point is marginally
     uniform, so corruption of fraction eps fails with probability at most
-    (2^(k+1)-1)*eps.
+    (2^(k+1)-1)*eps.  The walk is queried block by block, so memory stays
+    flat in k.
     """
     if x.n != o.n:
         raise DimensionMismatch("point n=%d, oracle n=%d" % (x.n, o.n))
@@ -95,8 +110,10 @@ def cube_sum_correct(o: NoisyOracle, x: Point, k: int, seed: int) -> CorrectionR
     n = o.n
     dirs = [rng.getrandbits(n) for _ in range(k + 1)]
     before = o.query_count
-    acc = sum(o.query_many(subcube_points(x.bits, dirs))) & 1
-    return CorrectionResult(acc, o.query_count - before)
+    acc = 0
+    for block in subcube_blocks(x.bits, dirs):
+        acc += sum(o.query_many(block))
+    return CorrectionResult(acc & 1, o.query_count - before)
 
 
 def identify_influencing_parts(

@@ -27,6 +27,9 @@ _X_STREAM = (1 << 48) + 1
 # Draws find_corrupted_point makes before giving up.
 MAX_SCAN = 500000
 
+# The one encoder of report lines, shared so that none is built per record.
+REPORT_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 def derive_seed(master_seed: int, trial_index: int) -> int:
     """Collision-resistant 64-bit per-trial seed, stable across platforms."""
@@ -154,6 +157,8 @@ def run_correction_experiment(cfg: ExperimentConfig):
         )
     else:
         fixed_x = None
+    if fixed_x is not None:
+        x, x_hex, truth = fixed_x, fixed_x.to_hex(), base_fn(fixed_x.bits)
 
     # g is one fixed function, so one oracle serves every trial and vote;
     # its counter is read as a difference.
@@ -163,14 +168,15 @@ def run_correction_experiment(cfg: ExperimentConfig):
     for t in range(cfg.trials):
         seed = derive_seed(cfg.master_seed, t)
         rng = random.Random(seed)
-        x = fixed_x if fixed_x is not None else Point(cfg.n, rng.getrandbits(cfg.n))
-        truth = base_fn(x.bits)
+        if fixed_x is None:
+            x = Point(cfg.n, rng.getrandbits(cfg.n))
+            x_hex, truth = x.to_hex(), base_fn(x.bits)
         before = oracle.query_count
         votes = sum(correct(oracle, x, rng.getrandbits(64)).value for _ in range(runs))
         value = int(2 * votes > runs)
         records.append({
             "trial": t,
-            "x": x.to_hex(),
+            "x": x_hex,
             "returned": value,
             "truth": truth,
             "success": value == truth,
@@ -199,7 +205,7 @@ def run_correction_experiment(cfg: ExperimentConfig):
 
 def emit_report(records, summary, path: str) -> None:
     """JSON lines: one record per line, then the summary object."""
-    lines = [json.dumps(r, sort_keys=True) for r in records]
-    lines.append(json.dumps({"summary": summary}, sort_keys=True))
+    lines = list(map(REPORT_ENCODER.encode, records))
+    lines.append(REPORT_ENCODER.encode({"summary": summary}))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -14,13 +14,14 @@ covers the relevance mask, which a uniform point misses with probability
 1 - 2^-k, and only then are the two half-weights compared with the
 threshold.
 
-The distinguishers screen their query points in bulk.  Uniform points are
-drawn by mapping `getrandbits` over the budget, and `_hard_hits` keeps
-only the points that cover the relevance mask before it calls
-`_eval_hard_bits`, which stays the one full point rule.  So a uniform or
-fixed trial makes no Python function call per point: the draws run in C,
-and on uniform points the evaluator is called about q * 2^-k times per
-trial instead of q times.
+All three distinguishers screen their query points in bulk through
+`_hard_hits`, which keeps only the points that cover the relevance mask
+before it calls `_eval_hard_bits`, the one full point rule.  Uniform
+points are drawn by mapping `getrandbits` over the budget, fixed points
+are built once, and the cube-sum points stream from the correctors'
+subcube walk in blocks.  So no trial makes a Python function call per
+point, and on uniform points the evaluator is called about q * 2^-k
+times per trial instead of q times.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import comb
 
 from .boolfn import MAX_TABLE_VARS, ConfigError, Point, _low_mask, check_seed
-from .correctors import subcube_points
+from .correctors import subcube_blocks
 
 STRATEGIES = ("uniform-random-queries", "fixed-point-list", "cube-sum-at-x_star")
 
@@ -184,7 +185,7 @@ def run_distinguisher(
     if not 1 <= k <= n // 2:
         raise ConfigError("k", "must lie in [1, n/2]")
     if strategy == "cube-sum-at-x_star":
-        # The walk lists 2^(k+1)-1 points: correct --algo cube's cap holds.
+        # The walk takes 2^(k+1)-1 steps: correct --algo cube's cap holds.
         if k > MAX_TABLE_VARS:
             raise ConfigError("k", "must be <= %d for %s" % (MAX_TABLE_VARS, strategy))
         if q != (1 << (k + 1)) - 1:
@@ -231,9 +232,8 @@ def _cube_sum_guess(inst: HardInstance, k: int, seed: int):
     rng = random.Random(seed)
     n = inst.n
     dirs = [rng.getrandbits(n) for _ in range(k + 1)]
-    # _eval_hard_bits is read as a module global so tracers can wrap it.
-    vals = [_eval_hard_bits(inst, b) for b in subcube_points(inst.x_star.bits, dirs)]
-    return sum(vals) & 1, any(vals)
+    hits = _hard_hits(inst, chain.from_iterable(subcube_blocks(inst.x_star.bits, dirs)))
+    return len(hits) & 1, bool(hits)
 
 
 def maj_ambiguity_check(n: int) -> dict:

@@ -95,8 +95,11 @@ class TestCorrect:
         ("--algo influence --k 8 --n 128 --corruption iid:2^-12:99 --trials 4 --seed 5"
          " --x-mode adversarial-flipped",
          "80899e562bca92e15aace7dfec8ccd8b48140b1630690bdd9633845c5bc6fd1a"),
+        ("--algo cube --k 3 --n 12 --corruption iid:1/64:5 --trials 200 --seed 4"
+         " --x-mode fixed-hex --x a5f",
+         "9592e13644a107cb23731767df2f0c6abafb0813adda4d5b0febee9074647c3b"),
     ], ids=["cube-iid", "cube-repeat-3", "influence-trunc-repeat-3", "symmetric-layer-repeat-5",
-            "influence-iid-adversarial"])
+            "influence-iid-adversarial", "cube-iid-fixed-hex"])
     def test_pinned_report_bytes(self, argv, digest, tmp_path, capsys):
         # The sha256 of the --out file; the first run is criterion 10's.
         out = tmp_path / "report.jsonl"

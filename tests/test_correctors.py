@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -14,10 +16,33 @@ from localcorrect.correctors import (
     identify_influencing_parts,
     influence_correct,
     pair_rounds,
-    subcube_points,
+    subcube_blocks,
     symmetric_correct,
 )
 from localcorrect.oracle import ExplicitFlips, IidFlips, NoisyOracle, random_flip_set
+
+
+def old_subcube_points(offset, dirs):
+    """The walk as one list, one lowest-set-bit computation per step."""
+    pts = []
+    cur = offset
+    for t in range(1, 1 << len(dirs)):
+        cur ^= dirs[(t & -t).bit_length() - 1]
+        pts.append(cur)
+    return pts
+
+
+def cube_walk(n, x, k, seed):
+    """The points cube_sum_correct(o, x, k, seed) queries, as one list."""
+    rng = random.Random(seed)
+    return old_subcube_points(x.bits, [rng.getrandbits(n) for _ in range(k + 1)])
+
+
+def unstreamed_cube_sum(o, x, k, seed):
+    """cube_sum_correct with the whole walk sent as one batch."""
+    before = o.query_count
+    acc = sum(o.query_many(cube_walk(o.n, x, k, seed))) & 1
+    return CorrectionResult(acc, o.query_count - before)
 
 
 def random_low_degree_table(rng, m, max_deg):
@@ -96,9 +121,23 @@ class TestCubeSum:
                 if (t >> i) & 1:
                     cur ^= d
             want.append(cur)
-        pts = subcube_points(offset, dirs)
+        pts = list(chain.from_iterable(subcube_blocks(offset, dirs)))
         assert len(pts) == (1 << len(dirs)) - 1
         assert sorted(pts) == sorted(want)
+
+    @pytest.mark.parametrize("m", range(15))
+    def test_blocks_follow_the_old_walk(self, m):
+        # Same points in the same order as the per-step rule, across the
+        # carry steps between blocks, and no block above 2^12 points.
+        rng = random.Random(m)
+        dirs = [rng.getrandbits(40) for _ in range(m)]
+        if m > 3:
+            dirs[3] = dirs[1]  # a dependent direction
+        offset = rng.getrandbits(40)
+        blocks = list(subcube_blocks(offset, dirs))
+        assert list(chain.from_iterable(blocks)) == old_subcube_points(offset, dirs)
+        assert max(map(len, blocks)) <= 1 << 12
+        assert len(blocks) == 1 << max(m - 12, 0)
 
     def test_failure_rate_under_two_flips(self):
         # union bound: 7 queries x eps = 2/64, plus statistical slack
@@ -113,6 +152,41 @@ class TestCubeSum:
             res = cube_sum_correct(o, x, k, rng.getrandbits(64))
             failures += res.value != spec.bits_fn()(x.bits)
         assert failures / trials <= 7 * (2 / 64) + 0.02
+
+    @pytest.mark.parametrize("k", [11, 12, 13])
+    @pytest.mark.parametrize("corruption", ["iid", "flips"])
+    def test_streamed_matches_one_batch(self, k, corruption):
+        # Querying the walk block by block gives the value and query
+        # count of one batch over the whole walk, under noise that hits.
+        n = 40
+        spec = sample_random_junta(k, n, k)
+        rng = random.Random(100 + k)
+        for _ in range(4):
+            x, seed = Point(n, rng.getrandbits(n)), rng.getrandbits(64)
+            if corruption == "iid":
+                model = IidFlips(Fraction(1, 64), k)
+            else:
+                # A random third of the walk's own points, so flips are met.
+                walk = cube_walk(n, x, k, seed)
+                model = ExplicitFlips(n, frozenset(rng.sample(walk, len(walk) // 3)))
+            got = cube_sum_correct(NoisyOracle(n, spec.bits_fn(), model), x, k, seed)
+            want = unstreamed_cube_sum(NoisyOracle(n, spec.bits_fn(), model), x, k, seed)
+            assert got == want and got.queries_used == (1 << (k + 1)) - 1
+
+    def test_walk_memory_is_flat(self):
+        # One k=16 trial walks 131,071 points of 64 bits; streamed, only a
+        # block or two of them and their values are alive at once.
+        spec = sample_random_junta(16, 64, 3)
+        o = NoisyOracle(64, spec.bits_fn(), IidFlips(Fraction(1, 1 << 24), 1))
+        x = Point(64, random.Random(4).getrandbits(64))
+        tracemalloc.start()
+        try:
+            res = cube_sum_correct(o, x, 16, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.queries_used == (1 << 17) - 1
+        assert peak < 4 << 20
 
     def test_query_count_exact(self):
         spec = sample_random_junta(4, 12, 1)

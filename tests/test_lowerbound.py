@@ -264,6 +264,35 @@ class TestUniformOneHitProb:
                 uniform_one_hit_prob(*args)
 
 
+def loop_cube_sum(n, k, trials, seed):
+    """run_distinguisher's cube-sum strategy as a plain loop: the old
+    per-step walk, with every point through _eval_hard_bits."""
+    rng = random.Random(seed)
+    correct = hit_trials = 0
+    for _ in range(trials):
+        label = rng.getrandbits(1)
+        inst = sample_hard_instance(n, k, label, rng.getrandbits(64))
+        walk = random.Random(rng.getrandbits(64))
+        dirs = [walk.getrandbits(n) for _ in range(k + 1)]
+        cur, vals = inst.x_star.bits, []
+        for t in range(1, 1 << (k + 1)):
+            cur ^= dirs[(t & -t).bit_length() - 1]
+            vals.append(lowerbound._eval_hard_bits(inst, cur))
+        correct += (sum(vals) & 1) == label
+        hit_trials += any(vals)
+    q = (1 << (k + 1)) - 1
+    return {
+        "strategy": "cube-sum-at-x_star",
+        "n": n,
+        "k": k,
+        "q": q,
+        "trials": trials,
+        "advantage": abs(correct / trials - 0.5),
+        "one_hit_rate": hit_trials / trials,
+        "seed": seed,
+    }
+
+
 class TestDistinguisher:
     @pytest.mark.parametrize("args, digest", [
         (("uniform-random-queries", 50, 40, 4, 300, 7),
@@ -342,17 +371,47 @@ class TestDistinguisher:
 
     def test_cube_sum_evaluates_through_module_global(self, monkeypatch):
         # Tracers wrap lowerbound._eval_hard_bits; the cube-sum walk must
-        # look it up at call time, once per subcube point.
-        calls = []
+        # look it up at call time, exactly once per walk point that covers
+        # the relevance mask.
+        calls, instances, walks = [], [], []
         real = lowerbound._eval_hard_bits
+        real_sample = lowerbound.sample_hard_instance
+        real_blocks = lowerbound.subcube_blocks
 
         def counted(inst, bits):
             calls.append(bits)
             return real(inst, bits)
 
+        def sampled(*args):
+            instances.append(real_sample(*args))
+            return instances[-1]
+
+        def walked(offset, dirs):
+            walks.append(list(itertools.chain.from_iterable(real_blocks(offset, dirs))))
+            return [walks[-1]]
+
         monkeypatch.setattr(lowerbound, "_eval_hard_bits", counted)
+        monkeypatch.setattr(lowerbound, "sample_hard_instance", sampled)
+        monkeypatch.setattr(lowerbound, "subcube_blocks", walked)
         run_distinguisher("cube-sum-at-x_star", 15, 40, 3, 5, 1)
-        assert len(calls) == 5 * 15
+        assert len(instances) == 5 and [len(w) for w in walks] == [15] * 5
+        covering = [b for inst, walk in zip(instances, walks) for b in walk
+                    if b & inst._rel_mask == inst._rel_mask]
+        assert calls == covering and covering
+
+    @pytest.mark.parametrize("n, k, trials, seed", [
+        (10, 2, 300, 4),
+        (40, 3, 200, 1),
+        (40, 1, 200, 2),
+        (1000, 6, 100, 3),
+        (30, 12, 4, 5),
+        (28, 14, 2, 6),
+    ], ids=["n10-k2", "n40-k3", "k1", "n1000-k6", "k12", "k14"])
+    def test_cube_sum_matches_loop(self, n, k, trials, seed):
+        # The screened, block-streamed walk gives the plain loop's report.
+        q = (1 << (k + 1)) - 1
+        rep = run_distinguisher("cube-sum-at-x_star", q, n, k, trials, seed)
+        assert rep == loop_cube_sum(n, k, trials, seed)
 
     def test_uniform_draws_are_streamed(self):
         # The q draws of a trial are screened as they are made, not held
@@ -365,8 +424,19 @@ class TestDistinguisher:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_cube_sum_walk_is_streamed(self):
+        # The 131,071 walk points of a k=16 trial are screened block by
+        # block: listed whole they would take about 6 MB.
+        tracemalloc.start()
+        try:
+            run_distinguisher("cube-sum-at-x_star", (1 << 17) - 1, 40, 16, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_cube_sum_k_capped_before_any_walk(self, monkeypatch):
-        # The walk would list 2^(k+1)-1 points, so k above the table cap
+        # The walk would take 2^(k+1)-1 steps, so k above the table cap
         # is a config error, raised before a single instance is drawn.
         walks = []
         monkeypatch.setattr(lowerbound, "_cube_sum_guess",
