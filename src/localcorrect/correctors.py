@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
 
 from .boolfn import DimensionMismatch, Point
 from .oracle import NoisyOracle
@@ -57,7 +58,7 @@ class PartitionState:
     S: frozenset
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CorrectionResult:
     value: int
     queries_used: int
@@ -107,8 +108,7 @@ def cube_sum_correct(o: NoisyOracle, x: Point, k: int, seed: int) -> CorrectionR
     if x.n != o.n:
         raise DimensionMismatch("point n=%d, oracle n=%d" % (x.n, o.n))
     rng = random.Random(seed)
-    n = o.n
-    dirs = [rng.getrandbits(n) for _ in range(k + 1)]
+    dirs = list(map(rng.getrandbits, repeat(o.n, k + 1)))
     before = o.query_count
     acc = 0
     for block in subcube_blocks(x.bits, dirs):

@@ -230,8 +230,7 @@ def _cube_sum_guess(inst: HardInstance, k: int, seed: int):
     # Run the affine-subcube corrector at x_star against g directly; the
     # recovered bit is the guessed label (D1 answers 1 at x_star).
     rng = random.Random(seed)
-    n = inst.n
-    dirs = [rng.getrandbits(n) for _ in range(k + 1)]
+    dirs = list(map(rng.getrandbits, repeat(inst.n, k + 1)))
     hits = _hard_hits(inst, chain.from_iterable(subcube_blocks(inst.x_star.bits, dirs)))
     return len(hits) & 1, bool(hits)
 

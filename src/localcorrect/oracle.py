@@ -9,7 +9,9 @@ Each corruption model has two forms of one rule: `corrupt(n, bits, value)`
 for one point, the plain reference, and `corrupt_many(n, points, values)`
 for a whole batch, which query_many calls.  The batch form makes no Python
 call per point, so a query costs the base lookup plus, under iid, one
-keyed-hash copy, update and digest run from C.
+keyed-hash copy, update and digest run from C.  Explicit flips screen each
+batch with one set intersection, and a batch that meets no flipped point
+keeps its base values untouched.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ from operator import xor
 from .boolfn import DimensionMismatch, Point
 
 EXHAUSTIVE_MAX_N = 20
+
+# Largest exponent magnitude an iid eps may be written with.  Every eps
+# in (0, 2^-64] already gives the smallest non-zero flip threshold, so a
+# larger exponent adds no meaning, only time and memory.
+MAX_EPS_EXPONENT = 1024
 
 # Points IidFlips.corrupt_many hashes per slice, so that at most this many
 # hasher copies are alive at once however large the batch.
@@ -56,7 +63,12 @@ class ExplicitFlips:
         return value ^ (bits in self.flips)
 
     def corrupt_many(self, n: int, points, values) -> list:
-        return list(map(xor, values, map(self.flips.__contains__, points)))
+        """corrupt's rule over a batch, screened by one set intersection:
+        a batch that meets no flipped point keeps its values list."""
+        hit = self.flips.intersection(points)
+        if not hit:
+            return values
+        return list(map(xor, values, map(hit.__contains__, points)))
 
 
 @dataclass(frozen=True)
@@ -218,11 +230,16 @@ def disagreement_fraction(o: NoisyOracle) -> DisagreementBound:
 
 
 def _parse_eps(text: str) -> Fraction:
+    """eps as "<base>^<exp>", a ratio or a decimal; the exponent is bounded
+    before any power is taken."""
+    base, caret, exp = text.partition("^")
+    if not caret:
+        exp = text.upper().partition("E")[2] or "0"
     try:
-        if "^" in text:
-            base, _, exp = text.partition("^")
-            return Fraction(int(base)) ** int(exp)
-        return Fraction(text)
+        if abs(int(exp)) > MAX_EPS_EXPONENT:
+            raise ValueError("iid eps %r has an exponent above %d in magnitude"
+                             % (text, MAX_EPS_EXPONENT))
+        return Fraction(int(base)) ** int(exp) if caret else Fraction(text)
     except ZeroDivisionError:
         raise ValueError("iid eps %r divides by zero" % text) from None
 

@@ -175,6 +175,10 @@ LOWERBOUND = ["lowerbound", "--strategy", "uniform-random-queries", "--n", "40",
                  "corruption", "iid seed", id="iid-seed-negative"),
     pytest.param(CORRECT + ["--seed", "1", "--corruption", "iid:1/0:3"],
                  "corruption", "iid eps", id="iid-eps-zero-denominator"),
+    pytest.param(CORRECT + ["--seed", "1", "--corruption", "iid:2^-5000:3"],
+                 "corruption", "exponent", id="iid-eps-power-exponent-too-large"),
+    pytest.param(CORRECT + ["--seed", "1", "--corruption", "iid:1e-5000:3"],
+                 "corruption", "exponent", id="iid-eps-decimal-exponent-too-large"),
     pytest.param(CORRECT + ["--seed", "1", "--corruption", "trunc:-3"],
                  "corruption", "threshold", id="trunc-negative"),
     pytest.param(CORRECT + ["--seed", "1", "--x-mode", "fixed-hex", "--x", "zz"],

@@ -154,10 +154,11 @@ class TestCubeSum:
         assert failures / trials <= 7 * (2 / 64) + 0.02
 
     @pytest.mark.parametrize("k", [11, 12, 13])
-    @pytest.mark.parametrize("corruption", ["iid", "flips"])
+    @pytest.mark.parametrize("corruption", ["iid", "flips", "flips-missed"])
     def test_streamed_matches_one_batch(self, k, corruption):
         # Querying the walk block by block gives the value and query
-        # count of one batch over the whole walk, under noise that hits.
+        # count of one batch over the whole walk, under noise that hits
+        # and under a flip set that the walk misses.
         n = 40
         spec = sample_random_junta(k, n, k)
         rng = random.Random(100 + k)
@@ -165,13 +166,20 @@ class TestCubeSum:
             x, seed = Point(n, rng.getrandbits(n)), rng.getrandbits(64)
             if corruption == "iid":
                 model = IidFlips(Fraction(1, 64), k)
-            else:
+            elif corruption == "flips":
                 # A random third of the walk's own points, so flips are met.
                 walk = cube_walk(n, x, k, seed)
                 model = ExplicitFlips(n, frozenset(rng.sample(walk, len(walk) // 3)))
+            else:
+                # Random points off the walk, so every block is screened out.
+                off = {rng.getrandbits(n) for _ in range(1000)}
+                model = ExplicitFlips(n, frozenset(off.difference(cube_walk(n, x, k, seed))))
             got = cube_sum_correct(NoisyOracle(n, spec.bits_fn(), model), x, k, seed)
             want = unstreamed_cube_sum(NoisyOracle(n, spec.bits_fn(), model), x, k, seed)
             assert got == want and got.queries_used == (1 << (k + 1)) - 1
+            if corruption == "flips-missed":
+                # A missed flip set reads as no corruption at all.
+                assert got == unstreamed_cube_sum(NoisyOracle(n, spec.bits_fn()), x, k, seed)
 
     def test_walk_memory_is_flat(self):
         # One k=16 trial walks 131,071 points of 64 bits; streamed, only a

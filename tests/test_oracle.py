@@ -112,8 +112,14 @@ class TestQuery:
         o = NoisyOracle(12, spec.bits_fn(), CORRUPTIONS[model])
         rng = random.Random(7)
         pts = [rng.getrandbits(12) for _ in range(LONG_BATCH)]
-        pts += sorted(CORRUPTIONS["flips"].flips)
-        for batch in ([], pts[:1], pts[:800], pts, range(1 << 12)):
+        flips = CORRUPTIONS["flips"].flips
+        pts += sorted(flips)
+        # Under flips, a batch that meets no flipped point and one made only
+        # of flipped points, repeated as dependent subcube directions repeat
+        # points, reach both branches of the batch screen.
+        missed = [b for b in pts if b not in flips]
+        only_flipped = rng.choices(sorted(flips), k=600)
+        for batch in ([], pts[:1], pts[:800], pts, range(1 << 12), missed, only_flipped):
             before = o.query_count
             assert o.query_many(batch) == per_point_query_many(o, batch)
             assert o.query_count - before == len(batch)
