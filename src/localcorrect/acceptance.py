@@ -15,7 +15,7 @@ import os
 import random
 import tempfile
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 
@@ -38,13 +38,8 @@ from .lowerbound import (
 from .oracle import IidFlips, NoisyOracle, random_flip_set
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
-    elapsed: float
+class CriterionResult(namedtuple("CriterionResult", "number name passed detail elapsed")):
+    __slots__ = ()
 
     def line(self) -> str:
         return "%s criterion %d: %s (%.1fs) %s" % (

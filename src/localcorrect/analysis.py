@@ -8,7 +8,7 @@ coordinate i changes the function value.  All threshold comparisons
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .boolfn import ConfigError, JuntaSpec, TruthTable, _low_mask, check_seed
@@ -16,13 +16,11 @@ from .boolfn import ConfigError, JuntaSpec, TruthTable, _low_mask, check_seed
 INFLUENCE_THRESHOLD = Fraction(1, 50)
 
 
-@dataclass(frozen=True)
-class InfluenceReport:
-    """The exact minimum influence of a core function, and whether it
-    reaches INFLUENCE_THRESHOLD."""
+class InfluenceReport(namedtuple("InfluenceReport", "min_influence passes_threshold")):
+    """The exact minimum influence of a core function (a Fraction), and
+    whether it reaches INFLUENCE_THRESHOLD."""
 
-    min_influence: Fraction
-    passes_threshold: bool
+    __slots__ = ()
 
 
 def influence_exact(tt: TruthTable, i: int) -> Fraction:

@@ -10,9 +10,10 @@ Conventions fixed bit-exactly (reports and tests depend on them):
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 MAX_TABLE_VARS = 24  # dense 2^k-bit tables; 16 MiB at the cap
+MAX_N = 1 << 16  # coordinates of a point; the experiments use at most 1,000
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
@@ -34,18 +35,17 @@ def check_seed(seed: int) -> None:
         raise ConfigError("seed", "must lie in [0, 2^64)")
 
 
-@dataclass(frozen=True, slots=True)
-class Point:
+class Point(namedtuple("Point", "n bits")):
     """An element of Z_2^n, stored as an n-bit integer (bit i-1 = x_i)."""
 
-    n: int
-    bits: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, bits: int = 0):
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if not 0 <= self.bits < 1 << self.n:
-            raise ValueError("bits out of range for n=%d" % self.n)
+        if not 0 <= bits < 1 << n:
+            raise ValueError("bits out of range for n=%d" % n)
+        return tuple.__new__(cls, (n, bits))
 
     def weight(self) -> int:
         return self.bits.bit_count()
@@ -83,18 +83,17 @@ def _mobius(bits: int, k: int) -> int:
     return bits
 
 
-@dataclass(frozen=True, slots=True)
-class TruthTable:
+class TruthTable(namedtuple("TruthTable", "k bits")):
     """Dense truth table of a function on k <= 24 variables."""
 
-    k: int
-    bits: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.k <= MAX_TABLE_VARS:
+    def __new__(cls, k: int, bits: int):
+        if not 1 <= k <= MAX_TABLE_VARS:
             raise ValueError("k must be in [1, %d]" % MAX_TABLE_VARS)
-        if not 0 <= self.bits < 1 << (1 << self.k):
+        if not 0 <= bits < 1 << (1 << k):
             raise ValueError("table does not fit 2^k bits")
+        return tuple.__new__(cls, (k, bits))
 
     @property
     def size(self) -> int:
@@ -147,24 +146,19 @@ def _check_embedding(n: int, k: int, embedding) -> tuple:
     return emb
 
 
-@dataclass(frozen=True)
-class JuntaSpec:
+class JuntaSpec(namedtuple("JuntaSpec", "n core embedding")):
     """A core function on k variables embedded into n coordinates.
 
     embedding[i-1] is the coordinate of [n] carrying core variable i.
     Two specs are equivalent iff they are pointwise equal as functions.
     """
 
-    n: int
-    core: TruthTable
-    embedding: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.core.k > self.n:
+    def __new__(cls, n: int, core: TruthTable, embedding):
+        if core.k > n:
             raise ValueError("core arity exceeds n")
-        object.__setattr__(
-            self, "embedding", _check_embedding(self.n, self.core.k, self.embedding)
-        )
+        return tuple.__new__(cls, (n, core, _check_embedding(n, core.k, embedding)))
 
     @property
     def k(self) -> int:

@@ -10,25 +10,26 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 
 from .boolfn import DimensionMismatch, Point
 from .oracle import NoisyOracle
 
 
-@dataclass(frozen=True)
-class InfluenceCorrectorParams:
+class InfluenceCorrectorParams(namedtuple("InfluenceCorrectorParams", "k")):
     """The corrector's parameters, all fixed by k: s = 3k parts and r =
     pair_rounds(k) query pairs per part."""
 
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __new__(cls, k: int):
+        if k < 1:
             raise ValueError("k must be >= 1")
+        return tuple.__new__(cls, (k,))
 
     @property
     def s(self) -> int:
@@ -44,32 +45,45 @@ def pair_rounds(k: int) -> int:
     return math.ceil(100 * math.log2(k)) + 500
 
 
-@dataclass(frozen=True)
-class PartitionState:
+class PartitionState(namedtuple("PartitionState", "assignment marked chosen S")):
     """Outcome of the part-marking phase.
 
-    assignment maps each coordinate (1-based) to a part id in [0, s);
-    chosen is the ordered list of exactly k part ids whose union is S.
+    assignment (a tuple) maps each coordinate (1-based) to a part id in
+    [0, s); marked is the frozenset of marked parts; chosen is the ordered
+    tuple of exactly k part ids whose union is the frozenset S.
     """
 
-    assignment: tuple
-    marked: frozenset
-    chosen: tuple
-    S: frozenset
+    __slots__ = ()
 
 
-@dataclass(slots=True)
 class CorrectionResult:
-    value: int
-    queries_used: int
-    marked_parts: int | None = None
-    s_size: int | None = None
+    """One corrector run; a plain slotted class, since one is built per
+    correction."""
+
+    __slots__ = ("value", "queries_used", "marked_parts", "s_size")
+
+    def __init__(self, value: int, queries_used: int,
+                 marked_parts: int | None = None, s_size: int | None = None):
+        self.value = value
+        self.queries_used = queries_used
+        self.marked_parts = marked_parts
+        self.s_size = s_size
+
+    def __eq__(self, other):
+        return type(other) is CorrectionResult and all(
+            getattr(self, a) == getattr(other, a) for a in self.__slots__)
+
+    def __repr__(self):
+        return "CorrectionResult(%s)" % ", ".join(
+            "%s=%r" % (a, getattr(self, a)) for a in self.__slots__)
 
 
 # Points per block of subcube_blocks, and the ruler table one block reads:
-# _RULER[t-1] is the index of the lowest set bit of t, for t < 2^12.
+# _RULER[t-1] is the index of the lowest set bit of t, for t < 2^12.  The
+# ruler of 2^(i+1) - 1 steps is two copies of the ruler of 2^i - 1 steps
+# around the step i, so the table is built by doubling.
 _BLOCK_BITS = 12
-_RULER = bytes((t & -t).bit_length() - 1 for t in range(1, 1 << _BLOCK_BITS))
+_RULER = functools.reduce(lambda r, i: r + bytes((i,)) + r, range(_BLOCK_BITS), b"")
 
 
 def subcube_blocks(offset: int, dirs):

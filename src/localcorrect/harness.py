@@ -10,10 +10,10 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .analysis import min_influence_report, sample_random_junta
-from .boolfn import MAX_TABLE_VARS, ConfigError, Point, check_seed
+from .boolfn import MAX_N, MAX_TABLE_VARS, ConfigError, Point, check_seed
 from .correctors import cube_sum_correct, influence_correct, symmetric_correct
 from .oracle import ExplicitFlips, NoCorruption, NoisyOracle, parse_corruption
 
@@ -40,17 +40,11 @@ def derive_seed(master_seed: int, trial_index: int) -> int:
     return int.from_bytes(digest, "little")
 
 
-@dataclass
-class ExperimentConfig:
-    algo: str = "cube"
-    k: int = 3
-    n: int = 12
-    corruption: str = "none"
-    trials: int = 100
-    master_seed: int = 0
-    x_mode: str = "random"
-    x_hex: str | None = None
-    repeat_t: int | None = None
+class ExperimentConfig(namedtuple(
+        "ExperimentConfig",
+        "algo k n corruption trials master_seed x_mode x_hex repeat_t",
+        defaults=("cube", 3, 12, "none", 100, 0, "random", None, None))):
+    __slots__ = ()
 
     def validate(self):
         """Check every field, naming the first bad one; returns the parsed
@@ -65,6 +59,8 @@ class ExperimentConfig:
             raise ConfigError("k", "must be <= %d for %s" % (MAX_TABLE_VARS, self.algo))
         if self.n < self.k:
             raise ConfigError("n", "must be >= k")
+        if self.n > MAX_N:
+            raise ConfigError("n", "must be <= %d" % MAX_N)
         # The symmetric base is the majority of all n coordinates.
         if self.algo == "symmetric" and self.k != self.n:
             raise ConfigError("k", "must equal n for symmetric")

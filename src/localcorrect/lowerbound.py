@@ -27,12 +27,12 @@ times per trial instead of q times.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, repeat
 from math import comb
 
-from .boolfn import MAX_TABLE_VARS, ConfigError, Point, _low_mask, check_seed
+from .boolfn import MAX_N, MAX_TABLE_VARS, ConfigError, Point, _low_mask, check_seed
 from .correctors import subcube_blocks
 
 STRATEGIES = ("uniform-random-queries", "fixed-point-list", "cube-sum-at-x_star")
@@ -42,30 +42,30 @@ def default_threshold(n: int) -> int:
     return (3 * n) // 10
 
 
-@dataclass(frozen=True)
-class HardInstance:
+class HardInstance(namedtuple("HardInstance", "n relevant")):
     """AND of the relevant coordinates, truncated to 0 above the derived
     threshold default_threshold(n).  relevant lies in one half, and that
     half is the label: the first for D0, the second for D1."""
 
-    n: int
-    relevant: frozenset
-
-    def __post_init__(self):
-        if self.n % 2:
+    def __new__(cls, n: int, relevant: frozenset):
+        if n % 2:
             raise ValueError("n must be even")
-        half = self.n // 2
-        if not self.relevant or not (
-            all(1 <= c <= half for c in self.relevant)
-            or all(half < c <= self.n for c in self.relevant)
+        half = n // 2
+        if not relevant or not (
+            all(1 <= c <= half for c in relevant)
+            or all(half < c <= n for c in relevant)
         ):
             raise ValueError("relevant must be a nonempty subset of one half")
         rel = 0
-        for c in self.relevant:
+        for c in relevant:
             rel |= 1 << (c - 1)
-        object.__setattr__(self, "_rel_mask", rel)
-        object.__setattr__(self, "_low_mask", (1 << half) - 1)
-        object.__setattr__(self, "threshold", default_threshold(self.n))
+        # Derived state lives in the instance dict, not the fields, so
+        # repr, == and hash cover (n, relevant) only.
+        self = tuple.__new__(cls, (n, relevant))
+        self._rel_mask = rel
+        self._low_mask = (1 << half) - 1
+        self.threshold = default_threshold(n)
+        return self
 
     @property
     def x_star(self) -> Point:
@@ -182,6 +182,8 @@ def run_distinguisher(
         raise ConfigError("trials", "must be >= 1")
     if n < 2 or n % 2:
         raise ConfigError("n", "must be even and >= 2")
+    if n > MAX_N:
+        raise ConfigError("n", "must be <= %d" % MAX_N)
     if not 1 <= k <= n // 2:
         raise ConfigError("k", "must lie in [1, n/2]")
     if strategy == "cube-sum-at-x_star":

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from fractions import Fraction
 from itertools import repeat, starmap
 from math import comb
@@ -31,8 +30,10 @@ EXHAUSTIVE_MAX_N = 20
 
 # Largest exponent magnitude an iid eps may be written with.  Every eps
 # in (0, 2^-64] already gives the smallest non-zero flip threshold, so a
-# larger exponent adds no meaning, only time and memory.
+# larger exponent adds no meaning, only time and memory.  A power's bit
+# size (base bits times exponent) is bounded at 64 bits per exponent step.
 MAX_EPS_EXPONENT = 1024
+MAX_EPS_BITS = 64 * MAX_EPS_EXPONENT
 
 # Points IidFlips.corrupt_many hashes per slice, so that at most this many
 # hasher copies are alive at once however large the batch.
@@ -47,17 +48,17 @@ class NoCorruption:
         return values
 
 
-@dataclass(frozen=True)
-class ExplicitFlips:
-    """g differs from the base exactly on this finite set of points."""
+class ExplicitFlips(namedtuple("ExplicitFlips", "n flips")):
+    """g differs from the base exactly on this finite set of points
+    (flips is a frozenset of raw point integers)."""
 
-    n: int
-    flips: frozenset  # of raw point integers
+    __slots__ = ()
 
-    def __post_init__(self):
-        for b in self.flips:
-            if not 0 <= b < 1 << self.n:
-                raise ValueError("flip point does not fit n=%d" % self.n)
+    def __new__(cls, n: int, flips: frozenset):
+        for b in flips:
+            if not 0 <= b < 1 << n:
+                raise ValueError("flip point does not fit n=%d" % n)
+        return tuple.__new__(cls, (n, flips))
 
     def corrupt(self, n: int, bits: int, value: int) -> int:
         return value ^ (bits in self.flips)
@@ -71,8 +72,7 @@ class ExplicitFlips:
         return list(map(xor, values, map(hit.__contains__, points)))
 
 
-@dataclass(frozen=True)
-class IidFlips:
+class IidFlips(namedtuple("IidFlips", "eps seed")):
     """Each point flipped independently with probability eps.
 
     The decision is a keyed blake2b hash of (seed, point), so the
@@ -80,20 +80,19 @@ class IidFlips:
     fraction concentrates near eps rather than being capped by it.
     """
 
-    eps: Fraction
-    seed: int
-
-    def __post_init__(self):
-        if not 0 <= self.eps < 1:
+    def __new__(cls, eps: Fraction, seed: int):
+        if not 0 <= eps < 1:
             raise ValueError("eps must lie in [0, 1)")
-        if not 0 <= self.seed < 1 << 64:
+        if not 0 <= seed < 1 << 64:
             raise ValueError("iid seed must lie in [0, 2^64)")
-        # Built once; not fields, so repr, == and hash are unchanged.
-        key = self.seed.to_bytes(8, "little", signed=False)
-        object.__setattr__(self, "_hasher", hashlib.blake2b(digest_size=8, key=key))
+        self = tuple.__new__(cls, (eps, seed))
+        # Built once, in the instance dict rather than the fields, so
+        # repr, == and hash are unchanged.
+        key = seed.to_bytes(8, "little", signed=False)
+        self._hasher = hashlib.blake2b(digest_size=8, key=key)
         # h / 2^64 < eps  <=>  h < ceil(eps * 2^64) for integer h, exactly
-        num, den = self.eps.numerator, self.eps.denominator
-        object.__setattr__(self, "_threshold", -(-(num << 64) // den))
+        self._threshold = -(-(eps.numerator << 64) // eps.denominator)
+        return self
 
     def flips_point(self, n: int, bits: int) -> bool:
         h = self._hasher.copy()
@@ -120,15 +119,15 @@ class IidFlips:
         return out
 
 
-@dataclass(frozen=True)
-class WeightTruncation:
+class WeightTruncation(namedtuple("WeightTruncation", "threshold")):
     """g(y) = 0 whenever either half of y has Hamming weight > threshold."""
 
-    threshold: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.threshold < 0:
+    def __new__(cls, threshold: int):
+        if threshold < 0:
             raise ValueError("truncation threshold must be >= 0")
+        return tuple.__new__(cls, (threshold,))
 
     def corrupt(self, n: int, bits: int, value: int) -> int:
         half = n // 2
@@ -158,19 +157,21 @@ class BalancedLayerZero:
         return [0 if b.bit_count() == half else v for b, v in zip(points, values)]
 
 
-@dataclass
 class NoisyOracle:
     """Base function plus corruption, with a per-instance query counter.
 
-    g is a fixed function, so one oracle may serve many trials in turn;
-    each reads its own queries as a difference of query_count.  The
-    counter is not locked, so concurrent trials need their own oracles.
+    base_bits is a callable on raw n-bit integers.  g is a fixed function,
+    so one oracle may serve many trials in turn; each reads its own
+    queries as a difference of query_count.  The counter is not locked,
+    so concurrent trials need their own oracles.
     """
 
-    n: int
-    base_bits: object  # Callable[[int], int] on raw n-bit integers
-    corruption: object = field(default_factory=NoCorruption)
-    query_count: int = field(default=0, init=False)
+    # NoCorruption holds no state, so every oracle may share one.
+    def __init__(self, n: int, base_bits, corruption=NoCorruption()):
+        self.n = n
+        self.base_bits = base_bits
+        self.corruption = corruption
+        self.query_count = 0
 
     def query(self, x: Point) -> int:
         """g at one checked point; counts one query."""
@@ -191,15 +192,13 @@ class NoisyOracle:
             self.n, points, list(map(self.base_bits, points)))
 
 
-@dataclass(frozen=True)
-class DisagreementBound:
+class DisagreementBound(namedtuple("DisagreementBound", "value kind")):
     """Fraction of points where g differs from the base, with its provenance.
 
     kind is "exact", "upper_bound", "expected", or "unavailable" (value None).
     """
 
-    value: object
-    kind: str
+    __slots__ = ()
 
 
 def disagreement_fraction(o: NoisyOracle) -> DisagreementBound:
@@ -230,8 +229,8 @@ def disagreement_fraction(o: NoisyOracle) -> DisagreementBound:
 
 
 def _parse_eps(text: str) -> Fraction:
-    """eps as "<base>^<exp>", a ratio or a decimal; the exponent is bounded
-    before any power is taken."""
+    """eps as "<base>^<exp>", a ratio or a decimal; the exponent, and a
+    power's bit size, are bounded before any power is taken."""
     base, caret, exp = text.partition("^")
     if not caret:
         exp = text.upper().partition("E")[2] or "0"
@@ -239,7 +238,12 @@ def _parse_eps(text: str) -> Fraction:
         if abs(int(exp)) > MAX_EPS_EXPONENT:
             raise ValueError("iid eps %r has an exponent above %d in magnitude"
                              % (text, MAX_EPS_EXPONENT))
-        return Fraction(int(base)) ** int(exp) if caret else Fraction(text)
+        if not caret:
+            return Fraction(text)
+        if int(base).bit_length() * abs(int(exp)) > MAX_EPS_BITS:
+            raise ValueError("iid eps %r has a power above %d bits"
+                             % (text, MAX_EPS_BITS))
+        return Fraction(int(base)) ** int(exp)
     except ZeroDivisionError:
         raise ValueError("iid eps %r divides by zero" % text) from None
 

@@ -179,6 +179,10 @@ LOWERBOUND = ["lowerbound", "--strategy", "uniform-random-queries", "--n", "40",
                  "corruption", "exponent", id="iid-eps-power-exponent-too-large"),
     pytest.param(CORRECT + ["--seed", "1", "--corruption", "iid:1e-5000:3"],
                  "corruption", "exponent", id="iid-eps-decimal-exponent-too-large"),
+    # base 2^100: 100 bits times exponent 1024 is above the 65,536-bit bound.
+    pytest.param(CORRECT + ["--seed", "1", "--corruption",
+                            "iid:%d^-1024:3" % (1 << 100)],
+                 "corruption", "bits", id="iid-eps-power-too-many-bits"),
     pytest.param(CORRECT + ["--seed", "1", "--corruption", "trunc:-3"],
                  "corruption", "threshold", id="trunc-negative"),
     pytest.param(CORRECT + ["--seed", "1", "--x-mode", "fixed-hex", "--x", "zz"],
@@ -234,6 +238,11 @@ LOWERBOUND = ["lowerbound", "--strategy", "uniform-random-queries", "--n", "40",
     pytest.param(["lowerbound", "--strategy", "uniform-random-queries", "--n", "41",
                   "--k", "4", "--queries", "20", "--trials", "10", "--seed", "3"],
                  "n", "", id="lowerbound-n-odd"),
+    pytest.param(["correct", "--algo", "cube", "--k", "2", "--n", "65537", "--trials", "5",
+                  "--seed", "1"], "n", "<= 65536", id="correct-n-above-limit"),
+    pytest.param(["lowerbound", "--strategy", "uniform-random-queries", "--n", "65538",
+                  "--k", "4", "--queries", "20", "--trials", "10", "--seed", "3"],
+                 "n", "<= 65536", id="lowerbound-n-above-limit"),
     pytest.param(["ambiguity", "--n", "0"], "n", "", id="ambiguity-n-zero"),
     pytest.param(["ambiguity", "--n", "-2"], "n", "", id="ambiguity-n-negative"),
 ])

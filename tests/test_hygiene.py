@@ -1,8 +1,10 @@
 """Static checks on the package source: no unused imports, stdlib only,
-no broad exception handler that swallows what it catches."""
+no broad exception handler that swallows what it catches; and what the
+command line's start-up imports."""
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -111,3 +113,15 @@ def test_every_public_name_is_read():
               for module, tree in trees.items()
               for name in public_top_level_names(tree) if name not in read}
     assert unread == UNREAD_PUBLIC
+
+
+def test_cli_import_skips_dataclasses():
+    """Every run starts with `import localcorrect.cli`.  dataclasses, and
+    the inspect it imports, would be more than a third of that cost, so
+    the package defines its records without them."""
+    code = ("import sys; sys.path.insert(0, %r); import localcorrect.cli; "
+            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+            % str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, "-I", "-B", "-c", code],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == []

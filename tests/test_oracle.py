@@ -362,6 +362,12 @@ class TestParseCorruption:
         assert c == IidFlips(Fraction(1, 4096), 3)
         c = parse_corruption("iid:0.25:1", 16)
         assert c == IidFlips(Fraction(1, 4), 1)
+        # A power may take up to 64 bits per exponent step: base bits
+        # times |exponent| <= 65,536.
+        assert parse_corruption("iid:10^-1024:3", 16).eps == Fraction(1, 10 ** 1024)
+        assert parse_corruption("iid:%d^-1024:3" % (1 << 63), 16).eps == Fraction(1, 1 << 64512)
+        with pytest.raises(ValueError, match="bits"):
+            parse_corruption("iid:%d^-1024:3" % (1 << 64), 16)
 
     def test_flips_file(self, tmp_path):
         pts = [Point(12, b) for b in (0b1, 0b1010, 0b111111111111)]

@@ -1,0 +1,36 @@
+"""The package's value records are immutable: no field can be assigned."""
+
+from fractions import Fraction
+
+import pytest
+
+from localcorrect.acceptance import CriterionResult
+from localcorrect.analysis import InfluenceReport
+from localcorrect.boolfn import JuntaSpec, Point, TruthTable
+from localcorrect.correctors import InfluenceCorrectorParams, PartitionState
+from localcorrect.harness import ExperimentConfig
+from localcorrect.lowerbound import HardInstance
+from localcorrect.oracle import DisagreementBound, ExplicitFlips, IidFlips, WeightTruncation
+
+RECORDS = [
+    Point(4, 5),
+    TruthTable(2, 0b1000),
+    JuntaSpec(4, TruthTable(2, 0b1000), (1, 3)),
+    ExplicitFlips(4, frozenset([1, 5])),
+    IidFlips(Fraction(1, 3), 5),
+    WeightTruncation(3),
+    DisagreementBound(Fraction(1, 8), "exact"),
+    InfluenceCorrectorParams(2),
+    PartitionState((0, 1, 0), frozenset([0]), (0, 1), frozenset([1, 3])),
+    HardInstance(10, frozenset([6, 7])),
+    InfluenceReport(Fraction(1, 2), True),
+    ExperimentConfig(),
+    CriterionResult(1, "name", True, "detail", 0.5),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_fields_cannot_be_assigned(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
