@@ -23,6 +23,7 @@ from . import cli
 from .analysis import fraction_low_influence, influence_exact, sample_random_junta
 from .boolfn import Point, TruthTable, _mobius
 from .correctors import (
+    build_masked_input,
     cube_sum_correct,
     influence_correct,
     pair_rounds,
@@ -154,8 +155,6 @@ def criterion_3():
 def criterion_4():
     """Masked-input marginals with k parts fixed by index: Pr[i in S] ~ 1/3,
     flip | i not in S ~ 3/4, unconditional flip ~ 1/2, each +-0.01."""
-    from .correctors import build_masked_input
-
     n, k, samples = 60, 5, 100000
     s = 3 * k
     chosen = set(range(k))  # fixed by part index, independent of assignments

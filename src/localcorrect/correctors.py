@@ -60,22 +60,11 @@ class CorrectionResult:
     """One corrector run; a plain slotted class, since one is built per
     correction."""
 
-    __slots__ = ("value", "queries_used", "marked_parts", "s_size")
+    __slots__ = ("value", "queries_used")
 
-    def __init__(self, value: int, queries_used: int,
-                 marked_parts: int | None = None, s_size: int | None = None):
+    def __init__(self, value: int, queries_used: int):
         self.value = value
         self.queries_used = queries_used
-        self.marked_parts = marked_parts
-        self.s_size = s_size
-
-    def __eq__(self, other):
-        return type(other) is CorrectionResult and all(
-            getattr(self, a) == getattr(other, a) for a in self.__slots__)
-
-    def __repr__(self):
-        return "CorrectionResult(%s)" % ", ".join(
-            "%s=%r" % (a, getattr(self, a)) for a in self.__slots__)
 
 
 # Points per block of subcube_blocks, and the ruler table one block reads:
@@ -209,12 +198,7 @@ def influence_correct(o: NoisyOracle, x: Point, k: int, seed: int) -> Correction
     state = identify_influencing_parts(o, o.n, params, parts_seed)
     y = build_masked_input(x, state.S, mask_seed)
     value = o.query(y)
-    return CorrectionResult(
-        value,
-        o.query_count - before,
-        marked_parts=len(state.marked),
-        s_size=len(state.S),
-    )
+    return CorrectionResult(value, o.query_count - before)
 
 
 def symmetric_correct(profile, x: Point) -> CorrectionResult:

@@ -21,12 +21,9 @@ import random
 from collections import deque, namedtuple
 from fractions import Fraction
 from itertools import repeat, starmap
-from math import comb
 from operator import xor
 
 from .boolfn import DimensionMismatch, Point
-
-EXHAUSTIVE_MAX_N = 20
 
 # Largest exponent magnitude an iid eps may be written with.  Every eps
 # in (0, 2^-64] already gives the smallest non-zero flip threshold, so a
@@ -94,16 +91,13 @@ class IidFlips(namedtuple("IidFlips", "eps seed")):
         self._threshold = -(-(eps.numerator << 64) // eps.denominator)
         return self
 
-    def flips_point(self, n: int, bits: int) -> bool:
+    def corrupt(self, n: int, bits: int, value: int) -> int:
         h = self._hasher.copy()
         h.update(bits.to_bytes((n + 7) // 8, "little"))
-        return int.from_bytes(h.digest(), "little") < self._threshold
-
-    def corrupt(self, n: int, bits: int, value: int) -> int:
-        return value ^ self.flips_point(n, bits)
+        return value ^ (int.from_bytes(h.digest(), "little") < self._threshold)
 
     def corrupt_many(self, n: int, points, values) -> list:
-        """flips_point's rule over a batch, chained through C-level maps."""
+        """corrupt's rule over a batch, chained through C-level maps."""
         size, copy, out = (n + 7) // 8, self._hasher.copy, []
         blake2b, below = hashlib.blake2b, self._threshold.__gt__
         for lo in range(0, len(points), IID_SLICE):
@@ -190,42 +184,6 @@ class NoisyOracle:
         self.query_count += len(points)
         return self.corruption.corrupt_many(
             self.n, points, list(map(self.base_bits, points)))
-
-
-class DisagreementBound(namedtuple("DisagreementBound", "value kind")):
-    """Fraction of points where g differs from the base, with its provenance.
-
-    kind is "exact", "upper_bound", "expected", or "unavailable" (value None).
-    """
-
-    __slots__ = ()
-
-
-def disagreement_fraction(o: NoisyOracle) -> DisagreementBound:
-    """Exact disagreement fraction where tractable, else a labeled bound."""
-    c = o.corruption
-    if isinstance(c, NoCorruption):
-        return DisagreementBound(Fraction(0), "exact")
-    if isinstance(c, ExplicitFlips):
-        return DisagreementBound(Fraction(len(c.flips), 1 << o.n), "exact")
-    if isinstance(c, WeightTruncation):
-        # The halves have n//2 and n - n//2 bits; g keeps the base only
-        # where both weights are at most the threshold.
-        inside = Fraction(1)
-        for m in (o.n // 2, o.n - o.n // 2):
-            inside *= Fraction(sum(comb(m, w) for w in range(min(c.threshold, m) + 1)),
-                               1 << m)
-        return DisagreementBound(1 - inside, "upper_bound")
-    if isinstance(c, BalancedLayerZero):
-        return DisagreementBound(Fraction(comb(o.n, o.n // 2), 1 << o.n), "upper_bound")
-    if isinstance(c, IidFlips):
-        if o.n <= EXHAUSTIVE_MAX_N:
-            count = sum(
-                c.flips_point(o.n, bits) for bits in range(1 << o.n)
-            )
-            return DisagreementBound(Fraction(count, 1 << o.n), "exact")
-        return DisagreementBound(c.eps, "expected")
-    return DisagreementBound(None, "unavailable")
 
 
 def _parse_eps(text: str) -> Fraction:

@@ -1,5 +1,6 @@
 """Static checks on the package source: no unused imports, stdlib only,
-no broad exception handler that swallows what it catches; and what the
+imports at module level, no broad exception handler that swallows what it
+catches, no public name or method that only the tests read; and what the
 command line's start-up imports."""
 
 import ast
@@ -78,13 +79,6 @@ def test_broad_handlers_reraise(path):
         path.name, ", ".join(swallowing))
 
 
-# Public names that no module reads yet, each with the reason it stays.
-UNREAD_PUBLIC = {
-    # Kept for the realised-disagreement summary of ROADMAP item 4.
-    "oracle.disagreement_fraction",
-}
-
-
 def public_top_level_names(tree):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -109,10 +103,37 @@ def test_every_public_name_is_read():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    unread = {"%s.%s" % (module, name)
-              for module, tree in trees.items()
-              for name in public_top_level_names(tree) if name not in read}
-    assert unread == UNREAD_PUBLIC
+    unread = sorted("%s.%s" % (module, name)
+                    for module, tree in trees.items()
+                    for name in public_top_level_names(tree) if name not in read)
+    assert not unread, unread
+
+
+def test_every_public_method_is_read():
+    """A public method or property of a package class that no module of
+    the package reads as an attribute exists only for its tests."""
+    trees = {path.stem: parse(path) for path in MODULES}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    unread = sorted("%s.%s.%s" % (module, cls.name, fn.name)
+                    for module, tree in trees.items()
+                    for cls in tree.body if isinstance(cls, ast.ClassDef)
+                    for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                    and not fn.name.startswith("_") and fn.name not in read)
+    assert not unread, unread
+
+
+def test_imports_are_module_level():
+    """Imports sit at the top of their module, so a run pays for them
+    once, at start-up.  bench's import of acceptance is the one exception:
+    acceptance imports cli."""
+    local = sorted((path.stem, fn.name)
+                   for path in MODULES
+                   for fn in ast.walk(parse(path))
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert local == [("cli", "_cmd_bench")]
 
 
 def test_cli_import_skips_dataclasses():

@@ -14,7 +14,6 @@ from localcorrect.oracle import (
     NoCorruption,
     NoisyOracle,
     WeightTruncation,
-    disagreement_fraction,
     parse_corruption,
     random_flip_set,
 )
@@ -192,23 +191,35 @@ class TestCounter:
             assert o.query_count == q
 
 
+def truncated_share(n, t):
+    """Share of the 2^n points where either half's weight exceeds t: the
+    low half has n//2 bits, the high half the other n - n//2."""
+    inside = Fraction(1)
+    for m in (n // 2, n - n // 2):
+        inside *= Fraction(sum(math.comb(m, w) for w in range(min(t, m) + 1)), 1 << m)
+    return 1 - inside
+
+
 class TestDisagreementFraction:
+    """Each model's realised disagreement with its base, counted over every
+    point, against the share its definition gives."""
+
     def test_none_is_zero(self):
-        b = disagreement_fraction(and2_oracle())
-        assert (b.value, b.kind) == (Fraction(0), "exact")
+        assert exhaustive_disagreement(and2_oracle()) == 0
 
     def test_explicit_counting(self):
         o = NoisyOracle(4, lambda bits: 0, ExplicitFlips(4, frozenset([1, 5, 9])))
-        b = disagreement_fraction(o)
-        assert (b.value, b.kind) == (Fraction(3, 16), "exact")
+        assert exhaustive_disagreement(o) == Fraction(3, 16)
 
     def test_truncation_bound(self):
-        o = NoisyOracle(10, lambda bits: 0, WeightTruncation(3))
-        b = disagreement_fraction(o)
-        assert (b.value, b.kind) == (Fraction(87, 256), "upper_bound")
+        # Truncation only forces 0, so a constant-0 base never moves and a
+        # constant-1 base moves on every truncated point.
+        assert exhaustive_disagreement(NoisyOracle(10, lambda bits: 0, WeightTruncation(3))) == 0
+        o = NoisyOracle(10, lambda bits: 1, WeightTruncation(3))
+        assert exhaustive_disagreement(o) == Fraction(87, 256)
         # At odd n the high half has the extra bit: 4 and 5 bits at n=9.
         o = NoisyOracle(9, lambda bits: 1, WeightTruncation(2))
-        assert disagreement_fraction(o).value == Fraction(21, 32)
+        assert exhaustive_disagreement(o) == Fraction(21, 32)
 
     @pytest.mark.parametrize("n", [7, 8, 9, 11])
     def test_truncation_bound_matches_exhaustive_count(self, n):
@@ -216,45 +227,50 @@ class TestDisagreementFraction:
         spec = JuntaSpec(n, TruthTable(3, 0b10010110), (1, 4, n))
         for t in range(n // 2 + 3):
             corr = WeightTruncation(t)
-            ones = NoisyOracle(n, lambda bits: 1, corr)
-            b = disagreement_fraction(ones)
-            assert b.kind == "upper_bound"
-            assert b.value == exhaustive_disagreement(ones)
-            assert b.value >= exhaustive_disagreement(NoisyOracle(spec.n, spec.bits_fn(), corr))
+            share = truncated_share(n, t)
+            assert exhaustive_disagreement(NoisyOracle(n, lambda bits: 1, corr)) == share
+            assert exhaustive_disagreement(NoisyOracle(spec.n, spec.bits_fn(), corr)) <= share
 
     def test_iid_small_n_exact(self):
+        # The flip does not depend on the base value.
         corr = IidFlips(Fraction(1, 8), 5)
-        o = NoisyOracle(8, lambda bits: 0, corr)
-        b = disagreement_fraction(o)
-        assert b.kind == "exact"
-        count = sum(corr.flips_point(8, bits) for bits in range(256))
-        assert b.value == Fraction(count, 256)
+        count = sum(reference_flips_point(corr, 8, bits) for bits in range(256))
+        for value in (0, 1):
+            o = NoisyOracle(8, lambda bits: value, corr)
+            assert exhaustive_disagreement(o) == Fraction(count, 256)
 
     def test_iid_large_n_expected(self):
-        o = NoisyOracle(64, lambda bits: 0, IidFlips(Fraction(1, 100), 5))
-        b = disagreement_fraction(o)
-        assert (b.value, b.kind) == (Fraction(1, 100), "expected")
+        # 40,000 uniform points at n=64: the flip share lies within four
+        # standard deviations of eps.
+        eps, m = Fraction(1, 100), 40000
+        o = NoisyOracle(64, lambda bits: 0, IidFlips(eps, 5))
+        rng = random.Random(64)
+        flipped = sum(o.query_many([rng.getrandbits(64) for _ in range(m)]))
+        assert abs(flipped / m - float(eps)) <= 4 * math.sqrt(float(eps) / m)
 
     @pytest.mark.parametrize("n", [6, 12, 16])
     def test_exact_kinds_match_exhaustive_comparison(self, n):
+        # Flip models disagree with the base exactly on their flip set.
         spec = JuntaSpec(n, TruthTable.majority(3), (1, 2, n))
-        for corr in (random_flip_set(n, 40, n), IidFlips(Fraction(1, 16), n)):
-            o = NoisyOracle(spec.n, spec.bits_fn(), corr)
-            b = disagreement_fraction(o)
-            assert b.kind == "exact"
-            assert b.value == exhaustive_disagreement(o)
+        flips = random_flip_set(n, 40, n)
+        o = NoisyOracle(spec.n, spec.bits_fn(), flips)
+        assert exhaustive_disagreement(o) == Fraction(40, 1 << n)
+        corr = IidFlips(Fraction(1, 16), n)
+        count = sum(reference_flips_point(corr, n, bits) for bits in range(1 << n))
+        o = NoisyOracle(spec.n, spec.bits_fn(), corr)
+        assert exhaustive_disagreement(o) == Fraction(count, 1 << n)
 
     def test_layer_bound(self):
-        o = NoisyOracle(8, lambda bits: 0, BalancedLayerZero())
-        b = disagreement_fraction(o)
-        assert (b.value, b.kind) == (Fraction(70, 256), "upper_bound")
+        assert exhaustive_disagreement(NoisyOracle(10, lambda bits: 0, BalancedLayerZero())) == 0
+        o = NoisyOracle(10, lambda bits: 1, BalancedLayerZero())
+        assert exhaustive_disagreement(o) == Fraction(math.comb(10, 5), 1 << 10)
 
 
 class TestIidFlips:
     def test_deterministic_per_point(self):
         corr = IidFlips(Fraction(1, 3), 42)
         for bits in range(64):
-            assert corr.flips_point(12, bits) == corr.flips_point(12, bits)
+            assert corr.corrupt(12, bits, 0) == corr.corrupt(12, bits, 0)
 
     def test_two_oracles_agree_everywhere(self):
         spec = JuntaSpec(64, TruthTable.majority(5), (1, 10, 20, 40, 60))
@@ -273,9 +289,7 @@ class TestIidFlips:
         tol = 3 * math.sqrt(float(eps) / (1 << n)) + 2 ** -n
         for seed in range(20):
             o = NoisyOracle(n, lambda bits: 0, IidFlips(eps, seed))
-            frac = disagreement_fraction(o)
-            assert frac.kind == "exact"
-            assert abs(float(frac.value) - float(eps)) <= tol
+            assert abs(float(exhaustive_disagreement(o)) - float(eps)) <= tol
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
@@ -291,12 +305,12 @@ class TestIidFlips:
         rng = random.Random(n)
         points = range(1 << n) if n <= 13 else [rng.getrandbits(n) for _ in range(4000)]
         for bits in points:
-            assert corr.flips_point(n, bits) == reference_flips_point(corr, n, bits)
+            assert corr.corrupt(n, bits, 0) == reference_flips_point(corr, n, bits)
 
     def test_pinned_flip_set(self):
         # Any change to g's definition (key, byte order, threshold) moves this.
         corr = IidFlips(Fraction(1, 1 << 12), 0xC3F)
-        flipped = [b for b in range(1 << 16) if corr.flips_point(16, b)]
+        flipped = [b for b in range(1 << 16) if corr.corrupt(16, b, 0)]
         digest = hashlib.sha256(b"".join(b.to_bytes(2, "little") for b in flipped))
         assert len(flipped) == 19
         assert digest.hexdigest() == (
@@ -318,7 +332,7 @@ class TestIidFlips:
                            (Fraction(h + 1, 1 << 64), True)):
             corr = IidFlips(eps, 7)
             assert reference_flips_point(corr, 16, 0xBEEF) is flips
-            assert corr.flips_point(16, 0xBEEF) is flips
+            assert corr.corrupt(16, 0xBEEF, 0) == flips
 
 
 class TestTruncationModels:
