@@ -9,7 +9,6 @@ traceback, or a failed `bench` criterion.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .analysis import fraction_low_influence
@@ -98,24 +97,23 @@ def _cmd_lowerbound(args) -> int:
     report = run_distinguisher(
         args.strategy, args.queries, args.n, args.k, args.trials, args.seed
     )
+    line = REPORT_ENCODER.encode(report)
     with open(args.out, "w") as fh:
-        fh.write(json.dumps(report, sort_keys=True) + "\n")
-    print(json.dumps(report, sort_keys=True))
+        fh.write(line + "\n")
+    print(line)
     return 0
 
 
 def _cmd_influence(args) -> int:
     frac = fraction_low_influence(args.k, args.samples, args.seed)
-    print(json.dumps(
+    print(REPORT_ENCODER.encode(
         {"k": args.k, "samples": args.samples, "seed": args.seed,
-         "low_influence_fraction": frac},
-        sort_keys=True,
-    ))
+         "low_influence_fraction": frac}))
     return 0
 
 
 def _cmd_ambiguity(args) -> int:
-    print(json.dumps(maj_ambiguity_check(args.n), sort_keys=True))
+    print(REPORT_ENCODER.encode(maj_ambiguity_check(args.n)))
     return 0
 
 

@@ -8,20 +8,14 @@ threshold.  The target input is the balanced point (first half zeros,
 second half ones): D0 instances answer 0 there, D1 instances answer 1,
 yet queries almost never reveal which.
 
-Each instance precomputes two masks: the relevant coordinates and the low
-half.  A point is evaluated relevance first: it answers 1 only if it
+All three distinguishers run one trial loop; a strategy only supplies
+its points: uniform draws mapped from `getrandbits`, a fixed list built
+once, or the correctors' subcube walk from x_star, streamed in blocks.
+Every point goes through `_hard_hits`, the one point rule.  It builds the
+masks and the threshold once per trial, and a point answers 1 only if it
 covers the relevance mask, which a uniform point misses with probability
 1 - 2^-k, and only then are the two half-weights compared with the
-threshold.
-
-All three distinguishers screen their query points in bulk through
-`_hard_hits`, which keeps only the points that cover the relevance mask
-before it calls `_eval_hard_bits`, the one full point rule.  Uniform
-points are drawn by mapping `getrandbits` over the budget, fixed points
-are built once, and the cube-sum points stream from the correctors'
-subcube walk in blocks.  So no trial makes a Python function call per
-point, and on uniform points the evaluator is called about q * 2^-k
-times per trial instead of q times.
+threshold.  So no trial makes a Python function call per point.
 """
 
 from __future__ import annotations
@@ -47,6 +41,8 @@ class HardInstance(namedtuple("HardInstance", "n relevant")):
     threshold default_threshold(n).  relevant lies in one half, and that
     half is the label: the first for D0, the second for D1."""
 
+    __slots__ = ()
+
     def __new__(cls, n: int, relevant: frozenset):
         if n % 2:
             raise ValueError("n must be even")
@@ -56,16 +52,7 @@ class HardInstance(namedtuple("HardInstance", "n relevant")):
             or all(half < c <= n for c in relevant)
         ):
             raise ValueError("relevant must be a nonempty subset of one half")
-        rel = 0
-        for c in relevant:
-            rel |= 1 << (c - 1)
-        # Derived state lives in the instance dict, not the fields, so
-        # repr, == and hash cover (n, relevant) only.
-        self = tuple.__new__(cls, (n, relevant))
-        self._rel_mask = rel
-        self._low_mask = (1 << half) - 1
-        self.threshold = default_threshold(n)
-        return self
+        return tuple.__new__(cls, (n, relevant))
 
     @property
     def x_star(self) -> Point:
@@ -82,17 +69,6 @@ def sample_hard_instance(n: int, k: int, label: int, seed: int) -> HardInstance:
     half = n // 2
     lo = 1 if label == 0 else half + 1
     return HardInstance(n, frozenset(rng.sample(range(lo, lo + half), k)))
-
-
-def _eval_hard_bits(inst: HardInstance, bits: int) -> int:
-    # The AND of the relevant bits first: it is a single mask test and
-    # almost always false, so the half-weight box test rarely runs.
-    rel = inst._rel_mask
-    if bits & rel != rel:
-        return 0
-    t = inst.threshold
-    return int((bits & inst._low_mask).bit_count() <= t
-               and (bits >> (inst.n >> 1)).bit_count() <= t)
 
 
 def single_query_one_prob(n: int, k: int, m: int) -> Fraction:
@@ -136,18 +112,17 @@ def _guess_from_hits(n: int, k: int, hits) -> int:
     return 0
 
 
-def _uniform_queries(rng, n: int, q: int):
-    # The same q calls in the same order as a loop, made from C and
-    # streamed into _hard_hits, so no list of q points is held.
-    return map(rng.getrandbits, repeat(n, q))
-
-
 def _hard_hits(inst: HardInstance, points) -> list:
-    # The points where g is 1.  Points missing a relevant coordinate fail
-    # the mask test with no Python call; _eval_hard_bits decides the rest
-    # and is read as a module global so tracers can wrap it.
-    rel = inst._rel_mask
-    return [b for b in points if b & rel == rel and _eval_hard_bits(inst, b)]
+    # The points where g is 1.  The relevance mask is tested first: a
+    # uniform point almost always misses it, so the box test rarely runs.
+    # Read as a module global, once per trial, so tracers can time it.
+    rel = 0
+    for c in inst.relevant:
+        rel |= 1 << (c - 1)
+    half, t = inst.n >> 1, default_threshold(inst.n)
+    low = (1 << half) - 1
+    return [b for b in points if b & rel == rel
+            and (b & low).bit_count() <= t and (b >> half).bit_count() <= t]
 
 
 def _fixed_queries(n: int, k: int, q: int):
@@ -186,7 +161,8 @@ def run_distinguisher(
         raise ConfigError("n", "must be <= %d" % MAX_N)
     if not 1 <= k <= n // 2:
         raise ConfigError("k", "must lie in [1, n/2]")
-    if strategy == "cube-sum-at-x_star":
+    cube = strategy == "cube-sum-at-x_star"
+    if cube:
         # The walk takes 2^(k+1)-1 steps: correct --algo cube's cap holds.
         if k > MAX_TABLE_VARS:
             raise ConfigError("k", "must be <= %d for %s" % (MAX_TABLE_VARS, strategy))
@@ -198,43 +174,36 @@ def run_distinguisher(
     check_seed(seed)
     rng = random.Random(seed)
     fixed = _fixed_queries(n, k, q) if strategy == "fixed-point-list" else None
-    correct = 0
-    hit_trials = 0
+    correct = hit_trials = 0
     for _ in range(trials):
         label = rng.getrandbits(1)
         inst = sample_hard_instance(n, k, label, rng.getrandbits(64))
-        if strategy == "cube-sum-at-x_star":
-            guess, hit = _cube_sum_guess(inst, k, rng.getrandbits(64))
+        if cube:
+            # The subcube corrector at x_star, run against g directly:
+            # the hit parity is the recovered bit (D1 answers 1 at x_star).
+            walk = random.Random(rng.getrandbits(64))
+            dirs = list(map(walk.getrandbits, repeat(n, k + 1)))
+            pts = chain.from_iterable(subcube_blocks(inst.x_star.bits, dirs))
+        elif strategy == "uniform-random-queries":
+            # The same q calls in the same order as a loop, made from C
+            # and streamed, so no list of q points is held.
+            pts = map(rng.getrandbits, repeat(n, q))
         else:
-            if strategy == "uniform-random-queries":
-                pts = _uniform_queries(rng, n, q)
-            else:
-                pts = fixed
-            hits = _hard_hits(inst, pts)
-            hit = bool(hits)
-            guess = _guess_from_hits(n, k, hits)
+            pts = fixed
+        hits = _hard_hits(inst, pts)
+        guess = len(hits) & 1 if cube else _guess_from_hits(n, k, hits)
         correct += guess == label
-        hit_trials += hit
-    advantage = abs(correct / trials - 0.5)
+        hit_trials += bool(hits)
     return {
         "strategy": strategy,
         "n": n,
         "k": k,
         "q": q,
         "trials": trials,
-        "advantage": advantage,
+        "advantage": abs(correct / trials - 0.5),
         "one_hit_rate": hit_trials / trials,
         "seed": seed,
     }
-
-
-def _cube_sum_guess(inst: HardInstance, k: int, seed: int):
-    # Run the affine-subcube corrector at x_star against g directly; the
-    # recovered bit is the guessed label (D1 answers 1 at x_star).
-    rng = random.Random(seed)
-    dirs = list(map(rng.getrandbits, repeat(inst.n, k + 1)))
-    hits = _hard_hits(inst, chain.from_iterable(subcube_blocks(inst.x_star.bits, dirs)))
-    return len(hits) & 1, bool(hits)
 
 
 def maj_ambiguity_check(n: int) -> dict:

@@ -32,9 +32,9 @@ from .boolfn import DimensionMismatch, Point
 MAX_EPS_EXPONENT = 1024
 MAX_EPS_BITS = 64 * MAX_EPS_EXPONENT
 
-# Points IidFlips.corrupt_many hashes per slice, so that at most this many
-# hasher copies are alive at once however large the batch.
-IID_SLICE = 1 << 12
+# Largest flip file parse_corruption reads, in characters; a 256-point
+# file at n=16 is about 1.3 KB.
+MAX_FLIP_FILE_CHARS = 1 << 24
 
 
 class NoCorruption:
@@ -97,20 +97,18 @@ class IidFlips(namedtuple("IidFlips", "eps seed")):
         return value ^ (int.from_bytes(h.digest(), "little") < self._threshold)
 
     def corrupt_many(self, n: int, points, values) -> list:
-        """corrupt's rule over a batch, chained through C-level maps."""
-        size, copy, out = (n + 7) // 8, self._hasher.copy, []
-        blake2b, below = hashlib.blake2b, self._threshold.__gt__
-        for lo in range(0, len(points), IID_SLICE):
-            pts = points[lo:lo + IID_SLICE]
-            hs = list(starmap(copy, repeat((), len(pts))))
-            # Both to_bytes arguments are given: Python 3.10 has no
-            # default length or byte order.
-            deque(map(blake2b.update, hs,
-                      map(int.to_bytes, pts, repeat(size), repeat("little"))), 0)
-            flips = map(below, map(int.from_bytes, map(blake2b.digest, hs),
-                                   repeat("little")))
-            out += map(xor, values[lo:lo + IID_SLICE], flips)
-        return out
+        """corrupt's rule over a batch, chained through C-level maps.  One
+        hasher copy is alive per point, so the caller bounds the batch:
+        the correctors send at most 2^12 points at a time."""
+        size, blake2b = (n + 7) // 8, hashlib.blake2b
+        hs = list(starmap(self._hasher.copy, repeat((), len(points))))
+        # Both to_bytes arguments are given: Python 3.10 has no default
+        # length or byte order.
+        deque(map(blake2b.update, hs,
+                  map(int.to_bytes, points, repeat(size), repeat("little"))), 0)
+        flips = map(self._threshold.__gt__,
+                    map(int.from_bytes, map(blake2b.digest, hs), repeat("little")))
+        return list(map(xor, values, flips))
 
 
 class WeightTruncation(namedtuple("WeightTruncation", "threshold")):
@@ -212,7 +210,7 @@ def parse_corruption(spec: str, n: int):
     Grammar: "none" | "flips:<file>" | "iid:<eps>:<seed>" | "trunc:<threshold>"
     | "layer".  Flip files hold one hex point per line, LSB = coordinate 1,
     spelled as `Point.from_hex` reads it; surrounding whitespace and blank
-    lines are ignored.
+    lines are ignored.  A file over MAX_FLIP_FILE_CHARS characters is refused.
     """
     if spec == "none":
         return NoCorruption()
@@ -230,7 +228,10 @@ def parse_corruption(spec: str, n: int):
         return IidFlips(_parse_eps(eps_text), int(seed_text))
     if kind == "flips":
         with open(rest, encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh]
+            text = fh.read(MAX_FLIP_FILE_CHARS + 1)
+        if len(text) > MAX_FLIP_FILE_CHARS:
+            raise ValueError("flip file over %d characters" % MAX_FLIP_FILE_CHARS)
+        lines = [line.strip() for line in text.split("\n")]
         flips = frozenset(Point.from_hex(line, n).bits for line in lines if line)
         return ExplicitFlips(n, flips)
     raise ValueError("unknown corruption descriptor %r" % spec)

@@ -162,6 +162,24 @@ class TestAmbiguity:
         assert rc == 2
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ("lowerbound --strategy cube-sum-at-x_star --n 40 --k 3 --queries 15 --trials 200"
+     " --seed 5", "7f6530c752be12e95a8e5584b19955d836858450a2797ef4b02156a30cbc818f"),
+    ("influence --k 3 --samples 50 --seed 7",
+     "fa89a8a8da033403cd0b4b96bf7c6a48d75dc8628a37a9ee007fed8b6ac923cd"),
+    ("ambiguity --n 6", "3aaf3231dde1ddf42bb8e7cab18cddc66592e23f0dad35e6edd292e3cc0f2a21"),
+], ids=["lowerbound", "influence", "ambiguity"])
+def test_pinned_stdout(argv, digest, tmp_path, capsys):
+    # The sha256 of stdout; lowerbound writes the same line to --out.
+    out = tmp_path / "out.json"
+    argv = argv.split() + (["--out", str(out)] if argv.startswith("lowerbound") else [])
+    rc, stdout, _ = run(argv, capsys)
+    assert rc == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+    if argv[0] == "lowerbound":
+        assert out.read_text() == stdout
+
+
 CORRECT = ["correct", "--algo", "cube", "--k", "2", "--n", "8", "--trials", "5"]
 FLIPS = CORRECT + ["--seed", "1", "--x-mode", "adversarial-flipped", "--corruption"]
 LOWERBOUND = ["lowerbound", "--strategy", "uniform-random-queries", "--n", "40",
@@ -205,11 +223,14 @@ LOWERBOUND = ["lowerbound", "--strategy", "uniform-random-queries", "--n", "40",
                   "layer", "--trials", "5", "--seed", "1"],
                  "corruption", "even n", id="layer-n-odd"),
     # "flips:<line>" rows: the test writes a flips file holding " 2 ", a
-    # blank line and <line>, and passes its path instead.
+    # blank line and <line>, and passes its path instead.  A "flips:/<path>"
+    # row reads that path itself.
     pytest.param(FLIPS + ["flips:0x1_0"], "corruption", "hex digits", id="flips-0x-underscore"),
     pytest.param(FLIPS + ["flips:1_0"], "corruption", "hex digits", id="flips-underscore"),
     pytest.param(FLIPS + ["flips:+1"], "corruption", "hex digits", id="flips-sign"),
     pytest.param(FLIPS + ["flips:\u0661"], "corruption", "hex digits", id="flips-non-ascii-digit"),
+    # An endless file: refused after MAX_FLIP_FILE_CHARS characters.
+    pytest.param(FLIPS + ["flips:/dev/zero"], "corruption", "characters", id="flips-endless-file"),
     pytest.param(["correct", "--algo", "cube", "--k", "25", "--n", "30", "--trials", "5",
                   "--seed", "1"], "k", "", id="correct-k-above-table-limit"),
     pytest.param(LOWERBOUND + ["--trials", "10", "--seed", "-1"], "seed", "",
@@ -250,10 +271,10 @@ def test_bad_numeric_input_exit_2(argv, field, fragment, tmp_path, capsys):
     if argv[0] in ("correct", "lowerbound"):
         argv = argv + ["--out", str(tmp_path / "x")]
     flips = tmp_path / "flips.hex"
-    for arg in argv:
-        if arg.startswith("flips:"):
-            flips.write_text(" 2 \n\n%s\n" % arg[len("flips:"):], encoding="utf-8")
-    argv = ["flips:%s" % flips if a.startswith("flips:") else a for a in argv]
+    written = [a for a in argv if a.startswith("flips:") and not a.startswith("flips:/")]
+    for arg in written:
+        flips.write_text(" 2 \n\n%s\n" % arg[len("flips:"):], encoding="utf-8")
+    argv = ["flips:%s" % flips if a in written else a for a in argv]
     rc, _, err = run(argv, capsys)
     assert rc == 2
     assert err.startswith("config error: %s: " % field) and fragment in err

@@ -29,12 +29,19 @@ def and_before_truncation(inst, bits):
 def reference_eval_hard_bits(inst, bits):
     """The hard instance's value by its definition: both half-weights
     within the threshold, then the AND over the relevant coordinates."""
-    half = inst.n // 2
-    if (bits & ((1 << half) - 1)).bit_count() > inst.threshold:
+    half, t = inst.n // 2, default_threshold(inst.n)
+    if (bits & ((1 << half) - 1)).bit_count() > t:
         return 0
-    if (bits >> half).bit_count() > inst.threshold:
+    if (bits >> half).bit_count() > t:
         return 0
     return and_before_truncation(inst, bits)
+
+
+def hard_g(inst, bits):
+    """g at one point, through the screen the distinguishers use."""
+    hits = lowerbound._hard_hits(inst, (bits,))
+    assert hits in ([], [bits])
+    return len(hits)
 
 
 def weight_w_half(rng, half, w, forced=0):
@@ -48,8 +55,8 @@ def weight_w_half(rng, half, w, forced=0):
 
 def loop_distinguisher(strategy, q, n, k, trials, seed):
     """run_distinguisher's uniform and fixed strategies as a plain loop:
-    the uniform points are drawn by a comprehension, and every point goes
-    through _eval_hard_bits."""
+    the uniform points are drawn by a comprehension, and every point is
+    evaluated by the definition."""
     rng = random.Random(seed)
     fixed = lowerbound._fixed_queries(n, k, q)
     correct = hit_trials = 0
@@ -60,7 +67,7 @@ def loop_distinguisher(strategy, q, n, k, trials, seed):
             pts = [rng.getrandbits(n) for _ in range(q)]
         else:
             pts = fixed
-        hits = [b for b in pts if lowerbound._eval_hard_bits(inst, b)]
+        hits = [b for b in pts if reference_eval_hard_bits(inst, b)]
         correct += lowerbound._guess_from_hits(n, k, hits) == label
         hit_trials += bool(hits)
     return {
@@ -87,15 +94,13 @@ class TestSampleHardInstance:
             assert all(6 <= c <= 10 for c in inst.relevant)
 
     def test_derived_state(self):
-        # The label picks the half that holds relevant; the threshold
-        # follows from n alone.
+        # The label picks the half that holds relevant.
         rng = random.Random(12)
         for n in (2, 10, 40, 400):
             half = n // 2
             for label, k in itertools.product((0, 1), sorted({1, half})):
                 inst = sample_hard_instance(n, k, label, rng.getrandbits(64))
                 lo = 1 if label == 0 else half + 1
-                assert inst.threshold == default_threshold(n)
                 assert len(inst.relevant) == k
                 assert all(lo <= c < lo + half for c in inst.relevant)
 
@@ -135,23 +140,23 @@ class TestEvalHardG:
     def test_inside_box_and_satisfied(self):
         inst = HardInstance(10, frozenset([6, 7]))
         y = (1 << 5) | (1 << 6)
-        assert lowerbound._eval_hard_bits(inst, y) == 1
+        assert hard_g(inst, y) == 1
 
     def test_first_half_over_threshold_forces_zero(self):
         inst = HardInstance(10, frozenset([6, 7]))
         y = 0b1111 | (1 << 5) | (1 << 6)  # first-half weight 4
-        assert lowerbound._eval_hard_bits(inst, y) == 0
+        assert hard_g(inst, y) == 0
 
     def test_x_star_is_truncated(self):
         inst = HardInstance(10, frozenset([6, 7]))
         assert and_before_truncation(inst, inst.x_star.bits) == 1
-        assert lowerbound._eval_hard_bits(inst, inst.x_star.bits) == 0
+        assert hard_g(inst, inst.x_star.bits) == 0
 
     def test_never_one_outside_box(self):
         inst = sample_hard_instance(400, 10, 1, 3)
         rng = random.Random(4)
-        half = 200
-        checked = 0
+        half, t = 200, default_threshold(400)
+        outside = []
         for _ in range(200000):
             # mix densities so the out-of-box region is actually exercised
             bits = rng.getrandbits(400)
@@ -159,11 +164,10 @@ class TestEvalHardG:
                 bits |= rng.getrandbits(400)
             lo = bin(bits & ((1 << half) - 1)).count("1")
             hi = bin(bits >> half).count("1")
-            out = lo > inst.threshold or hi > inst.threshold
-            if out:
-                checked += 1
-                assert lowerbound._eval_hard_bits(inst, bits) == 0
-        assert checked > 1000
+            if lo > t or hi > t:
+                outside.append(bits)
+        assert len(outside) > 1000
+        assert lowerbound._hard_hits(inst, outside) == []
 
     def test_matches_generator_reference(self):
         # Uniform points, points covering the relevance mask (so the box
@@ -188,19 +192,19 @@ class TestEvalHardG:
                         inside = weight_w_half(rng, half, w_rel, rel >> shift)
                         other = weight_w_half(rng, half, w_free)
                         pts.append((inside << shift) | (other << (half - shift)))
-                for bits in pts:
-                    want = reference_eval_hard_bits(inst, bits)
-                    assert lowerbound._eval_hard_bits(inst, bits) == want
-                    checked += 1
-                    ones += want
+                want = [b for b in pts if reference_eval_hard_bits(inst, b)]
+                assert lowerbound._hard_hits(inst, pts) == want
+                checked += len(pts)
+                ones += len(want)
         assert checked > 4000 and ones > 200
 
     def test_cached_state_is_not_a_field(self):
+        # An instance is its two fields: the masks and the threshold are
+        # derived where they are used (test_records checks it has no dict).
         a = HardInstance(10, frozenset([6, 7]))
         b = HardInstance(10, frozenset([7, 6]))
         assert a._fields == ("n", "relevant")
         assert repr(a) == "HardInstance(n=10, relevant=frozenset({6, 7}))"
-        assert (a.threshold, a._rel_mask, a._low_mask) == (3, 0b1100000, 0b11111)
         assert a == b and hash(a) == hash(b)
         assert a != HardInstance(10, frozenset([6, 8]))
 
@@ -265,7 +269,7 @@ class TestUniformOneHitProb:
 
 def loop_cube_sum(n, k, trials, seed):
     """run_distinguisher's cube-sum strategy as a plain loop: the old
-    per-step walk, with every point through _eval_hard_bits."""
+    per-step walk, with every point evaluated by the definition."""
     rng = random.Random(seed)
     correct = hit_trials = 0
     for _ in range(trials):
@@ -276,7 +280,7 @@ def loop_cube_sum(n, k, trials, seed):
         cur, vals = inst.x_star.bits, []
         for t in range(1, 1 << (k + 1)):
             cur ^= dirs[(t & -t).bit_length() - 1]
-            vals.append(lowerbound._eval_hard_bits(inst, cur))
+            vals.append(reference_eval_hard_bits(inst, cur))
         correct += (sum(vals) & 1) == label
         hit_trials += any(vals)
     q = (1 << (k + 1)) - 1
@@ -329,33 +333,6 @@ class TestDistinguisher:
         if n == 20:
             assert rep["one_hit_rate"] > 0
 
-    def test_uniform_draws_match_comprehension(self):
-        for n, q in ((2, 7), (40, 100), (400, 30), (64, 0)):
-            a, b = random.Random(n + q), random.Random(n + q)
-            assert list(lowerbound._uniform_queries(a, n, q)) == [
-                b.getrandbits(n) for _ in range(q)
-            ]
-            # Same calls in the same order: the generators stay in step.
-            assert a.getrandbits(64) == b.getrandbits(64)
-
-    def test_screen_evaluates_through_module_global(self, monkeypatch):
-        # Tracers wrap lowerbound._eval_hard_bits: the screen must call it
-        # at run time, for exactly the points covering the relevance mask.
-        calls = []
-        real = lowerbound._eval_hard_bits
-
-        def counted(inst, bits):
-            calls.append(bits & inst._rel_mask == inst._rel_mask)
-            return real(inst, bits)
-
-        monkeypatch.setattr(lowerbound, "_eval_hard_bits", counted)
-        inst = sample_hard_instance(20, 2, 1, 8)
-        pts = list(lowerbound._uniform_queries(random.Random(9), 20, 400))
-        hits = lowerbound._hard_hits(inst, pts)
-        covering = sum(b & inst._rel_mask == inst._rel_mask for b in pts)
-        assert calls == [True] * covering and covering > 50
-        assert hits == [b for b in pts if real(inst, b)] and hits
-
     def test_fixed_probes_built_once(self, monkeypatch):
         calls = []
         real = lowerbound._fixed_queries
@@ -368,35 +345,36 @@ class TestDistinguisher:
         run_distinguisher("fixed-point-list", 20, 40, 3, 50, 1)
         assert calls == [(40, 3, 20)]
 
-    def test_cube_sum_evaluates_through_module_global(self, monkeypatch):
-        # Tracers wrap lowerbound._eval_hard_bits; the cube-sum walk must
-        # look it up at call time, exactly once per walk point that covers
-        # the relevance mask.
-        calls, instances, walks = [], [], []
-        real = lowerbound._eval_hard_bits
-        real_sample = lowerbound.sample_hard_instance
-        real_blocks = lowerbound.subcube_blocks
+    @pytest.mark.parametrize("strategy, q", [
+        ("uniform-random-queries", 400),
+        ("fixed-point-list", 40),
+        ("cube-sum-at-x_star", 15),
+    ])
+    def test_hooks_reached_through_module_once_per_trial(self, strategy, q, monkeypatch):
+        # Tracers wrap these module globals: each trial must look up
+        # sample_hard_instance and _hard_hits at run time, once each, and
+        # a cube-sum trial subcube_blocks too.
+        calls = []
 
-        def counted(inst, bits):
-            calls.append(bits)
-            return real(inst, bits)
+        def counted(name):
+            real = getattr(lowerbound, name)
 
-        def sampled(*args):
-            instances.append(real_sample(*args))
-            return instances[-1]
+            def wrapper(*args):
+                out = real(*args)
+                calls.append((name, out))
+                return out
+            monkeypatch.setattr(lowerbound, name, wrapper)
 
-        def walked(offset, dirs):
-            walks.append(list(itertools.chain.from_iterable(real_blocks(offset, dirs))))
-            return [walks[-1]]
-
-        monkeypatch.setattr(lowerbound, "_eval_hard_bits", counted)
-        monkeypatch.setattr(lowerbound, "sample_hard_instance", sampled)
-        monkeypatch.setattr(lowerbound, "subcube_blocks", walked)
-        run_distinguisher("cube-sum-at-x_star", 15, 40, 3, 5, 1)
-        assert len(instances) == 5 and [len(w) for w in walks] == [15] * 5
-        covering = [b for inst, walk in zip(instances, walks) for b in walk
-                    if b & inst._rel_mask == inst._rel_mask]
-        assert calls == covering and covering
+        for name in ("sample_hard_instance", "subcube_blocks", "_hard_hits"):
+            counted(name)
+        trials = 6
+        rep = run_distinguisher(strategy, q, 20, 3, trials, 1)
+        per_trial = ["sample_hard_instance", "_hard_hits"]
+        if strategy == "cube-sum-at-x_star":
+            per_trial.insert(1, "subcube_blocks")
+        assert [name for name, _ in calls] == per_trial * trials
+        hits = [out for name, out in calls if name == "_hard_hits"]
+        assert rep["one_hit_rate"] == sum(map(bool, hits)) / trials
 
     @pytest.mark.parametrize("n, k, trials, seed", [
         (10, 2, 300, 4),
@@ -438,8 +416,8 @@ class TestDistinguisher:
         # The walk would take 2^(k+1)-1 steps, so k above the table cap
         # is a config error, raised before a single instance is drawn.
         walks = []
-        monkeypatch.setattr(lowerbound, "_cube_sum_guess",
-                            lambda inst, k, seed: walks.append(k) or (0, False))
+        monkeypatch.setattr(lowerbound, "subcube_blocks",
+                            lambda offset, dirs: walks.append(len(dirs) - 1) or [])
         run_distinguisher("cube-sum-at-x_star", (1 << 25) - 1, 100, 24, 1, 0)
         assert walks == [24]
         for k in (25, 40):

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from localcorrect.boolfn import DimensionMismatch, JuntaSpec, Point, TruthTable
+from localcorrect import oracle
+from localcorrect.boolfn import MAX_TABLE_VARS, DimensionMismatch, JuntaSpec, Point, TruthTable
+from localcorrect.correctors import cube_sum_correct, pair_rounds
 from localcorrect.oracle import (
     BalancedLayerZero,
     ExplicitFlips,
@@ -52,7 +54,7 @@ def per_point_query_many(o, points):
     return [corrupt(n, bits, base(bits)) for bits in points]
 
 
-# Two slice edges of IidFlips.corrupt_many crossed, and one point beyond.
+# Twice the largest batch a corrector sends, and one point beyond.
 LONG_BATCH = 2 * (1 << 12) + 1
 
 
@@ -160,20 +162,23 @@ class TestCorruptMany:
                                    for b, v in zip(batch, values)], (corr, m)
                     assert all(type(v) is int for v in got)
 
-    def test_iid_memory_is_bounded_by_the_slice(self):
-        # Hasher copies live for one slice at a time; a whole-batch chain
-        # held 20,000 copies and peaked near 9 MB.
-        corr = IidFlips(Fraction(1, 4096), 3)
-        rng = random.Random(1)
-        pts = [rng.getrandbits(64) for _ in range(20000)]
-        vals = [0] * len(pts)
-        tracemalloc.start()
-        try:
-            corr.corrupt_many(64, pts, vals)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * 1024 * 1024
+    def test_callers_bound_the_batch(self, monkeypatch):
+        # IidFlips.corrupt_many holds one hasher copy per point, so the
+        # callers bound the batch: the subcube walk sends blocks of at most
+        # 2^12 points, and a marking batch holds r points.
+        sizes = []
+        real = NoisyOracle.query_many
+
+        def counted(self, points):
+            sizes.append(len(points))
+            return real(self, points)
+
+        monkeypatch.setattr(NoisyOracle, "query_many", counted)
+        o = NoisyOracle(16, lambda bits: 0, IidFlips(Fraction(1, 4096), 3))
+        result = cube_sum_correct(o, Point(16, 5), 13, 7)
+        assert result.queries_used == sum(sizes) == (1 << 14) - 1
+        assert max(sizes) == 1 << 12
+        assert pair_rounds(MAX_TABLE_VARS) < 1 << 12
 
 
 class TestCounter:
@@ -402,6 +407,29 @@ class TestParseCorruption:
             path.write_text("2\n%s\n" % line)
             with pytest.raises(ValueError):
                 parse_corruption("flips:%s" % path, 8)
+
+    def test_flips_file_size_is_capped(self, tmp_path, monkeypatch):
+        # At most MAX_FLIP_FILE_CHARS characters are read; a longer file
+        # is refused, so an endless one (/dev/zero) cannot exhaust memory.
+        path = tmp_path / "flips.txt"
+        path.write_bytes(b"2\r\nA0\r\n")
+        # Read as text, the file is "2\nA0\n": five characters.
+        monkeypatch.setattr(oracle, "MAX_FLIP_FILE_CHARS", 5)
+        assert parse_corruption("flips:%s" % path, 8).flips == {0x2, 0xA0}
+        monkeypatch.setattr(oracle, "MAX_FLIP_FILE_CHARS", 4)
+        with pytest.raises(ValueError, match="over 4 characters"):
+            parse_corruption("flips:%s" % path, 8)
+        # Only cap + 1 characters are read: a 4 MB file is refused without
+        # being held in memory.
+        path.write_bytes(b"2\n" * (1 << 21))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="over 4 characters"):
+                parse_corruption("flips:%s" % path, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):

@@ -33,3 +33,13 @@ def test_fields_cannot_be_assigned(record):
     for name in record._fields:
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_hold_only_their_fields(record):
+    # Derived state is computed where it is used.  IidFlips is the one
+    # exception: its keyed hasher is built once and copied per point.
+    if isinstance(record, IidFlips):
+        assert sorted(vars(record)) == ["_hasher", "_threshold"]
+    else:
+        assert not hasattr(record, "__dict__")
