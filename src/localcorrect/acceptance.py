@@ -11,11 +11,13 @@ import contextlib
 import filecmp
 import functools
 import io
+import multiprocessing
 import os
 import random
 import tempfile
 import time
 from collections import namedtuple
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import chain
 
@@ -116,35 +118,47 @@ def criterion_2():
     return rate >= 0.85, "success rate %.4f (floor 0.85, theory ~0.879)" % rate
 
 
+def _criterion_3_mode(mode_idx: int, trials: int):
+    """One x mode of criterion 3 (0: all-zeros, 1: corrupted), rebuilt from
+    its seeds so that it can run in a worker process; returns (successes,
+    None), or (None, first wrong query count)."""
+    k, n = 8, 128
+    expected_queries = 6 * k * pair_rounds(k) + 1
+    base = sample_influential_junta(k, n, 0xC3)[0].bits_fn()
+    corruption = IidFlips(Fraction(1, 4096), 0xC3F)
+    x = Point(n) if mode_idx == 0 else find_corrupted_point(n, base, corruption, 0xC3A)
+    truth = base(x.bits)
+    oracle = NoisyOracle(n, base, corruption)
+    ok = 0
+    for t in range(trials):
+        res = influence_correct(oracle, x, k, derive_seed(0xC3 + mode_idx, t))
+        if res.queries_used != expected_queries:
+            return None, res.queries_used
+        ok += res.value == truth
+    return ok, None
+
+
 @_criterion(3, "influence corrector")
 def criterion_3():
     """Influence corrector at k=8, n=128 under iid eps=2^-12: success
-    >= 0.70 at x=0 and at a corrupted x; exactly 6*8*800+1 queries/trial."""
-    k, n, trials = 8, 128, 1000
+    >= 0.70 at x=0 and at a corrupted x; exactly 6*8*800+1 queries/trial.
+    The two x modes run in up to two spawned worker processes."""
+    k, trials = 8, 1000
     r = pair_rounds(k)
     expected_queries = 6 * k * r + 1
     if r != 800:
         return False, "r=%d != 800 for k=8" % r
 
-    spec, _ = sample_influential_junta(k, n, 0xC3)
-    corruption = IidFlips(Fraction(1, 4096), 0xC3F)
-    base = spec.bits_fn()
-
-    xs = {
-        "all-zeros": Point(n),
-        "corrupted": find_corrupted_point(n, base, corruption, 0xC3A),
-    }
+    # spawn, named: fork in a threaded process warns on 3.12+, and the
+    # default start method changes in 3.14.
+    with ProcessPoolExecutor(max_workers=min(2, os.cpu_count() or 1),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        outcomes = list(pool.map(_criterion_3_mode, (0, 1), (trials, trials)))
     details = []
     passed = True
-    for mode_idx, (mode, x) in enumerate(xs.items()):
-        truth = base(x.bits)
-        oracle = NoisyOracle(n, base, corruption)
-        ok = 0
-        for t in range(trials):
-            res = influence_correct(oracle, x, k, derive_seed(0xC3 + mode_idx, t))
-            if res.queries_used != expected_queries:
-                return False, "query count %d != %d" % (res.queries_used, expected_queries)
-            ok += res.value == truth
+    for mode, (ok, wrong_queries) in zip(("all-zeros", "corrupted"), outcomes):
+        if wrong_queries is not None:
+            return False, "query count %d != %d" % (wrong_queries, expected_queries)
         rate = ok / trials
         passed = passed and rate >= 0.70
         details.append("%s %.3f" % (mode, rate))

@@ -30,6 +30,12 @@ MAX_SCAN = 500000
 # The one encoder of report lines, shared so that none is built per record.
 REPORT_ENCODER = json.JSONEncoder(sort_keys=True)
 
+# A trial record as REPORT_ENCODER writes it: every field is an int, a bool
+# or a hex string, so one template yields the same bytes without the
+# per-record encode call.
+_RECORD_LINE = ('{"queries": %d, "returned": %d, "seed": %d, "success": %s, '
+                '"trial": %d, "truth": %d, "x": "%s"}\n')
+
 
 def derive_seed(master_seed: int, trial_index: int) -> int:
     """Collision-resistant 64-bit per-trial seed, stable across platforms."""
@@ -201,7 +207,9 @@ def run_correction_experiment(cfg: ExperimentConfig):
 
 def emit_report(records, summary, path: str) -> None:
     """JSON lines: one record per line, then the summary object."""
-    lines = list(map(REPORT_ENCODER.encode, records))
-    lines.append(REPORT_ENCODER.encode({"summary": summary}))
+    lines = [_RECORD_LINE % (r["queries"], r["returned"], r["seed"],
+                             "true" if r["success"] else "false",
+                             r["trial"], r["truth"], r["x"]) for r in records]
+    lines.append(REPORT_ENCODER.encode({"summary": summary}) + "\n")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(lines))

@@ -17,7 +17,9 @@ keeps its base values untouched.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import stat
 from collections import deque, namedtuple
 from fractions import Fraction
 from itertools import repeat, starmap
@@ -204,13 +206,18 @@ def _parse_eps(text: str) -> Fraction:
         raise ValueError("iid eps %r divides by zero" % text) from None
 
 
+def _open_nonblocking(path, flags):
+    return os.open(path, flags | getattr(os, "O_NONBLOCK", 0))
+
+
 def parse_corruption(spec: str, n: int):
     """Parse a CLI corruption descriptor.
 
     Grammar: "none" | "flips:<file>" | "iid:<eps>:<seed>" | "trunc:<threshold>"
     | "layer".  Flip files hold one hex point per line, LSB = coordinate 1,
     spelled as `Point.from_hex` reads it; surrounding whitespace and blank
-    lines are ignored.  A file over MAX_FLIP_FILE_CHARS characters is refused.
+    lines are ignored.  A flip file must be a regular file of at most
+    MAX_FLIP_FILE_CHARS characters.
     """
     if spec == "none":
         return NoCorruption()
@@ -227,7 +234,11 @@ def parse_corruption(spec: str, n: int):
             raise ValueError("iid descriptor needs iid:<eps>:<seed>")
         return IidFlips(_parse_eps(eps_text), int(seed_text))
     if kind == "flips":
-        with open(rest, encoding="utf-8") as fh:
+        # Opened without blocking, so a FIFO with no writer is refused by
+        # the check below instead of stalling the open.
+        with open(rest, encoding="utf-8", opener=_open_nonblocking) as fh:
+            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                raise ValueError("flip file %r is not a regular file" % rest)
             text = fh.read(MAX_FLIP_FILE_CHARS + 1)
         if len(text) > MAX_FLIP_FILE_CHARS:
             raise ValueError("flip file over %d characters" % MAX_FLIP_FILE_CHARS)

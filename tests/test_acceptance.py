@@ -4,9 +4,12 @@ checks its detail text, which is fixed by the criterion's seeds.
 Also runnable outside pytest via `localcorrect bench`.
 """
 
-import pytest
+from fractions import Fraction
 
 from localcorrect import acceptance
+from localcorrect.boolfn import Point
+from localcorrect.harness import derive_seed, find_corrupted_point, sample_influential_junta
+from localcorrect.oracle import IidFlips
 
 
 def _check(result, detail):
@@ -26,6 +29,27 @@ def test_criterion_2_cube_corrector_under_corruption():
 def test_criterion_3_influence_corrector():
     _check(acceptance.criterion_3(),
            "success rates (floor 0.70): all-zeros 1.000, corrupted 1.000")
+
+
+def test_criterion_3_modes_keep_their_x_and_seeds(monkeypatch):
+    # Both modes read 1.000, so the detail line alone cannot tell them
+    # apart: mode 0 corrects x=0 under derive_seed(0xC3, t), mode 1 the
+    # 0xC3A corrupted point under derive_seed(0xC4, t).
+    calls = []
+    real = acceptance.influence_correct
+
+    def recorded(oracle, x, k, seed):
+        calls.append((x, seed))
+        return real(oracle, x, k, seed)
+
+    monkeypatch.setattr(acceptance, "influence_correct", recorded)
+    assert acceptance._criterion_3_mode(0, 2) == (2, None)
+    assert acceptance._criterion_3_mode(1, 2) == (2, None)
+    base = sample_influential_junta(8, 128, 0xC3)[0].bits_fn()
+    corrupted = find_corrupted_point(128, base, IidFlips(Fraction(1, 4096), 0xC3F), 0xC3A)
+    assert corrupted != Point(128)
+    assert calls == [(Point(128), derive_seed(0xC3, 0)), (Point(128), derive_seed(0xC3, 1)),
+                     (corrupted, derive_seed(0xC4, 0)), (corrupted, derive_seed(0xC4, 1))]
 
 
 def test_criterion_4_masked_input_marginals():

@@ -6,6 +6,7 @@ import pytest
 from localcorrect import harness
 from localcorrect.analysis import min_influence_report, sample_random_junta
 from localcorrect.harness import (
+    REPORT_ENCODER,
     ConfigError,
     ExperimentConfig,
     derive_seed,
@@ -176,3 +177,33 @@ class TestEmitReport:
             records, summary = run_correction_experiment(cfg)
             emit_report(records, summary, str(path))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_lines_match_encoder(self, tmp_path):
+        # emit_report writes each record from a template; every line must
+        # be the bytes REPORT_ENCODER gives for the same object.
+        flips = random_flip_set(10, 40, 11)
+        path = tmp_path / "flips.txt"
+        path.write_text("".join("%03x\n" % b for b in sorted(flips.flips)))
+        configs = [
+            ExperimentConfig(algo="cube", k=3, n=10, corruption="iid:1/8:3",
+                             trials=40, master_seed=12),
+            ExperimentConfig(algo="cube", k=2, n=10, corruption="flips:%s" % path,
+                             trials=30, master_seed=13, x_mode="adversarial-flipped",
+                             repeat_t=3),
+            ExperimentConfig(algo="influence", k=2, n=10, corruption="iid:1/64:5",
+                             trials=3, master_seed=4, x_mode="adversarial-flipped"),
+            ExperimentConfig(algo="symmetric", k=10, n=10, corruption="layer",
+                             trials=20, master_seed=14, x_mode="fixed-hex", x_hex="1f"),
+        ]
+        out = tmp_path / "r.jsonl"
+        successes, summary_keys = set(), set()
+        for cfg in configs:
+            records, summary = run_correction_experiment(cfg)
+            emit_report(records, summary, str(out))
+            expected = [REPORT_ENCODER.encode(r) for r in records]
+            expected.append(REPORT_ENCODER.encode({"summary": summary}))
+            assert out.read_text() == "\n".join(expected) + "\n"
+            successes.update(r["success"] for r in records)
+            summary_keys.update(summary)
+        assert successes == {True, False}
+        assert "junta_redraws" in summary_keys
