@@ -22,16 +22,10 @@ from fractions import Fraction
 from itertools import chain
 
 from . import cli
-from .analysis import fraction_low_influence, influence_exact, sample_random_junta
+from .analysis import fraction_low_influence, influence_exact
 from .boolfn import Point, TruthTable, _mobius
-from .correctors import (
-    build_masked_input,
-    cube_sum_correct,
-    influence_correct,
-    pair_rounds,
-    subcube_blocks,
-)
-from .harness import derive_seed, find_corrupted_point, sample_influential_junta
+from .correctors import build_masked_input, pair_rounds, subcube_blocks
+from .harness import build_base, derive_seed, find_corrupted_point
 from .lowerbound import (
     maj_ambiguity_check,
     run_distinguisher,
@@ -97,45 +91,40 @@ def criterion_1():
     return failures == 0, "%d nonzero subcube sums (expected 0)" % failures
 
 
+def _successes(algo: str, k: int, n: int, base_seed: int, corruption,
+               x_seed, trial_seed: int, trials: int):
+    """Correct x (0, or the corrupted point found from x_seed) once per trial
+    t under derive_seed(trial_seed, t); returns (successes, None), or (None,
+    message) at the first query count off budget.  A worker can run it."""
+    base, correct, _ = build_base(algo, k, n, base_seed)
+    x = Point(n) if x_seed is None else find_corrupted_point(n, base, corruption, x_seed)
+    truth = base(x.bits)
+    oracle = NoisyOracle(n, base, corruption)
+    budget = (1 << (k + 1)) - 1 if algo == "cube" else 6 * k * pair_rounds(k) + 1
+    ok = 0
+    for t in range(trials):
+        res = correct(oracle, x, derive_seed(trial_seed, t))
+        if res.queries_used != budget:
+            return None, "query count %d != %d" % (res.queries_used, budget)
+        ok += res.value == truth
+    return ok, None
+
+
 @_criterion(2, "cube-sum corrector under corruption")
 def criterion_2():
     """Cube-sum corrector at k=4, n=16 with exactly 256 explicit flips
     (eps = 2^-8), x itself a flipped point: success >= 0.85 over 10^4 trials."""
-    k, n, trials = 4, 16, 10000
-    spec = sample_random_junta(k, n, 0xC2)
-    corruption = random_flip_set(n, 256, 0xC2F)
-    base = spec.bits_fn()
-    x = find_corrupted_point(n, base, corruption, 0xC2A)
-    truth = base(x.bits)
-    oracle = NoisyOracle(n, base, corruption)
-    ok = 0
-    for t in range(trials):
-        res = cube_sum_correct(oracle, x, k, derive_seed(0xC2, t))
-        if res.queries_used != (1 << (k + 1)) - 1:
-            return False, "query count %d != %d" % (res.queries_used, (1 << (k + 1)) - 1)
-        ok += res.value == truth
+    trials = 10000
+    ok, wrong = _successes("cube", 4, 16, 0xC2, random_flip_set(16, 256, 0xC2F),
+                           0xC2A, 0xC2, trials)
+    if wrong:
+        return False, wrong
     rate = ok / trials
     return rate >= 0.85, "success rate %.4f (floor 0.85, theory ~0.879)" % rate
 
 
-def _criterion_3_mode(mode_idx: int, trials: int):
-    """One x mode of criterion 3 (0: all-zeros, 1: corrupted), rebuilt from
-    its seeds so that it can run in a worker process; returns (successes,
-    None), or (None, first wrong query count)."""
-    k, n = 8, 128
-    expected_queries = 6 * k * pair_rounds(k) + 1
-    base = sample_influential_junta(k, n, 0xC3)[0].bits_fn()
-    corruption = IidFlips(Fraction(1, 4096), 0xC3F)
-    x = Point(n) if mode_idx == 0 else find_corrupted_point(n, base, corruption, 0xC3A)
-    truth = base(x.bits)
-    oracle = NoisyOracle(n, base, corruption)
-    ok = 0
-    for t in range(trials):
-        res = influence_correct(oracle, x, k, derive_seed(0xC3 + mode_idx, t))
-        if res.queries_used != expected_queries:
-            return None, res.queries_used
-        ok += res.value == truth
-    return ok, None
+# Criterion 3's x modes: (name, x seed, trial seed).
+_CRITERION_3_MODES = (("all-zeros", None, 0xC3), ("corrupted", 0xC3A, 0xC4))
 
 
 @_criterion(3, "influence corrector")
@@ -143,22 +132,24 @@ def criterion_3():
     """Influence corrector at k=8, n=128 under iid eps=2^-12: success
     >= 0.70 at x=0 and at a corrupted x; exactly 6*8*800+1 queries/trial.
     The two x modes run in up to two spawned worker processes."""
-    k, trials = 8, 1000
-    r = pair_rounds(k)
-    expected_queries = 6 * k * r + 1
+    trials = 1000
+    r = pair_rounds(8)
     if r != 800:
         return False, "r=%d != 800 for k=8" % r
-
+    corruption = IidFlips(Fraction(1, 4096), 0xC3F)
     # spawn, named: fork in a threaded process warns on 3.12+, and the
     # default start method changes in 3.14.
     with ProcessPoolExecutor(max_workers=min(2, os.cpu_count() or 1),
                              mp_context=multiprocessing.get_context("spawn")) as pool:
-        outcomes = list(pool.map(_criterion_3_mode, (0, 1), (trials, trials)))
+        futures = [pool.submit(_successes, "influence", 8, 128, 0xC3, corruption,
+                               x_seed, trial_seed, trials)
+                   for _, x_seed, trial_seed in _CRITERION_3_MODES]
+        outcomes = [f.result() for f in futures]
     details = []
     passed = True
-    for mode, (ok, wrong_queries) in zip(("all-zeros", "corrupted"), outcomes):
-        if wrong_queries is not None:
-            return False, "query count %d != %d" % (wrong_queries, expected_queries)
+    for (mode, _, _), (ok, wrong) in zip(_CRITERION_3_MODES, outcomes):
+        if wrong:
+            return False, wrong
         rate = ok / trials
         passed = passed and rate >= 0.70
         details.append("%s %.3f" % (mode, rate))

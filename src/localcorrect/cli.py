@@ -32,6 +32,7 @@ def _add_correct(sub):
     p.add_argument("--repeat-t", type=int, default=None,
                    help="odd majority-vote repetition count")
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_correct)
 
 
 def _add_lowerbound(sub):
@@ -43,6 +44,7 @@ def _add_lowerbound(sub):
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_lowerbound)
 
 
 def _add_influence(sub):
@@ -50,11 +52,13 @@ def _add_influence(sub):
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
+    p.set_defaults(run=_cmd_influence)
 
 
 def _add_ambiguity(sub):
     p = sub.add_parser("ambiguity", help="exhaustive majority-ambiguity check")
     p.add_argument("--n", type=int, required=True)
+    p.set_defaults(run=_cmd_ambiguity)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lowerbound(sub)
     _add_influence(sub)
     _add_ambiguity(sub)
-    sub.add_parser("bench", help="run the full acceptance suite")
+    sub.add_parser("bench", help="run the full acceptance suite").set_defaults(run=_cmd_bench)
     return parser
 
 
@@ -126,15 +130,8 @@ def _cmd_bench(_args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "correct": _cmd_correct,
-        "lowerbound": _cmd_lowerbound,
-        "influence": _cmd_influence,
-        "ambiguity": _cmd_ambiguity,
-        "bench": _cmd_bench,
-    }
     try:
-        return handlers[args.subcommand](args)
+        return args.run(args)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -91,27 +91,22 @@ class ExperimentConfig(namedtuple(
             raise ConfigError("corruption", str(exc)) from exc
 
 
-def _majority_profile(n: int):
-    return tuple(int(w > n / 2) for w in range(n + 1))
-
-
-def _build_base(cfg: ExperimentConfig):
-    """The experiment's base function and corrector; returns (bits_fn,
-    correct, redraws) with correct(o, x, seed) -> CorrectionResult, and
-    redraws None unless the influence base was redrawn to fit."""
-    base_seed = derive_seed(cfg.master_seed, _BASE_STREAM)
-    k = cfg.k
+def build_base(algo: str, k: int, n: int, seed: int):
+    """A correction experiment's base function and corrector, drawn from
+    seed; returns (bits_fn, correct, redraws) with correct(o, x, seed) ->
+    CorrectionResult, and redraws None unless the influence base was
+    redrawn to fit."""
     # The closures look the correctors up when called, so patching the
     # module globals reaches every trial.
-    if cfg.algo == "symmetric":
-        profile = _majority_profile(cfg.n)
+    if algo == "symmetric":
+        profile = tuple(int(w > n / 2) for w in range(n + 1))
         return (lambda bits: profile[bits.bit_count()],
                 lambda o, x, seed: symmetric_correct(profile, x), None)
-    if cfg.algo == "influence":
-        spec, redraws = sample_influential_junta(k, cfg.n, base_seed)
+    if algo == "influence":
+        spec, redraws = sample_influential_junta(k, n, seed)
         return (spec.bits_fn(),
                 lambda o, x, seed: influence_correct(o, x, k, seed), redraws)
-    return (sample_random_junta(k, cfg.n, base_seed).bits_fn(),
+    return (sample_random_junta(k, n, seed).bits_fn(),
             lambda o, x, seed: cube_sum_correct(o, x, k, seed), None)
 
 
@@ -149,7 +144,8 @@ def run_correction_experiment(cfg: ExperimentConfig):
     """Run cfg.trials independent trials, each a majority of
     cfg.repeat_t or 1 corrector runs; returns (records, summary)."""
     corruption = cfg.validate()
-    base_fn, correct, redraws = _build_base(cfg)
+    base_fn, correct, redraws = build_base(
+        cfg.algo, cfg.k, cfg.n, derive_seed(cfg.master_seed, _BASE_STREAM))
 
     if cfg.x_mode == "fixed-hex":
         fixed_x = Point.from_hex(cfg.x_hex, cfg.n)

@@ -173,7 +173,9 @@ def run_distinguisher(
         raise ConfigError("queries", "must be >= 0")
     check_seed(seed)
     rng = random.Random(seed)
-    fixed = _fixed_queries(n, k, q) if strategy == "fixed-point-list" else None
+    # Probe j depends only on j*k mod n/2 and j mod 2, so the first n probes hold
+    # every distinct one, and a repeat moves neither the guess nor the hit rate.
+    fixed = _fixed_queries(n, k, min(q, n)) if strategy == "fixed-point-list" else None
     correct = hit_trials = 0
     for _ in range(trials):
         label = rng.getrandbits(1)

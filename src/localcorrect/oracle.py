@@ -93,6 +93,10 @@ class IidFlips(namedtuple("IidFlips", "eps seed")):
         self._threshold = -(-(eps.numerator << 64) // eps.denominator)
         return self
 
+    def __reduce__(self):
+        # A copy or a pickle rebuilds the keyed hasher from the fields.
+        return IidFlips, tuple(self)
+
     def corrupt(self, n: int, bits: int, value: int) -> int:
         h = self._hasher.copy()
         h.update(bits.to_bytes((n + 7) // 8, "little"))

@@ -6,10 +6,11 @@ Also runnable outside pytest via `localcorrect bench`.
 
 from fractions import Fraction
 
-from localcorrect import acceptance
+from localcorrect import acceptance, harness
 from localcorrect.boolfn import Point
+from localcorrect.correctors import CorrectionResult
 from localcorrect.harness import derive_seed, find_corrupted_point, sample_influential_junta
-from localcorrect.oracle import IidFlips
+from localcorrect.oracle import IidFlips, NoCorruption
 
 
 def _check(result, detail):
@@ -33,23 +34,41 @@ def test_criterion_3_influence_corrector():
 
 def test_criterion_3_modes_keep_their_x_and_seeds(monkeypatch):
     # Both modes read 1.000, so the detail line alone cannot tell them
-    # apart: mode 0 corrects x=0 under derive_seed(0xC3, t), mode 1 the
-    # 0xC3A corrupted point under derive_seed(0xC4, t).
+    # apart: all-zeros corrects x=0 under derive_seed(0xC3, t), corrupted
+    # the 0xC3A corrupted point under derive_seed(0xC4, t).
     calls = []
-    real = acceptance.influence_correct
+    real = harness.influence_correct
 
     def recorded(oracle, x, k, seed):
         calls.append((x, seed))
         return real(oracle, x, k, seed)
 
-    monkeypatch.setattr(acceptance, "influence_correct", recorded)
-    assert acceptance._criterion_3_mode(0, 2) == (2, None)
-    assert acceptance._criterion_3_mode(1, 2) == (2, None)
+    monkeypatch.setattr(harness, "influence_correct", recorded)
+    corruption = IidFlips(Fraction(1, 4096), 0xC3F)
+    for _, x_seed, trial_seed in acceptance._CRITERION_3_MODES:
+        assert acceptance._successes("influence", 8, 128, 0xC3, corruption,
+                                     x_seed, trial_seed, 2) == (2, None)
     base = sample_influential_junta(8, 128, 0xC3)[0].bits_fn()
-    corrupted = find_corrupted_point(128, base, IidFlips(Fraction(1, 4096), 0xC3F), 0xC3A)
+    corrupted = find_corrupted_point(128, base, corruption, 0xC3A)
     assert corrupted != Point(128)
     assert calls == [(Point(128), derive_seed(0xC3, 0)), (Point(128), derive_seed(0xC3, 1)),
                      (corrupted, derive_seed(0xC4, 0)), (corrupted, derive_seed(0xC4, 1))]
+
+
+def test_successes_stops_at_first_count_off_budget(monkeypatch):
+    # A corrector that spends one query too many on its second run.
+    runs = []
+    real = harness.cube_sum_correct
+
+    def overspent(oracle, x, k, seed):
+        res = real(oracle, x, k, seed)
+        runs.append(seed)
+        return CorrectionResult(res.value, res.queries_used + (len(runs) == 2))
+
+    monkeypatch.setattr(harness, "cube_sum_correct", overspent)
+    got = acceptance._successes("cube", 3, 8, 1, NoCorruption(), None, 2, 5)
+    assert got == (None, "query count 16 != 15")
+    assert len(runs) == 2
 
 
 def test_criterion_4_masked_input_marginals():

@@ -345,6 +345,24 @@ class TestDistinguisher:
         run_distinguisher("fixed-point-list", 20, 40, 3, 50, 1)
         assert calls == [(40, 3, 20)]
 
+    def test_fixed_probes_screen_one_period(self, monkeypatch):
+        # The fixed list repeats within n probes, so a budget of 10n screens
+        # at most n points per trial and reports what q = n reports.
+        n, k, trials = 40, 3, 200
+        screened = []
+        real = lowerbound._hard_hits
+
+        def counted(inst, points):
+            points = list(points)
+            screened.append(len(points))
+            return real(inst, points)
+
+        monkeypatch.setattr(lowerbound, "_hard_hits", counted)
+        rep = run_distinguisher("fixed-point-list", 10 * n, n, k, trials, 5)
+        assert len(screened) == trials and max(screened) <= n
+        assert rep["one_hit_rate"] > 0
+        assert rep == {**run_distinguisher("fixed-point-list", n, n, k, trials, 5), "q": 10 * n}
+
     @pytest.mark.parametrize("strategy, q", [
         ("uniform-random-queries", 400),
         ("fixed-point-list", 40),
