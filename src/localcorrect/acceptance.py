@@ -161,8 +161,7 @@ def criterion_4():
     """Masked-input marginals with k parts fixed by index: Pr[i in S] ~ 1/3,
     flip | i not in S ~ 3/4, unconditional flip ~ 1/2, each +-0.01."""
     n, k, samples = 60, 5, 100000
-    s = 3 * k
-    chosen = set(range(k))  # fixed by part index, independent of assignments
+    s = 3 * k  # parts 0..k-1 are chosen, independent of assignments
     rng = random.Random(0xC4)
     x = Point(n)
     in_s = [0] * n
@@ -171,15 +170,12 @@ def criterion_4():
     out_flips = [0] * n
     for _ in range(samples):
         assignment = [rng.randrange(s) for _ in range(n)]
-        S = [c + 1 for c in range(n) if assignment[c] in chosen]
-        y = build_masked_input(x, S, rng.getrandbits(64))
-        sset = set(S)
-        yb = y.bits
+        S = sum(1 << c for c in range(n) if assignment[c] < k)
+        yb = build_masked_input(x, S, rng.getrandbits(64)).bits
         for c in range(n):
-            i = c + 1
             flipped = (yb >> c) & 1
             flips[c] += flipped
-            if i in sset:
+            if S >> c & 1:
                 in_s[c] += 1
             else:
                 out_count[c] += 1
@@ -208,26 +204,15 @@ def _influence_brute(tt: TruthTable, i: int) -> Fraction:
 @_criterion(5, "exact influences vs brute force")
 def criterion_5():
     """Exact influences agree with brute force and the closed forms."""
-    problems = []
-    for k in range(1, 11):
-        tt = TruthTable.and_all(k)
-        want = Fraction(1, 1 << (k - 1))
-        for i in range(1, k + 1):
-            if influence_exact(tt, i) != want or _influence_brute(tt, i) != want:
-                problems.append("AND_%d var %d" % (k, i))
+    rows = [("AND_%d" % k, TruthTable.and_all(k), Fraction(1, 1 << (k - 1)))
+            for k in range(1, 11)]
     for k in (3, 5, 8):
-        tt = TruthTable.parity(k)
-        for i in range(1, k + 1):
-            if influence_exact(tt, i) != 1 or _influence_brute(tt, i) != 1:
-                problems.append("parity_%d var %d" % (k, i))
-        const = TruthTable.constant(k, 1)
-        for i in range(1, k + 1):
-            if influence_exact(const, i) != 0 or _influence_brute(const, i) != 0:
-                problems.append("const_%d var %d" % (k, i))
-    maj3 = TruthTable.majority(3)
-    for i in range(1, 4):
-        if influence_exact(maj3, i) != Fraction(1, 2) or _influence_brute(maj3, i) != Fraction(1, 2):
-            problems.append("Maj_3 var %d" % i)
+        rows += [("parity_%d" % k, TruthTable.parity(k), 1),
+                 ("const_%d" % k, TruthTable.constant(k, 1), 0)]
+    rows.append(("Maj_3", TruthTable.majority(3), Fraction(1, 2)))
+    problems = ["%s var %d" % (label, i) for label, tt, want in rows
+                for i in range(1, tt.k + 1)
+                if influence_exact(tt, i) != want or _influence_brute(tt, i) != want]
     return not problems, "all closed forms match" if not problems else "; ".join(problems[:4])
 
 

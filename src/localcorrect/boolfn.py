@@ -1,7 +1,8 @@
 """Core Boolean function representations: points, truth tables, juntas.
 
 Conventions fixed bit-exactly (reports and tests depend on them):
-  - Coordinates are 1-based everywhere in the public API.
+  - Coordinates are 1-based everywhere in the public API; a point or a set
+    of coordinates is an n-bit mask whose bit i-1 stands for coordinate i.
   - A truth table on k variables is a 2^k-bit integer; the bit at index j
     is the value at the assignment where variable i equals bit (i-1) of j
     (variable 1 = least significant bit).

@@ -9,6 +9,7 @@ traceback, or a failed `bench` criterion.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .analysis import fraction_low_influence
@@ -26,7 +27,7 @@ def _add_correct(sub):
     p.add_argument("--corruption", default="none",
                    help="none | flips:<file> | iid:<eps>:<seed> | trunc:<t> | layer")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True, dest="master_seed", metavar="SEED")
     p.add_argument("--x-mode", default="random", choices=X_MODES)
     p.add_argument("--x", dest="x_hex", default=None, help="hex point for fixed-hex mode")
     p.add_argument("--repeat-t", type=int, default=None,
@@ -76,20 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_correct(args) -> int:
-    cfg = ExperimentConfig(
-        algo=args.algo,
-        k=args.k,
-        n=args.n,
-        corruption=args.corruption,
-        trials=args.trials,
-        master_seed=args.seed,
-        x_mode=args.x_mode,
-        x_hex=args.x_hex,
-        repeat_t=args.repeat_t,
-    )
-    # An unwritable --out fails before any trial; "a" keeps an existing
-    # report intact when the config turns out to be bad.
-    open(args.out, "a").close()
+    # Every destination of the correct parser but out and run is a field.
+    cfg = ExperimentConfig(**{f: getattr(args, f) for f in ExperimentConfig._fields})
     records, summary = run_correction_experiment(cfg)
     emit_report(records, summary, args.out)
     print(REPORT_ENCODER.encode({"summary": summary}))
@@ -97,7 +86,6 @@ def _cmd_correct(args) -> int:
 
 
 def _cmd_lowerbound(args) -> int:
-    open(args.out, "a").close()
     report = run_distinguisher(
         args.strategy, args.queries, args.n, args.k, args.trials, args.seed
     )
@@ -130,9 +118,18 @@ def _cmd_bench(_args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None)
+    # lexists, so that a dangling symlink counts as existing and is kept.
+    new_out = out is not None and not os.path.lexists(out)
     try:
+        if out is not None:
+            # An unwritable --out fails before any trial; "a" keeps an
+            # existing report intact when the config turns out to be bad.
+            open(out, "a").close()
         return args.run(args)
     except ConfigError as exc:
+        if new_out:
+            os.remove(out)
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except OSError as exc:

@@ -50,7 +50,8 @@ class PartitionState(namedtuple("PartitionState", "assignment marked chosen S"))
 
     assignment (a tuple) maps each coordinate (1-based) to a part id in
     [0, s); marked is the frozenset of marked parts; chosen is the ordered
-    tuple of exactly k part ids whose union is the frozenset S.
+    tuple of exactly k part ids; S is their union as a bit mask, with bit
+    c-1 set iff coordinate c is frozen (as in Point.bits).
     """
 
     __slots__ = ()
@@ -163,21 +164,18 @@ def identify_influencing_parts(
         order.sort(key=lambda p: -hits[p])
         chosen = order[:k]
 
-    chosen_set = set(chosen)
-    S = frozenset(c + 1 for c, p in enumerate(assignment) if p in chosen_set)
+    S = sum(part_masks[p] for p in chosen)  # disjoint parts, so sum is OR
     return PartitionState(assignment, frozenset(marked), tuple(chosen), S)
 
 
-def build_masked_input(x: Point, S, seed: int) -> Point:
-    """y agreeing with x on S; elsewhere each bit flips with probability 3/4."""
+def build_masked_input(x: Point, S: int, seed: int) -> Point:
+    """y agreeing with x on the bit mask S; elsewhere each bit flips with
+    probability 3/4, one draw per free coordinate in order."""
     rng = random.Random(seed)
     bits = x.bits
-    frozen = set(S)
-    for i in range(1, x.n + 1):
-        if i in frozen:
-            continue
-        if rng.randrange(4) < 3:
-            bits ^= 1 << (i - 1)
+    for c in range(x.n):
+        if not S >> c & 1 and rng.randrange(4) < 3:
+            bits ^= 1 << c
     return Point(x.n, bits)
 
 

@@ -299,6 +299,17 @@ def test_bad_numeric_input_exit_2(argv, field, fragment, tmp_path, capsys):
     assert err.startswith("config error: %s: " % field) and fragment in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["correct", "--algo", "cube", "--k", "3", "--n", "2", "--trials", "5", "--seed", "1"],
+    LOWERBOUND[:2] + ["nope"] + LOWERBOUND[3:] + ["--trials", "10", "--seed", "3"],
+], ids=["correct", "lowerbound"])
+def test_config_error_leaves_no_new_out(argv, tmp_path, capsys):
+    out = tmp_path / "new.json"
+    rc, _, _ = run(argv + ["--out", str(out)], capsys)
+    assert rc == 2
+    assert not out.exists()
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 def test_flips_fifo_exit_2(tmp_path):
     # A FIFO with no writer used to block in open().  The run is a
