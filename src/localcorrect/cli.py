@@ -25,7 +25,7 @@ def _add_correct(sub):
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--corruption", default="none",
-                   help="none | flips:<file> | iid:<eps>:<seed> | trunc:<t> | layer")
+                   help="none | flips:<file> | iid:<eps>:<seed>")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True, dest="master_seed", metavar="SEED")
     p.add_argument("--x-mode", default="random", choices=X_MODES)
@@ -119,8 +119,10 @@ def _cmd_bench(_args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = getattr(args, "out", None)
-    # lexists, so that a dangling symlink counts as existing and is kept.
-    new_out = out is not None and not os.path.lexists(out)
+    # Opening a dangling symlink creates the file it names, so that file
+    # is the one checked and, on a bad config, removed; the link is kept.
+    real_out = None if out is None else os.path.realpath(out)
+    new_out = real_out is not None and not os.path.lexists(real_out)
     try:
         if out is not None:
             # An unwritable --out fails before any trial; "a" keeps an
@@ -129,7 +131,7 @@ def main(argv=None) -> int:
         return args.run(args)
     except ConfigError as exc:
         if new_out:
-            os.remove(out)
+            os.remove(real_out)
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except OSError as exc:

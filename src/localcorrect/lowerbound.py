@@ -8,9 +8,9 @@ threshold.  The target input is the balanced point (first half zeros,
 second half ones): D0 instances answer 0 there, D1 instances answer 1,
 yet queries almost never reveal which.
 
-All three distinguishers run one trial loop; a strategy only supplies
-its points: uniform draws mapped from `getrandbits`, a fixed list built
-once, or the correctors' subcube walk from x_star, streamed in blocks.
+Both distinguishers run one trial loop; a strategy only supplies its
+points: uniform draws mapped from `getrandbits`, or the correctors'
+subcube walk from x_star, streamed in blocks.
 Every point goes through `_hard_hits`, the one point rule.  It builds the
 masks and the threshold once per trial, and a point answers 1 only if it
 covers the relevance mask, which a uniform point misses with probability
@@ -29,7 +29,7 @@ from math import comb
 from .boolfn import MAX_N, MAX_TABLE_VARS, ConfigError, Point, _low_mask, check_seed
 from .correctors import subcube_blocks
 
-STRATEGIES = ("uniform-random-queries", "fixed-point-list", "cube-sum-at-x_star")
+STRATEGIES = ("uniform-random-queries", "cube-sum-at-x_star")
 
 
 def default_threshold(n: int) -> int:
@@ -125,22 +125,6 @@ def _hard_hits(inst: HardInstance, points) -> list:
             and (b & low).bit_count() <= t and (b >> half).bit_count() <= t]
 
 
-def _fixed_queries(n: int, k: int, q: int):
-    # Deterministic probe list: weight-k windows sliding across alternating
-    # halves.  Every point is inside the weight box only when k <=
-    # default_threshold(n); for larger k every probe lies outside it.
-    half = n // 2
-    pts = []
-    for j in range(q):
-        start = (j * k) % half
-        offset = 0 if j % 2 == 0 else half
-        bits = 0
-        for i in range(k):
-            bits |= 1 << (offset + (start + i) % half)
-        pts.append(bits)
-    return pts
-
-
 def run_distinguisher(
     strategy: str, q: int, n: int, k: int, trials: int, seed: int
 ) -> dict:
@@ -173,9 +157,6 @@ def run_distinguisher(
         raise ConfigError("queries", "must be >= 0")
     check_seed(seed)
     rng = random.Random(seed)
-    # Probe j depends only on j*k mod n/2 and j mod 2, so the first n probes hold
-    # every distinct one, and a repeat moves neither the guess nor the hit rate.
-    fixed = _fixed_queries(n, k, min(q, n)) if strategy == "fixed-point-list" else None
     correct = hit_trials = 0
     for _ in range(trials):
         label = rng.getrandbits(1)
@@ -186,12 +167,10 @@ def run_distinguisher(
             walk = random.Random(rng.getrandbits(64))
             dirs = list(map(walk.getrandbits, repeat(n, k + 1)))
             pts = chain.from_iterable(subcube_blocks(inst.x_star.bits, dirs))
-        elif strategy == "uniform-random-queries":
+        else:
             # The same q calls in the same order as a loop, made from C
             # and streamed, so no list of q points is held.
             pts = map(rng.getrandbits, repeat(n, q))
-        else:
-            pts = fixed
         hits = _hard_hits(inst, pts)
         guess = len(hits) & 1 if cube else _guess_from_hits(n, k, hits)
         correct += guess == label

@@ -117,44 +117,6 @@ class IidFlips(namedtuple("IidFlips", "eps seed")):
         return list(map(xor, values, flips))
 
 
-class WeightTruncation(namedtuple("WeightTruncation", "threshold")):
-    """g(y) = 0 whenever either half of y has Hamming weight > threshold."""
-
-    __slots__ = ()
-
-    def __new__(cls, threshold: int):
-        if threshold < 0:
-            raise ValueError("truncation threshold must be >= 0")
-        return tuple.__new__(cls, (threshold,))
-
-    def corrupt(self, n: int, bits: int, value: int) -> int:
-        half = n // 2
-        lo = (bits & ((1 << half) - 1)).bit_count()
-        hi = (bits >> half).bit_count()
-        if lo > self.threshold or hi > self.threshold:
-            return 0
-        return value
-
-    def corrupt_many(self, n: int, points, values) -> list:
-        half, t = n // 2, self.threshold
-        low = (1 << half) - 1
-        return [0 if (b & low).bit_count() > t or (b >> half).bit_count() > t else v
-                for b, v in zip(points, values)]
-
-
-class BalancedLayerZero:
-    """g(y) = 0 on the layer of Hamming weight exactly n/2 (n even)."""
-
-    def corrupt(self, n: int, bits: int, value: int) -> int:
-        if bits.bit_count() == n // 2:
-            return 0
-        return value
-
-    def corrupt_many(self, n: int, points, values) -> list:
-        half = n // 2
-        return [0 if b.bit_count() == half else v for b, v in zip(points, values)]
-
-
 class NoisyOracle:
     """Base function plus corruption, with a per-instance query counter.
 
@@ -217,21 +179,14 @@ def _open_nonblocking(path, flags):
 def parse_corruption(spec: str, n: int):
     """Parse a CLI corruption descriptor.
 
-    Grammar: "none" | "flips:<file>" | "iid:<eps>:<seed>" | "trunc:<threshold>"
-    | "layer".  Flip files hold one hex point per line, LSB = coordinate 1,
-    spelled as `Point.from_hex` reads it; surrounding whitespace and blank
-    lines are ignored.  A flip file must be a regular file of at most
-    MAX_FLIP_FILE_CHARS characters.
+    Grammar: "none" | "flips:<file>" | "iid:<eps>:<seed>".  Flip files hold
+    one hex point per line, LSB = coordinate 1, spelled as `Point.from_hex`
+    reads it; surrounding whitespace and blank lines are ignored.  A flip
+    file must be a regular file of at most MAX_FLIP_FILE_CHARS characters.
     """
     if spec == "none":
         return NoCorruption()
-    if spec == "layer":
-        if n % 2:
-            raise ValueError("layer needs an even n, got n=%d" % n)
-        return BalancedLayerZero()
     kind, _, rest = spec.partition(":")
-    if kind == "trunc":
-        return WeightTruncation(int(rest))
     if kind == "iid":
         eps_text, _, seed_text = rest.rpartition(":")
         if not eps_text:

@@ -93,17 +93,17 @@ class TestCorrect:
          "f1d1f605481722fe9c9d751a037ab1e86b028252e8e836587acd953789616e5c"),
         ("--algo cube --k 2 --n 8 --corruption iid:1/32:3 --repeat-t 3 --trials 300 --seed 3",
          "9ab2b46610939971288c82eda8d628853e6741041efd5721b7114d8cd9f324d2"),
-        ("--algo influence --k 3 --n 24 --corruption trunc:6 --repeat-t 3 --trials 4 --seed 3",
-         "fba1cbeefe4ded5637c0cbadb7ba2d2947e448ecd4d82fbb599effb307b66c4c"),
-        ("--algo symmetric --k 40 --n 40 --corruption layer --repeat-t 5 --trials 50 --seed 9",
-         "45e555100f2e12f930479c5b2f440baa11c0afc7e8d0280ce6fef895d185b108"),
+        ("--algo influence --k 3 --n 24 --corruption iid:1/64:3 --repeat-t 3 --trials 4 --seed 3",
+         "a54e060afbfb47bcee913195c89b55695cba69fd432e02ba6382c2c7291ea091"),
+        ("--algo symmetric --k 40 --n 40 --repeat-t 5 --trials 50 --seed 9",
+         "425ebd21cd9f47386dcb1d9e0b09697b157d52d5fe554a8c29b4917364380905"),
         ("--algo influence --k 8 --n 128 --corruption iid:2^-12:99 --trials 4 --seed 5"
          " --x-mode adversarial-flipped",
          "80899e562bca92e15aace7dfec8ccd8b48140b1630690bdd9633845c5bc6fd1a"),
         ("--algo cube --k 3 --n 12 --corruption iid:1/64:5 --trials 200 --seed 4"
          " --x-mode fixed-hex --x a5f",
          "9592e13644a107cb23731767df2f0c6abafb0813adda4d5b0febee9074647c3b"),
-    ], ids=["cube-iid", "cube-repeat-3", "influence-trunc-repeat-3", "symmetric-layer-repeat-5",
+    ], ids=["cube-iid", "cube-repeat-3", "influence-iid-repeat-3", "symmetric-repeat-5",
             "influence-iid-adversarial", "cube-iid-fixed-hex"])
     def test_pinned_report_bytes(self, argv, digest, tmp_path, capsys):
         # The sha256 of the --out file; the first run is criterion 10's.
@@ -221,7 +221,11 @@ LOWERBOUND = ["lowerbound", "--strategy", "uniform-random-queries", "--n", "40",
                             "iid:%d^-1024:3" % (1 << 100)],
                  "corruption", "bits", id="iid-eps-power-too-many-bits"),
     pytest.param(CORRECT + ["--seed", "1", "--corruption", "trunc:-3"],
-                 "corruption", "threshold", id="trunc-negative"),
+                 "corruption", "unknown corruption descriptor", id="trunc-negative"),
+    pytest.param(CORRECT + ["--seed", "1", "--corruption", "trunc:6"],
+                 "corruption", "unknown corruption descriptor", id="trunc-unknown"),
+    pytest.param(CORRECT + ["--seed", "1", "--corruption", "layer"],
+                 "corruption", "unknown corruption descriptor", id="layer-unknown"),
     pytest.param(CORRECT + ["--seed", "1", "--x-mode", "fixed-hex", "--x", "zz"],
                  "x_hex", "", id="correct-x-not-hex"),
     pytest.param(CORRECT + ["--seed", "1", "--x-mode", "fixed-hex", "--x", "1ff"],
@@ -238,9 +242,6 @@ LOWERBOUND = ["lowerbound", "--strategy", "uniform-random-queries", "--n", "40",
                  "x_hex", "fixed-hex", id="correct-x-adversarial-mode"),
     pytest.param(["correct", "--algo", "symmetric", "--k", "3", "--n", "40", "--trials", "5",
                   "--seed", "9"], "k", "equal n", id="symmetric-k-not-n"),
-    pytest.param(["correct", "--algo", "cube", "--k", "2", "--n", "9", "--corruption",
-                  "layer", "--trials", "5", "--seed", "1"],
-                 "corruption", "even n", id="layer-n-odd"),
     # "flips:<line>" rows: the test writes a flips file holding " 2 ", a
     # blank line and <line>, and passes its path instead.  A "flips:/<path>"
     # row reads that path itself.
@@ -256,6 +257,9 @@ LOWERBOUND = ["lowerbound", "--strategy", "uniform-random-queries", "--n", "40",
                  id="lowerbound-seed-negative"),
     pytest.param(LOWERBOUND + ["--trials", "0", "--seed", "3"], "trials", "",
                  id="lowerbound-trials-zero"),
+    pytest.param(LOWERBOUND[:2] + ["fixed-point-list"] + LOWERBOUND[3:]
+                 + ["--trials", "10", "--seed", "3"], "strategy", "",
+                 id="lowerbound-fixed-point-list-unknown"),
     pytest.param(["influence", "--k", "2", "--samples", "0", "--seed", "5"],
                  "samples", "", id="influence-samples-zero"),
     pytest.param(["influence", "--k", "0", "--samples", "5", "--seed", "5"],
@@ -308,6 +312,19 @@ def test_config_error_leaves_no_new_out(argv, tmp_path, capsys):
     rc, _, _ = run(argv + ["--out", str(out)], capsys)
     assert rc == 2
     assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symlinks")
+def test_config_error_keeps_dangling_out_link(tmp_path, capsys):
+    # Opening the link creates its target; a bad config removes that
+    # target, the one file the run made, and keeps the link.
+    link, target = tmp_path / "link.json", tmp_path / "target.json"
+    link.symlink_to(target.name)
+    rc, _, _ = run(["correct", "--algo", "cube", "--k", "3", "--n", "2", "--trials", "5",
+                    "--seed", "1", "--out", str(link)], capsys)
+    assert rc == 2
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert not target.exists()
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")

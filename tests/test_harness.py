@@ -192,8 +192,8 @@ class TestEmitReport:
                              repeat_t=3),
             ExperimentConfig(algo="influence", k=2, n=10, corruption="iid:1/64:5",
                              trials=3, master_seed=4, x_mode="adversarial-flipped"),
-            ExperimentConfig(algo="symmetric", k=10, n=10, corruption="layer",
-                             trials=20, master_seed=14, x_mode="fixed-hex", x_hex="1f"),
+            ExperimentConfig(algo="symmetric", k=10, n=10, trials=20, master_seed=14,
+                             x_mode="fixed-hex", x_hex="1f"),
         ]
         out = tmp_path / "r.jsonl"
         successes, summary_keys = set(), set()

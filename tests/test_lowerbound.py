@@ -53,23 +53,8 @@ def weight_w_half(rng, half, w, forced=0):
     return bits
 
 
-def loop_distinguisher(strategy, q, n, k, trials, seed):
-    """run_distinguisher's uniform and fixed strategies as a plain loop:
-    the uniform points are drawn by a comprehension, and every point is
-    evaluated by the definition."""
-    rng = random.Random(seed)
-    fixed = lowerbound._fixed_queries(n, k, q)
-    correct = hit_trials = 0
-    for _ in range(trials):
-        label = rng.getrandbits(1)
-        inst = sample_hard_instance(n, k, label, rng.getrandbits(64))
-        if strategy == "uniform-random-queries":
-            pts = [rng.getrandbits(n) for _ in range(q)]
-        else:
-            pts = fixed
-        hits = [b for b in pts if reference_eval_hard_bits(inst, b)]
-        correct += lowerbound._guess_from_hits(n, k, hits) == label
-        hit_trials += bool(hits)
+def loop_report(strategy, q, n, k, trials, seed, correct, hit_trials):
+    """The report run_distinguisher returns, from a loop's two counts."""
     return {
         "strategy": strategy,
         "n": n,
@@ -80,6 +65,22 @@ def loop_distinguisher(strategy, q, n, k, trials, seed):
         "one_hit_rate": hit_trials / trials,
         "seed": seed,
     }
+
+
+def loop_distinguisher(q, n, k, trials, seed):
+    """run_distinguisher's uniform strategy as a plain loop: the points
+    are drawn by a comprehension, and every point is evaluated by the
+    definition."""
+    rng = random.Random(seed)
+    correct = hit_trials = 0
+    for _ in range(trials):
+        label = rng.getrandbits(1)
+        inst = sample_hard_instance(n, k, label, rng.getrandbits(64))
+        pts = [rng.getrandbits(n) for _ in range(q)]
+        hits = [b for b in pts if reference_eval_hard_bits(inst, b)]
+        correct += lowerbound._guess_from_hits(n, k, hits) == label
+        hit_trials += bool(hits)
+    return loop_report("uniform-random-queries", q, n, k, trials, seed, correct, hit_trials)
 
 
 class TestSampleHardInstance:
@@ -284,24 +285,13 @@ def loop_cube_sum(n, k, trials, seed):
         correct += (sum(vals) & 1) == label
         hit_trials += any(vals)
     q = (1 << (k + 1)) - 1
-    return {
-        "strategy": "cube-sum-at-x_star",
-        "n": n,
-        "k": k,
-        "q": q,
-        "trials": trials,
-        "advantage": abs(correct / trials - 0.5),
-        "one_hit_rate": hit_trials / trials,
-        "seed": seed,
-    }
+    return loop_report("cube-sum-at-x_star", q, n, k, trials, seed, correct, hit_trials)
 
 
 class TestDistinguisher:
     @pytest.mark.parametrize("args, digest", [
         (("uniform-random-queries", 50, 40, 4, 300, 7),
          "91ff6734f2fcd206c8678dac7279bcc0bdba9a9b0262ddd020403e19b093d616"),
-        (("fixed-point-list", 60, 40, 3, 500, 9),
-         "9ee34a5b462dc9fcb2148bb8e472724891582184ca1f4e42e38212c523c43f0a"),
         (("cube-sum-at-x_star", 7, 10, 2, 3000, 4),
          "eeb8a4fbf2969c81a51e5c936d0f2169bfe2c5f2738cfb54f0473d0ad2b6c76b"),
         # Criterion 8's two runs, at full scale.
@@ -309,7 +299,7 @@ class TestDistinguisher:
          "2c512cbf521325149195d142d10a6966c68fe81d05eda40fd0a196419ee46ae5"),
         (("cube-sum-at-x_star", 127, 1000, 6, 1000, 3212),
          "1e9dc95671330c1189af689bb4bb1cb441d4cf677eeb500cab5b2744a9d19c47"),
-    ], ids=["uniform", "fixed", "cube-sum", "criterion-8-uniform", "criterion-8-cube-sum"])
+    ], ids=["uniform", "cube-sum", "criterion-8-uniform", "criterion-8-cube-sum"])
     def test_pinned_report_bytes(self, args, digest):
         # The sha256 of the --out line, as the CLI writes it.
         line = json.dumps(run_distinguisher(*args), sort_keys=True) + "\n"
@@ -324,48 +314,17 @@ class TestDistinguisher:
         (200, 40, 20, 100, 5),
         (1000, 400, 20, 40, 6),
     ], ids=["n40-k4", "q0", "n2-k1", "dense-k1", "dense-k2", "k-half", "n400-k20"])
-    @pytest.mark.parametrize("strategy", ["uniform-random-queries", "fixed-point-list"])
+    @pytest.mark.parametrize("strategy", ["uniform-random-queries"])
     def test_matches_loop(self, strategy, q, n, k, trials, seed):
         # The bulk draws and the relevance screen give the plain loop's
         # report, with or without hits.
         rep = run_distinguisher(strategy, q, n, k, trials, seed)
-        assert rep == loop_distinguisher(strategy, q, n, k, trials, seed)
+        assert rep == loop_distinguisher(q, n, k, trials, seed)
         if n == 20:
             assert rep["one_hit_rate"] > 0
 
-    def test_fixed_probes_built_once(self, monkeypatch):
-        calls = []
-        real = lowerbound._fixed_queries
-
-        def counted(n, k, q):
-            calls.append((n, k, q))
-            return real(n, k, q)
-
-        monkeypatch.setattr(lowerbound, "_fixed_queries", counted)
-        run_distinguisher("fixed-point-list", 20, 40, 3, 50, 1)
-        assert calls == [(40, 3, 20)]
-
-    def test_fixed_probes_screen_one_period(self, monkeypatch):
-        # The fixed list repeats within n probes, so a budget of 10n screens
-        # at most n points per trial and reports what q = n reports.
-        n, k, trials = 40, 3, 200
-        screened = []
-        real = lowerbound._hard_hits
-
-        def counted(inst, points):
-            points = list(points)
-            screened.append(len(points))
-            return real(inst, points)
-
-        monkeypatch.setattr(lowerbound, "_hard_hits", counted)
-        rep = run_distinguisher("fixed-point-list", 10 * n, n, k, trials, 5)
-        assert len(screened) == trials and max(screened) <= n
-        assert rep["one_hit_rate"] > 0
-        assert rep == {**run_distinguisher("fixed-point-list", n, n, k, trials, 5), "q": 10 * n}
-
     @pytest.mark.parametrize("strategy, q", [
         ("uniform-random-queries", 400),
-        ("fixed-point-list", 40),
         ("cube-sum-at-x_star", 15),
     ])
     def test_hooks_reached_through_module_once_per_trial(self, strategy, q, monkeypatch):
@@ -447,13 +406,6 @@ class TestDistinguisher:
     def test_zero_queries_no_information(self):
         trials = 2000
         rep = run_distinguisher("uniform-random-queries", 0, 40, 4, trials, 1)
-        assert rep["one_hit_rate"] == 0.0
-        assert rep["advantage"] <= 3 * math.sqrt(1 / (4 * trials))
-
-    def test_blind_strategy_floor(self):
-        # fixed probes at large n never hit a 1, so advantage sits at noise level
-        trials = 2000
-        rep = run_distinguisher("fixed-point-list", 50, 200, 15, trials, 2)
         assert rep["one_hit_rate"] == 0.0
         assert rep["advantage"] <= 3 * math.sqrt(1 / (4 * trials))
 

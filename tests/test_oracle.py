@@ -12,12 +12,10 @@ from localcorrect import oracle
 from localcorrect.boolfn import MAX_TABLE_VARS, DimensionMismatch, JuntaSpec, Point, TruthTable
 from localcorrect.correctors import cube_sum_correct, pair_rounds
 from localcorrect.oracle import (
-    BalancedLayerZero,
     ExplicitFlips,
     IidFlips,
     NoCorruption,
     NoisyOracle,
-    WeightTruncation,
     parse_corruption,
     random_flip_set,
 )
@@ -64,8 +62,6 @@ CORRUPTIONS = {
     "none": NoCorruption(),
     "flips": random_flip_set(12, 300, 4),
     "iid": IidFlips(Fraction(1, 8), 11),
-    "trunc": WeightTruncation(3),
-    "layer": BalancedLayerZero(),
 }
 
 
@@ -82,12 +78,6 @@ class TestQuery:
         for bits in range(16):
             if bits != x0:
                 assert o.query(Point(4, bits)) == 0
-
-    def test_truncation_forces_zero(self):
-        o = NoisyOracle(10, lambda bits: 1, WeightTruncation(3))
-        y = Point(10, 0b0000001111)  # first-half weight 4
-        assert o.query(y) == 0
-        assert o.query(Point(10, 0b0000000111)) == 1
 
     def test_dimension_mismatch(self):
         o = and2_oracle()
@@ -142,9 +132,6 @@ def batch_models(n, points):
     for eps in (Fraction(0), Fraction(1, 1 << 12), Fraction(1, 3),
                 1 - Fraction(1, 1 << 64)):
         yield IidFlips(eps, 0xBA7C + n)
-    yield WeightTruncation(n // 4)
-    yield WeightTruncation(0)
-    yield BalancedLayerZero()
 
 
 class TestCorruptMany:
@@ -198,15 +185,6 @@ class TestCounter:
             assert o.query_count == q
 
 
-def truncated_share(n, t):
-    """Share of the 2^n points where either half's weight exceeds t: the
-    low half has n//2 bits, the high half the other n - n//2."""
-    inside = Fraction(1)
-    for m in (n // 2, n - n // 2):
-        inside *= Fraction(sum(math.comb(m, w) for w in range(min(t, m) + 1)), 1 << m)
-    return 1 - inside
-
-
 class TestDisagreementFraction:
     """Each model's realised disagreement with its base, counted over every
     point, against the share its definition gives."""
@@ -217,26 +195,6 @@ class TestDisagreementFraction:
     def test_explicit_counting(self):
         o = NoisyOracle(4, lambda bits: 0, ExplicitFlips(4, frozenset([1, 5, 9])))
         assert exhaustive_disagreement(o) == Fraction(3, 16)
-
-    def test_truncation_bound(self):
-        # Truncation only forces 0, so a constant-0 base never moves and a
-        # constant-1 base moves on every truncated point.
-        assert exhaustive_disagreement(NoisyOracle(10, lambda bits: 0, WeightTruncation(3))) == 0
-        o = NoisyOracle(10, lambda bits: 1, WeightTruncation(3))
-        assert exhaustive_disagreement(o) == Fraction(87, 256)
-        # At odd n the high half has the extra bit: 4 and 5 bits at n=9.
-        o = NoisyOracle(9, lambda bits: 1, WeightTruncation(2))
-        assert exhaustive_disagreement(o) == Fraction(21, 32)
-
-    @pytest.mark.parametrize("n", [7, 8, 9, 11])
-    def test_truncation_bound_matches_exhaustive_count(self, n):
-        # Exact for a constant-1 base, an upper bound for any other.
-        spec = JuntaSpec(n, TruthTable(3, 0b10010110), (1, 4, n))
-        for t in range(n // 2 + 3):
-            corr = WeightTruncation(t)
-            share = truncated_share(n, t)
-            assert exhaustive_disagreement(NoisyOracle(n, lambda bits: 1, corr)) == share
-            assert exhaustive_disagreement(NoisyOracle(spec.n, spec.bits_fn(), corr)) <= share
 
     def test_iid_small_n_exact(self):
         # The flip does not depend on the base value.
@@ -266,11 +224,6 @@ class TestDisagreementFraction:
         count = sum(reference_flips_point(corr, n, bits) for bits in range(1 << n))
         o = NoisyOracle(spec.n, spec.bits_fn(), corr)
         assert exhaustive_disagreement(o) == Fraction(count, 1 << n)
-
-    def test_layer_bound(self):
-        assert exhaustive_disagreement(NoisyOracle(10, lambda bits: 0, BalancedLayerZero())) == 0
-        o = NoisyOracle(10, lambda bits: 1, BalancedLayerZero())
-        assert exhaustive_disagreement(o) == Fraction(math.comb(10, 5), 1 << 10)
 
 
 class TestIidFlips:
@@ -355,39 +308,9 @@ class TestIidFlips:
             assert corr.corrupt(16, 0xBEEF, 0) == flips
 
 
-class TestTruncationModels:
-    def test_never_creates_ones(self):
-        # Truncation and layer-zeroing only force 0; exhaustive at n=12.
-        spec = JuntaSpec(12, TruthTable(4, random.Random(2).getrandbits(16)),
-                         (1, 4, 7, 12))
-        base = spec.bits_fn()
-        for corr in (WeightTruncation(3), BalancedLayerZero()):
-            o = NoisyOracle(12, base, corr)
-            for bits, v in zip(range(1 << 12), o.query_many(range(1 << 12))):
-                assert v <= base(bits)
-
-    def test_layer_zero_on_balanced_layer_only(self):
-        o = NoisyOracle(8, lambda bits: 1, BalancedLayerZero())
-        expected = [0 if bin(bits).count("1") == 4 else 1 for bits in range(256)]
-        assert o.query_many(range(256)) == expected
-
-    def test_exhaustive_disagreement_helper(self):
-        o = NoisyOracle(8, lambda bits: 1, BalancedLayerZero())
-        assert exhaustive_disagreement(o) == Fraction(70, 256)
-        assert o.query_count == 256
-
-
 class TestParseCorruption:
-    def test_none_and_layer(self):
+    def test_none(self):
         assert isinstance(parse_corruption("none", 8), NoCorruption)
-        assert isinstance(parse_corruption("layer", 8), BalancedLayerZero)
-
-    def test_trunc(self):
-        c = parse_corruption("trunc:5", 16)
-        assert isinstance(c, WeightTruncation) and c.threshold == 5
-        assert parse_corruption("trunc:0", 16).threshold == 0
-        with pytest.raises(ValueError, match="threshold"):
-            parse_corruption("trunc:-3", 16)
 
     def test_iid_forms(self):
         c = parse_corruption("iid:1/64:7", 16)

@@ -10,7 +10,7 @@ from localcorrect.boolfn import JuntaSpec, Point, TruthTable
 from localcorrect.correctors import InfluenceCorrectorParams, PartitionState
 from localcorrect.harness import ExperimentConfig
 from localcorrect.lowerbound import HardInstance
-from localcorrect.oracle import ExplicitFlips, IidFlips, WeightTruncation
+from localcorrect.oracle import ExplicitFlips, IidFlips
 
 RECORDS = [
     Point(4, 5),
@@ -18,7 +18,6 @@ RECORDS = [
     JuntaSpec(4, TruthTable(2, 0b1000), (1, 3)),
     ExplicitFlips(4, frozenset([1, 5])),
     IidFlips(Fraction(1, 3), 5),
-    WeightTruncation(3),
     InfluenceCorrectorParams(2),
     PartitionState((0, 1, 0), frozenset([0]), (0, 1), frozenset([1, 3])),
     HardInstance(10, frozenset([6, 7])),
