@@ -15,7 +15,7 @@ from collections import namedtuple
 from .analysis import min_influence_report, sample_random_junta
 from .boolfn import MAX_N, MAX_TABLE_VARS, ConfigError, Point, check_seed
 from .correctors import cube_sum_correct, influence_correct, symmetric_correct
-from .oracle import ExplicitFlips, NoCorruption, NoisyOracle, parse_corruption
+from .oracle import ExplicitFlips, NoisyOracle, parse_corruption
 
 ALGOS = ("cube", "influence", "symmetric")
 X_MODES = ("fixed-hex", "random", "adversarial-flipped")
@@ -54,7 +54,7 @@ class ExperimentConfig(namedtuple(
 
     def validate(self):
         """Check every field, naming the first bad one; returns the parsed
-        corruption."""
+        (corruption, x), with x the fixed-hex Point or None."""
         if self.algo not in ALGOS:
             raise ConfigError("algo", "expected one of %s" % list(ALGOS))
         if self.trials < 1:
@@ -72,11 +72,12 @@ class ExperimentConfig(namedtuple(
             raise ConfigError("k", "must equal n for symmetric")
         if self.x_mode not in X_MODES:
             raise ConfigError("x_mode", "expected one of %s" % list(X_MODES))
+        x = None
         if self.x_mode == "fixed-hex":
             if not self.x_hex:
                 raise ConfigError("x_hex", "required when x_mode is fixed-hex")
             try:
-                Point.from_hex(self.x_hex, self.n)
+                x = Point.from_hex(self.x_hex, self.n)
             except ValueError:
                 raise ConfigError("x_hex", "%r is not a hex point of n=%d bits"
                                   % (self.x_hex, self.n)) from None
@@ -86,7 +87,7 @@ class ExperimentConfig(namedtuple(
             raise ConfigError("repeat_t", "must be a positive odd integer")
         check_seed(self.master_seed)
         try:
-            return parse_corruption(self.corruption, self.n)
+            return parse_corruption(self.corruption, self.n), x
         except (ValueError, OSError) as exc:
             raise ConfigError("corruption", str(exc)) from exc
 
@@ -123,38 +124,33 @@ def sample_influential_junta(k: int, n: int, seed: int):
 
 
 def find_corrupted_point(n: int, base_fn, corruption, seed: int) -> Point:
-    """A point where the corrupted oracle disagrees with the base."""
-    if isinstance(corruption, NoCorruption):
-        raise ConfigError("x_mode", "no corrupted point exists under 'none'")
-    if isinstance(corruption, ExplicitFlips):
-        if not corruption.flips:
-            raise ConfigError("x_mode", "flip set is empty")
-        rng = random.Random(seed)
-        return Point(n, rng.choice(sorted(corruption.flips)))
+    """A point where the corrupted oracle disagrees with the base: a seeded
+    pick from a flip set, or under iid the first of up to MAX_SCAN draws.
+    An empty flip set and iid eps 0 flip no point and are refused at once."""
     rng = random.Random(seed)
-    for _ in range(MAX_SCAN):
-        bits = rng.getrandbits(n)
-        value = base_fn(bits)
-        if corruption.corrupt(n, bits, value) != value:
-            return Point(n, bits)
-    raise ConfigError("x_mode", "no corrupted point found in %d draws" % MAX_SCAN)
+    if isinstance(corruption, ExplicitFlips):
+        if corruption.flips:
+            return Point(n, rng.choice(sorted(corruption.flips)))
+    elif corruption.eps:
+        for _ in range(MAX_SCAN):
+            bits = rng.getrandbits(n)
+            value = base_fn(bits)
+            if corruption.corrupt(n, bits, value) != value:
+                return Point(n, bits)
+        raise ConfigError("x_mode", "no corrupted point found in %d draws" % MAX_SCAN)
+    raise ConfigError("x_mode", "the corruption flips no point")
 
 
 def run_correction_experiment(cfg: ExperimentConfig):
     """Run cfg.trials independent trials, each a majority of
     cfg.repeat_t or 1 corrector runs; returns (records, summary)."""
-    corruption = cfg.validate()
+    corruption, fixed_x = cfg.validate()
     base_fn, correct, redraws = build_base(
         cfg.algo, cfg.k, cfg.n, derive_seed(cfg.master_seed, _BASE_STREAM))
 
-    if cfg.x_mode == "fixed-hex":
-        fixed_x = Point.from_hex(cfg.x_hex, cfg.n)
-    elif cfg.x_mode == "adversarial-flipped":
-        fixed_x = find_corrupted_point(
-            cfg.n, base_fn, corruption, derive_seed(cfg.master_seed, _X_STREAM)
-        )
-    else:
-        fixed_x = None
+    if cfg.x_mode == "adversarial-flipped":
+        fixed_x = find_corrupted_point(cfg.n, base_fn, corruption,
+                                       derive_seed(cfg.master_seed, _X_STREAM))
     if fixed_x is not None:
         x, x_hex, truth = fixed_x, fixed_x.to_hex(), base_fn(fixed_x.bits)
 

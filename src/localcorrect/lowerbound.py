@@ -3,19 +3,20 @@
 The hard instance is an AND junta whose relevant variables all sit in one
 half of the coordinates, with the function forced to 0 outside the box of
 per-half Hamming weight <= floor(0.3n).  An instance is n and its
-relevant set: the half holding the set is its label, and n fixes the
-threshold.  The target input is the balanced point (first half zeros,
-second half ones): D0 instances answer 0 there, D1 instances answer 1,
-yet queries almost never reveal which.
+relevant set, an n-bit coordinate mask (bit i-1 for coordinate i): the
+half holding the set is its label, and n fixes the threshold.  The
+target input is the balanced point (first half zeros, second half ones):
+D0 instances answer 0 there, D1 instances answer 1, yet queries almost
+never reveal which.
 
 Both distinguishers run one trial loop; a strategy only supplies its
 points: uniform draws mapped from `getrandbits`, or the correctors'
 subcube walk from x_star, streamed in blocks.
 Every point goes through `_hard_hits`, the one point rule.  It builds the
-masks and the threshold once per trial, and a point answers 1 only if it
-covers the relevance mask, which a uniform point misses with probability
-1 - 2^-k, and only then are the two half-weights compared with the
-threshold.  So no trial makes a Python function call per point.
+half mask and the threshold once per trial, and a point answers 1 only if
+it covers the relevance mask, which a uniform point misses with
+probability 1 - 2^-k, and only then are the two half-weights compared
+with the threshold.  So no trial makes a Python function call per point.
 """
 
 from __future__ import annotations
@@ -38,20 +39,18 @@ def default_threshold(n: int) -> int:
 
 class HardInstance(namedtuple("HardInstance", "n relevant")):
     """AND of the relevant coordinates, truncated to 0 above the derived
-    threshold default_threshold(n).  relevant lies in one half, and that
-    half is the label: the first for D0, the second for D1."""
+    threshold default_threshold(n).  relevant is a nonzero coordinate mask
+    inside one half, and that half is the label: the first for D0, the
+    second for D1."""
 
     __slots__ = ()
 
-    def __new__(cls, n: int, relevant: frozenset):
+    def __new__(cls, n: int, relevant: int):
         if n % 2:
             raise ValueError("n must be even")
         half = n // 2
-        if not relevant or not (
-            all(1 <= c <= half for c in relevant)
-            or all(half < c <= n for c in relevant)
-        ):
-            raise ValueError("relevant must be a nonempty subset of one half")
+        if not 0 < relevant < 1 << n or relevant >> half and relevant & ((1 << half) - 1):
+            raise ValueError("relevant must be a nonzero mask inside one half")
         return tuple.__new__(cls, (n, relevant))
 
     @property
@@ -65,10 +64,9 @@ def sample_hard_instance(n: int, k: int, label: int, seed: int) -> HardInstance:
     """relevant is a uniform k-subset of the half designated by the label."""
     if label not in (0, 1):
         raise ValueError("label must be 0 or 1")
-    rng = random.Random(seed)
     half = n // 2
-    lo = 1 if label == 0 else half + 1
-    return HardInstance(n, frozenset(rng.sample(range(lo, lo + half), k)))
+    picks = random.Random(seed).sample(range(label * half, (label + 1) * half), k)
+    return HardInstance(n, sum(1 << i for i in picks))
 
 
 def single_query_one_prob(n: int, k: int, m: int) -> Fraction:
@@ -103,23 +101,11 @@ def uniform_one_hit_prob(n: int, k: int, q: int) -> Fraction:
     return 1 - (1 - p) ** q
 
 
-def _guess_from_hits(n: int, k: int, hits) -> int:
-    # Guess D1 iff some query answered 1 with a relevant-half pattern
-    # consistent with D1 (at least k ones in the second half).
-    for bits in hits:
-        if (bits >> (n // 2)).bit_count() >= k:
-            return 1
-    return 0
-
-
 def _hard_hits(inst: HardInstance, points) -> list:
     # The points where g is 1.  The relevance mask is tested first: a
     # uniform point almost always misses it, so the box test rarely runs.
     # Read as a module global, once per trial, so tracers can time it.
-    rel = 0
-    for c in inst.relevant:
-        rel |= 1 << (c - 1)
-    half, t = inst.n >> 1, default_threshold(inst.n)
+    rel, half, t = inst.relevant, inst.n >> 1, default_threshold(inst.n)
     low = (1 << half) - 1
     return [b for b in points if b & rel == rel
             and (b & low).bit_count() <= t and (b >> half).bit_count() <= t]
@@ -172,7 +158,9 @@ def run_distinguisher(
             # and streamed, so no list of q points is held.
             pts = map(rng.getrandbits, repeat(n, q))
         hits = _hard_hits(inst, pts)
-        guess = len(hits) & 1 if cube else _guess_from_hits(n, k, hits)
+        # Uniform guesses D1 iff some 1 has a relevant-half pattern
+        # consistent with D1: at least k ones in the second half.
+        guess = len(hits) & 1 if cube else any((b >> n // 2).bit_count() >= k for b in hits)
         correct += guess == label
         hit_trials += bool(hits)
     return {

@@ -11,7 +11,8 @@ for a whole batch, which query_many calls.  The batch form makes no Python
 call per point, so a query costs the base lookup plus, under iid, one
 keyed-hash copy, update and digest run from C.  Explicit flips screen each
 batch with one set intersection, and a batch that meets no flipped point
-keeps its base values untouched.
+keeps its base values untouched; "none" is the empty flip set, which
+every batch misses.
 """
 
 from __future__ import annotations
@@ -39,17 +40,10 @@ MAX_EPS_BITS = 64 * MAX_EPS_EXPONENT
 MAX_FLIP_FILE_CHARS = 1 << 24
 
 
-class NoCorruption:
-    def corrupt(self, n: int, bits: int, value: int) -> int:
-        return value
-
-    def corrupt_many(self, n: int, points, values) -> list:
-        return values
-
-
 class ExplicitFlips(namedtuple("ExplicitFlips", "n flips")):
     """g differs from the base exactly on this finite set of points
-    (flips is a frozenset of raw point integers)."""
+    (flips is a frozenset of raw point integers); no corruption is the
+    empty set."""
 
     __slots__ = ()
 
@@ -120,14 +114,14 @@ class IidFlips(namedtuple("IidFlips", "eps seed")):
 class NoisyOracle:
     """Base function plus corruption, with a per-instance query counter.
 
-    base_bits is a callable on raw n-bit integers.  g is a fixed function,
-    so one oracle may serve many trials in turn; each reads its own
-    queries as a difference of query_count.  The counter is not locked,
-    so concurrent trials need their own oracles.
+    base_bits is a callable on raw n-bit integers; corruption is an
+    ExplicitFlips (empty for an uncorrupted g) or an IidFlips.  g is a
+    fixed function, so one oracle may serve many trials in turn; each
+    reads its own queries as a difference of query_count.  The counter is
+    not locked, so concurrent trials need their own oracles.
     """
 
-    # NoCorruption holds no state, so every oracle may share one.
-    def __init__(self, n: int, base_bits, corruption=NoCorruption()):
+    def __init__(self, n: int, base_bits, corruption):
         self.n = n
         self.base_bits = base_bits
         self.corruption = corruption
@@ -179,13 +173,14 @@ def _open_nonblocking(path, flags):
 def parse_corruption(spec: str, n: int):
     """Parse a CLI corruption descriptor.
 
-    Grammar: "none" | "flips:<file>" | "iid:<eps>:<seed>".  Flip files hold
+    Grammar: "none" | "flips:<file>" | "iid:<eps>:<seed>"; "none" is the
+    empty flip set, ExplicitFlips(n, frozenset()).  Flip files hold
     one hex point per line, LSB = coordinate 1, spelled as `Point.from_hex`
     reads it; surrounding whitespace and blank lines are ignored.  A flip
     file must be a regular file of at most MAX_FLIP_FILE_CHARS characters.
     """
     if spec == "none":
-        return NoCorruption()
+        return ExplicitFlips(n, frozenset())
     kind, _, rest = spec.partition(":")
     if kind == "iid":
         eps_text, _, seed_text = rest.rpartition(":")
@@ -208,15 +203,9 @@ def parse_corruption(spec: str, n: int):
 
 
 def random_flip_set(n: int, count: int, seed: int) -> ExplicitFlips:
-    """count distinct uniform points; the hard-eps corruption of choice."""
+    """count distinct uniform points; the hard-eps corruption of choice.
+    One rng.sample over range(2^n) draws them, which serves any n <= 62
+    (a range's length must fit a C ssize_t)."""
     if count > 1 << n:
         raise ValueError("cannot pick %d distinct points in Z_2^%d" % (count, n))
-    rng = random.Random(seed)
-    if n <= 30:
-        flips = frozenset(rng.sample(range(1 << n), count))
-    else:
-        flips = set()
-        while len(flips) < count:
-            flips.add(rng.getrandbits(n))
-        flips = frozenset(flips)
-    return ExplicitFlips(n, flips)
+    return ExplicitFlips(n, frozenset(random.Random(seed).sample(range(1 << n), count)))

@@ -10,7 +10,7 @@ from localcorrect import acceptance, harness
 from localcorrect.boolfn import Point
 from localcorrect.correctors import CorrectionResult
 from localcorrect.harness import derive_seed, find_corrupted_point, sample_influential_junta
-from localcorrect.oracle import IidFlips, NoCorruption
+from localcorrect.oracle import IidFlips, parse_corruption
 
 
 def _check(result, detail):
@@ -66,7 +66,7 @@ def test_successes_stops_at_first_count_off_budget(monkeypatch):
         return CorrectionResult(res.value, res.queries_used + (len(runs) == 2))
 
     monkeypatch.setattr(harness, "cube_sum_correct", overspent)
-    got = acceptance._successes("cube", 3, 8, 1, NoCorruption(), None, 2, 5)
+    got = acceptance._successes("cube", 3, 8, 1, parse_corruption("none", 8), None, 2, 5)
     assert got == (None, "query count 16 != 15")
     assert len(runs) == 2
 

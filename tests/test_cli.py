@@ -242,6 +242,9 @@ LOWERBOUND = ["lowerbound", "--strategy", "uniform-random-queries", "--n", "40",
                  "x_hex", "fixed-hex", id="correct-x-adversarial-mode"),
     pytest.param(["correct", "--algo", "symmetric", "--k", "3", "--n", "40", "--trials", "5",
                   "--seed", "9"], "k", "equal n", id="symmetric-k-not-n"),
+    # Nothing is flipped, so no adversarial x exists: refused at once.
+    pytest.param(FLIPS + ["none"], "x_mode", "flips no point", id="adversarial-none"),
+    pytest.param(FLIPS + ["iid:0:3"], "x_mode", "flips no point", id="adversarial-iid-eps-zero"),
     # "flips:<line>" rows: the test writes a flips file holding " 2 ", a
     # blank line and <line>, and passes its path instead.  A "flips:/<path>"
     # row reads that path itself.

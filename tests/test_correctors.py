@@ -19,7 +19,13 @@ from localcorrect.correctors import (
     subcube_blocks,
     symmetric_correct,
 )
-from localcorrect.oracle import ExplicitFlips, IidFlips, NoisyOracle, random_flip_set
+from localcorrect.oracle import (
+    ExplicitFlips,
+    IidFlips,
+    NoisyOracle,
+    parse_corruption,
+    random_flip_set,
+)
 
 
 def old_subcube_points(offset, dirs):
@@ -71,7 +77,7 @@ class TestCubeSum:
         rng = random.Random(0)
         for _ in range(30):
             x = Point(10, rng.getrandbits(10))
-            o = NoisyOracle(spec.n, spec.bits_fn())
+            o = NoisyOracle(spec.n, spec.bits_fn(), parse_corruption("none", spec.n))
             res = cube_sum_correct(o, x, 3, rng.getrandbits(32))
             assert res.value == spec.bits_fn()(x.bits)
             assert res.queries_used == 15
@@ -173,7 +179,8 @@ class TestCubeSum:
             assert got == want and res.queries_used == (1 << (k + 1)) - 1
             if corruption == "flips-missed":
                 # A missed flip set reads as no corruption at all.
-                assert got == unstreamed_cube_sum(NoisyOracle(n, spec.bits_fn()), x, k, seed)
+                clean = NoisyOracle(n, spec.bits_fn(), parse_corruption("none", n))
+                assert got == unstreamed_cube_sum(clean, x, k, seed)
 
     def test_walk_memory_is_flat(self):
         # One k=16 trial walks 131,071 points of 64 bits; streamed, only a
@@ -192,7 +199,7 @@ class TestCubeSum:
 
     def test_query_count_exact(self):
         spec = sample_random_junta(4, 12, 1)
-        o = NoisyOracle(spec.n, spec.bits_fn())
+        o = NoisyOracle(spec.n, spec.bits_fn(), parse_corruption("none", spec.n))
         res = cube_sum_correct(o, Point(12), 4, 0)
         assert res.queries_used == 31 == o.query_count
 
@@ -212,7 +219,7 @@ class TestIdentifyParts:
     def test_constant_base_marks_nothing(self):
         params = InfluenceCorrectorParams(3)
         for seed in range(10):
-            o = NoisyOracle(12, lambda bits: 0)
+            o = NoisyOracle(12, lambda bits: 0, parse_corruption("none", 12))
             state = identify_influencing_parts(o, 12, params, seed)
             assert state.marked == frozenset()
             assert_partition_state(state, 12, 3)
@@ -234,7 +241,7 @@ class TestIdentifyParts:
         spec = JuntaSpec(48, TruthTable.parity(8), tuple(range(3, 48, 6)))
         params = InfluenceCorrectorParams(8)
         for seed in range(100):
-            o = NoisyOracle(spec.n, spec.bits_fn())
+            o = NoisyOracle(spec.n, spec.bits_fn(), parse_corruption("none", spec.n))
             state = identify_influencing_parts(o, 48, params, seed)
             relevant_parts = {state.assignment[c - 1] for c in spec.embedding}
             assert relevant_parts <= set(state.marked)
@@ -247,7 +254,7 @@ class TestIdentifyParts:
         hits = 0
         trials = 300
         for seed in range(trials):
-            o = NoisyOracle(spec.n, spec.bits_fn())
+            o = NoisyOracle(spec.n, spec.bits_fn(), parse_corruption("none", spec.n))
             state = identify_influencing_parts(o, 12, params, seed)
             p1 = state.assignment[0]
             p2 = state.assignment[11]
@@ -260,7 +267,7 @@ class TestIdentifyParts:
     def test_partition_state_consistency(self):
         spec = sample_random_junta(3, 20, 11)
         params = InfluenceCorrectorParams(3)
-        o = NoisyOracle(spec.n, spec.bits_fn())
+        o = NoisyOracle(spec.n, spec.bits_fn(), parse_corruption("none", spec.n))
         state = identify_influencing_parts(o, 20, params, 5)
         assert all(0 <= p < params.s for p in state.assignment)
         assert_partition_state(state, 20, 3)
@@ -281,7 +288,7 @@ class TestInfluenceCorrect:
         ok = 0
         for _ in range(trials):
             x = Point(24, rng.getrandbits(24))
-            o = NoisyOracle(spec.n, spec.bits_fn())
+            o = NoisyOracle(spec.n, spec.bits_fn(), parse_corruption("none", spec.n))
             res = influence_correct(o, x, 4, rng.getrandbits(64))
             ok += res.value == spec.bits_fn()(x.bits)
             assert res.queries_used == 6 * 4 * params.r + 1
@@ -289,7 +296,7 @@ class TestInfluenceCorrect:
 
     def test_constant_base_as_k1_junta(self):
         for seed in range(20):
-            o = NoisyOracle(16, lambda bits: 0)
+            o = NoisyOracle(16, lambda bits: 0, parse_corruption("none", 16))
             res = influence_correct(o, Point(16, seed * 37 % 65536), 1, seed=seed)
             assert res.value == 0
             assert res.queries_used == 6 * 1 * 500 + 1
@@ -305,7 +312,7 @@ class TestInfluenceCorrect:
         x = Point(n)
         counts = [0] * n
         for seed in range(runs):
-            o = NoisyOracle(n, lambda bits: 0)
+            o = NoisyOracle(n, lambda bits: 0, parse_corruption("none", n))
             captured = {}
             orig_query = o.query
 

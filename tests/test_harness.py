@@ -15,7 +15,7 @@ from localcorrect.harness import (
     run_correction_experiment,
     sample_influential_junta,
 )
-from localcorrect.oracle import ExplicitFlips, NoCorruption, random_flip_set
+from localcorrect.oracle import parse_corruption, random_flip_set
 
 
 class TestDeriveSeed:
@@ -135,9 +135,14 @@ class TestRunExperiment:
         assert summary["mean_queries"] == 21.0
 
     def test_adversarial_without_corruption_rejected(self):
-        with pytest.raises(ConfigError) as exc:
-            find_corrupted_point(10, lambda bits: 0, NoCorruption(), 1)
-        assert exc.value.fieldname == "x_mode"
+        # The empty flip set and iid eps 0 flip no point: both are refused
+        # before a single draw is scanned.
+        scanned = []
+        for spec in ("none", "iid:0:3"):
+            with pytest.raises(ConfigError, match="flips no point") as exc:
+                find_corrupted_point(10, scanned.append, parse_corruption(spec, 10), 1)
+            assert exc.value.fieldname == "x_mode"
+        assert scanned == []
 
     def test_amplification_monotone(self):
         # single-run success ~0.89 under 7*eps union bound; majority of 5

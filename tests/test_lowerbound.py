@@ -23,7 +23,7 @@ from localcorrect.lowerbound import (
 
 def and_before_truncation(inst, bits):
     """The instance's AND junta at bits, ignoring the weight box."""
-    return int(all((bits >> (c - 1)) & 1 for c in inst.relevant))
+    return int(bits & inst.relevant == inst.relevant)
 
 
 def reference_eval_hard_bits(inst, bits):
@@ -69,8 +69,9 @@ def loop_report(strategy, q, n, k, trials, seed, correct, hit_trials):
 
 def loop_distinguisher(q, n, k, trials, seed):
     """run_distinguisher's uniform strategy as a plain loop: the points
-    are drawn by a comprehension, and every point is evaluated by the
-    definition."""
+    are drawn by a comprehension, every point is evaluated by the
+    definition, and D1 is guessed iff some 1 has at least k of its second
+    half's coordinates set."""
     rng = random.Random(seed)
     correct = hit_trials = 0
     for _ in range(trials):
@@ -78,7 +79,9 @@ def loop_distinguisher(q, n, k, trials, seed):
         inst = sample_hard_instance(n, k, label, rng.getrandbits(64))
         pts = [rng.getrandbits(n) for _ in range(q)]
         hits = [b for b in pts if reference_eval_hard_bits(inst, b)]
-        correct += lowerbound._guess_from_hits(n, k, hits) == label
+        second_half = range(n // 2, n)
+        guess = int(any(sum((b >> i) & 1 for i in second_half) >= k for b in hits))
+        correct += guess == label
         hit_trials += bool(hits)
     return loop_report("uniform-random-queries", q, n, k, trials, seed, correct, hit_trials)
 
@@ -87,12 +90,12 @@ class TestSampleHardInstance:
     def test_d0_relevant_in_first_half(self):
         for seed in range(50):
             inst = sample_hard_instance(10, 2, 0, seed)
-            assert all(1 <= c <= 5 for c in inst.relevant)
+            assert 0 < inst.relevant < 1 << 5
 
     def test_d1_relevant_in_second_half(self):
         for seed in range(50):
             inst = sample_hard_instance(10, 2, 1, seed)
-            assert all(6 <= c <= 10 for c in inst.relevant)
+            assert inst.relevant & 0b11111 == 0 and inst.relevant < 1 << 10
 
     def test_derived_state(self):
         # The label picks the half that holds relevant.
@@ -101,13 +104,14 @@ class TestSampleHardInstance:
             half = n // 2
             for label, k in itertools.product((0, 1), sorted({1, half})):
                 inst = sample_hard_instance(n, k, label, rng.getrandbits(64))
-                lo = 1 if label == 0 else half + 1
-                assert len(inst.relevant) == k
-                assert all(lo <= c < lo + half for c in inst.relevant)
+                lo = label * half
+                assert inst.relevant.bit_count() == k
+                assert inst.relevant & ((1 << lo) - 1) == 0
+                assert inst.relevant >> (lo + half) == 0
 
     def test_marginal_coordinate_frequency(self):
         used = sum(
-            1 in sample_hard_instance(10, 2, 0, s).relevant for s in range(10000)
+            sample_hard_instance(10, 2, 0, s).relevant & 1 for s in range(10000)
         )
         assert abs(used / 10000 - 0.4) < 0.02
 
@@ -120,9 +124,11 @@ class TestSampleHardInstance:
             sample_hard_instance(10, 0, 0, 0)
         with pytest.raises(ValueError, match="label"):
             sample_hard_instance(10, 2, 5, 0)
-        for relevant in ([], [5, 6], [0, 1], [10, 11], [1, 10]):
+        # Masks of coordinates: none, 5 and 6 (both halves), 1 and 10
+        # (both halves), 11 (beyond n) and a negative one.
+        for relevant in (0, 0b110000, 1 | 1 << 9, 1 << 10, -1):
             with pytest.raises(ValueError):
-                HardInstance(10, frozenset(relevant))
+                HardInstance(10, relevant)
 
     def test_label_consistency_at_x_star(self):
         # the uncorrupted AND junta answers the label at the balanced input
@@ -139,17 +145,17 @@ class TestSampleHardInstance:
 
 class TestEvalHardG:
     def test_inside_box_and_satisfied(self):
-        inst = HardInstance(10, frozenset([6, 7]))
+        inst = HardInstance(10, 1 << 5 | 1 << 6)
         y = (1 << 5) | (1 << 6)
         assert hard_g(inst, y) == 1
 
     def test_first_half_over_threshold_forces_zero(self):
-        inst = HardInstance(10, frozenset([6, 7]))
+        inst = HardInstance(10, 1 << 5 | 1 << 6)
         y = 0b1111 | (1 << 5) | (1 << 6)  # first-half weight 4
         assert hard_g(inst, y) == 0
 
     def test_x_star_is_truncated(self):
-        inst = HardInstance(10, frozenset([6, 7]))
+        inst = HardInstance(10, 1 << 5 | 1 << 6)
         assert and_before_truncation(inst, inst.x_star.bits) == 1
         assert hard_g(inst, inst.x_star.bits) == 0
 
@@ -180,9 +186,7 @@ class TestEvalHardG:
             half, t = n // 2, default_threshold(n)
             for label, k in itertools.product((0, 1), sorted({1, half})):
                 inst = sample_hard_instance(n, k, label, rng.getrandbits(64))
-                rel = 0
-                for c in inst.relevant:
-                    rel |= 1 << (c - 1)
+                rel = inst.relevant
                 shift = 0 if label == 0 else half
                 pts = [rng.getrandbits(n) for _ in range(200)]
                 pts += [rng.getrandbits(n) | rel for _ in range(200)]
@@ -202,12 +206,12 @@ class TestEvalHardG:
     def test_cached_state_is_not_a_field(self):
         # An instance is its two fields: the masks and the threshold are
         # derived where they are used (test_records checks it has no dict).
-        a = HardInstance(10, frozenset([6, 7]))
-        b = HardInstance(10, frozenset([7, 6]))
+        a = HardInstance(10, 1 << 5 | 1 << 6)
+        b = HardInstance(10, 96)
         assert a._fields == ("n", "relevant")
-        assert repr(a) == "HardInstance(n=10, relevant=frozenset({6, 7}))"
+        assert repr(a) == "HardInstance(n=10, relevant=96)"
         assert a == b and hash(a) == hash(b)
-        assert a != HardInstance(10, frozenset([6, 8]))
+        assert a != HardInstance(10, 1 << 5 | 1 << 7)
 
     def test_default_threshold(self):
         assert default_threshold(10) == 3
@@ -248,9 +252,9 @@ class TestUniformOneHitProb:
             for k in range(1, half + 1):
                 counts = set()
                 for label in (0, 1):
-                    lo = 1 if label == 0 else half + 1
+                    lo = label * half
                     for rel in itertools.combinations(range(lo, lo + half), k):
-                        inst = HardInstance(n, frozenset(rel))
+                        inst = HardInstance(n, sum(1 << i for i in rel))
                         counts.add(sum(reference_eval_hard_bits(inst, b)
                                        for b in range(1 << n)))
                 assert len(counts) == 1

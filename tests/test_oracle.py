@@ -14,7 +14,6 @@ from localcorrect.correctors import cube_sum_correct, pair_rounds
 from localcorrect.oracle import (
     ExplicitFlips,
     IidFlips,
-    NoCorruption,
     NoisyOracle,
     parse_corruption,
     random_flip_set,
@@ -23,7 +22,7 @@ from localcorrect.oracle import (
 
 def and2_oracle(n=6):
     spec = JuntaSpec(n, TruthTable.and_all(2), (1, 2))
-    return NoisyOracle(n, spec.bits_fn())
+    return NoisyOracle(n, spec.bits_fn(), parse_corruption("none", n))
 
 
 def exhaustive_disagreement(o):
@@ -59,7 +58,7 @@ LONG_BATCH = 2 * (1 << 12) + 1
 
 
 CORRUPTIONS = {
-    "none": NoCorruption(),
+    "none": parse_corruption("none", 12),
     "flips": random_flip_set(12, 300, 4),
     "iid": IidFlips(Fraction(1, 8), 11),
 }
@@ -119,14 +118,13 @@ class TestQuery:
 
     def test_no_corruption_matches_base_everywhere(self):
         spec = JuntaSpec(8, TruthTable.majority(3), (2, 4, 8))
-        o = NoisyOracle(8, spec.bits_fn())
+        o = NoisyOracle(8, spec.bits_fn(), parse_corruption("none", 8))
         for bits in range(256):
             assert o.query(Point(8, bits)) == spec.bits_fn()(bits)
 
 
 def batch_models(n, points):
     """One instance of each model at n, with both outcomes reachable."""
-    yield NoCorruption()
     yield ExplicitFlips(n, frozenset(points[::3]))
     yield ExplicitFlips(n, frozenset())
     for eps in (Fraction(0), Fraction(1, 1 << 12), Fraction(1, 3),
@@ -176,7 +174,7 @@ class TestCounter:
 
     def test_count_is_not_an_init_argument(self):
         with pytest.raises(TypeError):
-            NoisyOracle(6, lambda bits: 0, NoCorruption(), 5)
+            NoisyOracle(6, lambda bits: 0, parse_corruption("none", 6), 5)
 
     def test_counts_every_query(self):
         o = and2_oracle()
@@ -310,7 +308,7 @@ class TestIidFlips:
 
 class TestParseCorruption:
     def test_none(self):
-        assert isinstance(parse_corruption("none", 8), NoCorruption)
+        assert parse_corruption("none", 8) == ExplicitFlips(8, frozenset())
 
     def test_iid_forms(self):
         c = parse_corruption("iid:1/64:7", 16)
@@ -379,10 +377,6 @@ class TestRandomFlipSet:
         c = random_flip_set(16, 256, 1)
         assert len(c.flips) == 256
         assert all(0 <= b < 1 << 16 for b in c.flips)
-
-    def test_large_n_path(self):
-        c = random_flip_set(100, 50, 1)
-        assert len(c.flips) == 50
 
     def test_deterministic(self):
         assert random_flip_set(16, 64, 9).flips == random_flip_set(16, 64, 9).flips

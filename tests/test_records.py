@@ -1,5 +1,7 @@
 """The package's value records are immutable: no field can be assigned."""
 
+import ast
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -20,11 +22,30 @@ RECORDS = [
     IidFlips(Fraction(1, 3), 5),
     InfluenceCorrectorParams(2),
     PartitionState((0, 1, 0), frozenset([0]), (0, 1), frozenset([1, 3])),
-    HardInstance(10, frozenset([6, 7])),
+    HardInstance(10, 96),
     InfluenceReport(Fraction(1, 2), True),
     ExperimentConfig(),
     CriterionResult(1, "name", True, "detail", 0.5),
 ]
+
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "localcorrect"
+
+
+def namedtuple_classes():
+    """Every class in the package source with a namedtuple(...) base."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(base, ast.Call)
+                    and getattr(base.func, "id", getattr(base.func, "attr", None)) == "namedtuple"
+                    for base in node.bases):
+                yield node.name
+
+
+def test_every_record_is_checked():
+    # A namedtuple record missing from RECORDS would escape the checks below.
+    assert set(namedtuple_classes()) == {type(r).__name__ for r in RECORDS}
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
