@@ -23,7 +23,7 @@ from itertools import chain
 
 from . import cli
 from .analysis import fraction_low_influence, influence_exact
-from .boolfn import Point, TruthTable, _mobius
+from .boolfn import TruthTable, _mobius
 from .correctors import build_masked_input, pair_rounds, subcube_blocks
 from .harness import build_base, derive_seed, find_corrupted_point
 from .lowerbound import (
@@ -97,8 +97,8 @@ def _successes(algo: str, k: int, n: int, base_seed: int, corruption,
     t under derive_seed(trial_seed, t); returns (successes, None), or (None,
     message) at the first query count off budget.  A worker can run it."""
     base, correct, _ = build_base(algo, k, n, base_seed)
-    x = Point(n) if x_seed is None else find_corrupted_point(n, base, corruption, x_seed)
-    truth = base(x.bits)
+    x = 0 if x_seed is None else find_corrupted_point(n, corruption, x_seed)
+    truth = base(x)
     oracle = NoisyOracle(n, base, corruption)
     budget = (1 << (k + 1)) - 1 if algo == "cube" else 6 * k * pair_rounds(k) + 1
     ok = 0
@@ -163,7 +163,6 @@ def criterion_4():
     n, k, samples = 60, 5, 100000
     s = 3 * k  # parts 0..k-1 are chosen, independent of assignments
     rng = random.Random(0xC4)
-    x = Point(n)
     in_s = [0] * n
     flips = [0] * n
     out_count = [0] * n
@@ -171,7 +170,7 @@ def criterion_4():
     for _ in range(samples):
         assignment = [rng.randrange(s) for _ in range(n)]
         S = sum(1 << c for c in range(n) if assignment[c] < k)
-        yb = build_masked_input(x, S, rng.getrandbits(64)).bits
+        yb = build_masked_input(0, n, S, rng.getrandbits(64))
         for c in range(n):
             flipped = (yb >> c) & 1
             flips[c] += flipped

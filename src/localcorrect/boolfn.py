@@ -1,8 +1,10 @@
-"""Core Boolean function representations: points, truth tables, juntas.
+"""Core Boolean function representations: truth tables, juntas, and the
+hex form of a point.
 
 Conventions fixed bit-exactly (reports and tests depend on them):
   - Coordinates are 1-based everywhere in the public API; a point or a set
-    of coordinates is an n-bit mask whose bit i-1 stands for coordinate i.
+    of coordinates is an n-bit int mask whose bit i-1 stands for
+    coordinate i.
   - A truth table on k variables is a 2^k-bit integer; the bit at index j
     is the value at the assignment where variable i equals bit (i-1) of j
     (variable 1 = least significant bit).
@@ -16,10 +18,6 @@ from collections import namedtuple
 MAX_TABLE_VARS = 24  # dense 2^k-bit tables; 16 MiB at the cap
 MAX_N = 1 << 16  # coordinates of a point; the experiments use at most 1,000
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
-
-
-class DimensionMismatch(ValueError):
-    """A Point was used with an object of a different arity."""
 
 
 class ConfigError(ValueError):
@@ -36,32 +34,21 @@ def check_seed(seed: int) -> None:
         raise ConfigError("seed", "must lie in [0, 2^64)")
 
 
-class Point(namedtuple("Point", "n bits")):
-    """An element of Z_2^n, stored as an n-bit integer (bit i-1 = x_i)."""
+def hex_point(bits: int, n: int) -> str:
+    """A point as lowercase hex, (n + 3) // 4 digits; the integer's LSB
+    is coordinate 1."""
+    return format(bits, "0%dx" % ((n + 3) // 4))
 
-    __slots__ = ()
 
-    def __new__(cls, n: int, bits: int = 0):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if not 0 <= bits < 1 << n:
-            raise ValueError("bits out of range for n=%d" % n)
-        return tuple.__new__(cls, (n, bits))
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def to_hex(self) -> str:
-        """Lowercase hex; the integer's LSB is coordinate 1."""
-        return format(self.bits, "0%dx" % ((self.n + 3) // 4))
-
-    @classmethod
-    def from_hex(cls, s: str, n: int) -> "Point":
-        """Inverse of to_hex: ASCII hex digits of either case and nothing
-        else (no sign, 0x prefix, whitespace or underscore)."""
-        if not s or not _HEX_DIGITS.issuperset(s):
-            raise ValueError("%r is not a string of hex digits" % s)
-        return cls(n, int(s, 16))
+def parse_hex_point(s: str, n: int) -> int:
+    """Inverse of hex_point: ASCII hex digits of either case and nothing
+    else (no sign, 0x prefix, whitespace or underscore), below 2^n."""
+    if not s or not _HEX_DIGITS.issuperset(s):
+        raise ValueError("%r is not a string of hex digits" % s)
+    bits = int(s, 16)
+    if bits >> n:
+        raise ValueError("bits out of range for n=%d" % n)
+    return bits
 
 
 @functools.lru_cache(maxsize=None)

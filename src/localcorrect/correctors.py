@@ -16,7 +16,6 @@ import random
 from collections import namedtuple
 from itertools import repeat
 
-from .boolfn import DimensionMismatch, Point
 from .oracle import NoisyOracle
 
 
@@ -50,8 +49,8 @@ class PartitionState(namedtuple("PartitionState", "assignment marked chosen S"))
 
     assignment (a tuple) maps each coordinate (1-based) to a part id in
     [0, s); marked is the frozenset of marked parts; chosen is the ordered
-    tuple of exactly k part ids; S is their union as a bit mask, with bit
-    c-1 set iff coordinate c is frozen (as in Point.bits).
+    tuple of exactly k part ids; S is their union as a coordinate mask,
+    with bit c-1 set iff coordinate c is frozen.
     """
 
     __slots__ = ()
@@ -99,7 +98,7 @@ def subcube_blocks(offset: int, dirs):
         yield block
 
 
-def cube_sum_correct(o: NoisyOracle, x: Point, k: int, seed: int) -> CorrectionResult:
+def cube_sum_correct(o: NoisyOracle, x: int, k: int, seed: int) -> CorrectionResult:
     """Correct a degree-<=k polynomial by one random affine subcube.
 
     Picks k+1 uniform directions (dependent sets allowed; the subcube
@@ -109,13 +108,11 @@ def cube_sum_correct(o: NoisyOracle, x: Point, k: int, seed: int) -> CorrectionR
     (2^(k+1)-1)*eps.  The walk is queried block by block, so memory stays
     flat in k.
     """
-    if x.n != o.n:
-        raise DimensionMismatch("point n=%d, oracle n=%d" % (x.n, o.n))
     rng = random.Random(seed)
     dirs = list(map(rng.getrandbits, repeat(o.n, k + 1)))
     before = o.query_count
     acc = 0
-    for block in subcube_blocks(x.bits, dirs):
+    for block in subcube_blocks(x, dirs):
         acc += sum(o.query_many(block))
     return CorrectionResult(acc & 1, o.query_count - before)
 
@@ -168,43 +165,37 @@ def identify_influencing_parts(
     return PartitionState(assignment, frozenset(marked), tuple(chosen), S)
 
 
-def build_masked_input(x: Point, S: int, seed: int) -> Point:
-    """y agreeing with x on the bit mask S; elsewhere each bit flips with
-    probability 3/4, one draw per free coordinate in order."""
+def build_masked_input(x: int, n: int, S: int, seed: int) -> int:
+    """y agreeing with the n-bit x on the mask S; elsewhere each bit flips
+    with probability 3/4, one draw per free coordinate in order."""
     rng = random.Random(seed)
-    bits = x.bits
-    for c in range(x.n):
+    for c in range(n):
         if not S >> c & 1 and rng.randrange(4) < 3:
-            bits ^= 1 << c
-    return Point(x.n, bits)
+            x ^= 1 << c
+    return x
 
 
-def influence_correct(o: NoisyOracle, x: Point, k: int, seed: int) -> CorrectionResult:
+def influence_correct(o: NoisyOracle, x: int, k: int, seed: int) -> CorrectionResult:
     """Correct a high-influence k-junta with 6*k*r + 1 queries.
 
     Success >= 2/3 per invocation requires every relevant variable to have
     influence >= 1/50 and corruption fraction < 2^(-k-3); violating the
     preconditions voids the guarantee, not the execution.
     """
-    if x.n != o.n:
-        raise DimensionMismatch("point n=%d, oracle n=%d" % (x.n, o.n))
     params = InfluenceCorrectorParams(k)
     rng = random.Random(seed)
     parts_seed = rng.getrandbits(64)
     mask_seed = rng.getrandbits(64)
     before = o.query_count
     state = identify_influencing_parts(o, o.n, params, parts_seed)
-    y = build_masked_input(x, state.S, mask_seed)
+    y = build_masked_input(x, o.n, state.S, mask_seed)
     value = o.query(y)
     return CorrectionResult(value, o.query_count - before)
 
 
-def symmetric_correct(profile, x: Point) -> CorrectionResult:
+def symmetric_correct(profile, x: int) -> CorrectionResult:
     """Symmetric functions are 0-locally correctable: read off the profile.
 
     profile[w] is the function value on inputs of Hamming weight w.
     """
-    profile = tuple(profile)
-    if len(profile) != x.n + 1:
-        raise ValueError("profile must have length n+1")
-    return CorrectionResult(profile[x.weight()], 0)
+    return CorrectionResult(profile[x.bit_count()], 0)

@@ -13,7 +13,7 @@ import random
 from collections import namedtuple
 
 from .analysis import min_influence_report, sample_random_junta
-from .boolfn import MAX_N, MAX_TABLE_VARS, ConfigError, Point, check_seed
+from .boolfn import MAX_N, MAX_TABLE_VARS, ConfigError, check_seed, hex_point, parse_hex_point
 from .correctors import cube_sum_correct, influence_correct, symmetric_correct
 from .oracle import ExplicitFlips, NoisyOracle, parse_corruption
 
@@ -54,7 +54,7 @@ class ExperimentConfig(namedtuple(
 
     def validate(self):
         """Check every field, naming the first bad one; returns the parsed
-        (corruption, x), with x the fixed-hex Point or None."""
+        (corruption, x), with x the fixed-hex point as an int, or None."""
         if self.algo not in ALGOS:
             raise ConfigError("algo", "expected one of %s" % list(ALGOS))
         if self.trials < 1:
@@ -77,7 +77,7 @@ class ExperimentConfig(namedtuple(
             if not self.x_hex:
                 raise ConfigError("x_hex", "required when x_mode is fixed-hex")
             try:
-                x = Point.from_hex(self.x_hex, self.n)
+                x = parse_hex_point(self.x_hex, self.n)
             except ValueError:
                 raise ConfigError("x_hex", "%r is not a hex point of n=%d bits"
                                   % (self.x_hex, self.n)) from None
@@ -123,20 +123,20 @@ def sample_influential_junta(k: int, n: int, seed: int):
         redraws += 1
 
 
-def find_corrupted_point(n: int, base_fn, corruption, seed: int) -> Point:
+def find_corrupted_point(n: int, corruption, seed: int) -> int:
     """A point where the corrupted oracle disagrees with the base: a seeded
     pick from a flip set, or under iid the first of up to MAX_SCAN draws.
+    A flip does not depend on the value, so each draw is tested at value 0.
     An empty flip set and iid eps 0 flip no point and are refused at once."""
     rng = random.Random(seed)
     if isinstance(corruption, ExplicitFlips):
         if corruption.flips:
-            return Point(n, rng.choice(sorted(corruption.flips)))
+            return rng.choice(sorted(corruption.flips))
     elif corruption.eps:
         for _ in range(MAX_SCAN):
             bits = rng.getrandbits(n)
-            value = base_fn(bits)
-            if corruption.corrupt(n, bits, value) != value:
-                return Point(n, bits)
+            if corruption.corrupt(n, bits, 0):
+                return bits
         raise ConfigError("x_mode", "no corrupted point found in %d draws" % MAX_SCAN)
     raise ConfigError("x_mode", "the corruption flips no point")
 
@@ -149,10 +149,10 @@ def run_correction_experiment(cfg: ExperimentConfig):
         cfg.algo, cfg.k, cfg.n, derive_seed(cfg.master_seed, _BASE_STREAM))
 
     if cfg.x_mode == "adversarial-flipped":
-        fixed_x = find_corrupted_point(cfg.n, base_fn, corruption,
+        fixed_x = find_corrupted_point(cfg.n, corruption,
                                        derive_seed(cfg.master_seed, _X_STREAM))
     if fixed_x is not None:
-        x, x_hex, truth = fixed_x, fixed_x.to_hex(), base_fn(fixed_x.bits)
+        x, x_hex, truth = fixed_x, hex_point(fixed_x, cfg.n), base_fn(fixed_x)
 
     # g is one fixed function, so one oracle serves every trial and vote;
     # its counter is read as a difference.
@@ -163,8 +163,8 @@ def run_correction_experiment(cfg: ExperimentConfig):
         seed = derive_seed(cfg.master_seed, t)
         rng = random.Random(seed)
         if fixed_x is None:
-            x = Point(cfg.n, rng.getrandbits(cfg.n))
-            x_hex, truth = x.to_hex(), base_fn(x.bits)
+            x = rng.getrandbits(cfg.n)
+            x_hex, truth = hex_point(x, cfg.n), base_fn(x)
         before = oracle.query_count
         votes = sum(correct(oracle, x, rng.getrandbits(64)).value for _ in range(runs))
         value = int(2 * votes > runs)

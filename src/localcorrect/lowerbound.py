@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from math import comb
 
-from .boolfn import MAX_N, MAX_TABLE_VARS, ConfigError, Point, _low_mask, check_seed
+from .boolfn import MAX_N, MAX_TABLE_VARS, ConfigError, _low_mask, check_seed
 from .correctors import subcube_blocks
 
 STRATEGIES = ("uniform-random-queries", "cube-sum-at-x_star")
@@ -54,10 +54,10 @@ class HardInstance(namedtuple("HardInstance", "n relevant")):
         return tuple.__new__(cls, (n, relevant))
 
     @property
-    def x_star(self) -> Point:
+    def x_star(self) -> int:
         """First half zeros, second half ones."""
         half = self.n // 2
-        return Point(self.n, ((1 << half) - 1) << half)
+        return ((1 << half) - 1) << half
 
 
 def sample_hard_instance(n: int, k: int, label: int, seed: int) -> HardInstance:
@@ -152,7 +152,7 @@ def run_distinguisher(
             # the hit parity is the recovered bit (D1 answers 1 at x_star).
             walk = random.Random(rng.getrandbits(64))
             dirs = list(map(walk.getrandbits, repeat(n, k + 1)))
-            pts = chain.from_iterable(subcube_blocks(inst.x_star.bits, dirs))
+            pts = chain.from_iterable(subcube_blocks(inst.x_star, dirs))
         else:
             # The same q calls in the same order as a loop, made from C
             # and streamed, so no list of q points is held.

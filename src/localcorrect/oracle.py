@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import repeat, starmap
 from operator import xor
 
-from .boolfn import DimensionMismatch, Point
+from .boolfn import parse_hex_point
 
 # Largest exponent magnitude an iid eps may be written with.  Every eps
 # in (0, 2^-64] already gives the smallest non-zero flip threshold, so a
@@ -127,11 +127,9 @@ class NoisyOracle:
         self.corruption = corruption
         self.query_count = 0
 
-    def query(self, x: Point) -> int:
-        """g at one checked point; counts one query."""
-        if x.n != self.n:
-            raise DimensionMismatch("query point n=%d, oracle n=%d" % (x.n, self.n))
-        return self.query_many((x.bits,))[0]
+    def query(self, x: int) -> int:
+        """g at one n-bit int; counts one query."""
+        return self.query_many((x,))[0]
 
     def query_many(self, points) -> list:
         """g at each raw n-bit int of the sized, sliceable points, in order;
@@ -174,10 +172,10 @@ def parse_corruption(spec: str, n: int):
     """Parse a CLI corruption descriptor.
 
     Grammar: "none" | "flips:<file>" | "iid:<eps>:<seed>"; "none" is the
-    empty flip set, ExplicitFlips(n, frozenset()).  Flip files hold
-    one hex point per line, LSB = coordinate 1, spelled as `Point.from_hex`
-    reads it; surrounding whitespace and blank lines are ignored.  A flip
-    file must be a regular file of at most MAX_FLIP_FILE_CHARS characters.
+    empty flip set, ExplicitFlips(n, frozenset()).  Flip files hold one
+    hex point per line as `parse_hex_point` reads it, LSB = coordinate 1;
+    surrounding whitespace and blank lines are ignored.  A flip file must
+    be a regular file of at most MAX_FLIP_FILE_CHARS characters.
     """
     if spec == "none":
         return ExplicitFlips(n, frozenset())
@@ -197,7 +195,7 @@ def parse_corruption(spec: str, n: int):
         if len(text) > MAX_FLIP_FILE_CHARS:
             raise ValueError("flip file over %d characters" % MAX_FLIP_FILE_CHARS)
         lines = [line.strip() for line in text.split("\n")]
-        flips = frozenset(Point.from_hex(line, n).bits for line in lines if line)
+        flips = frozenset(parse_hex_point(line, n) for line in lines if line)
         return ExplicitFlips(n, flips)
     raise ValueError("unknown corruption descriptor %r" % spec)
 

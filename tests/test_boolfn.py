@@ -3,7 +3,7 @@ import random
 import pytest
 
 from localcorrect.acceptance import _random_low_degree_table
-from localcorrect.boolfn import JuntaSpec, Point, TruthTable, _low_mask, _mobius
+from localcorrect.boolfn import JuntaSpec, TruthTable, _low_mask, _mobius, hex_point, parse_hex_point
 
 
 def brute_anf_coeffs(tt):
@@ -50,29 +50,36 @@ def reference_bits_fn(spec):
 
 
 class TestPoint:
+    """A point is an n-bit int; hex_point and parse_hex_point are its one
+    outside form."""
+
     def test_indexing_is_one_based(self):
-        # Coordinate i is bit i-1: a 1-junta on coordinate i reads it.
-        p = Point(5, 0b00101)
-        reads = [JuntaSpec(5, TruthTable.parity(1), (i,)).bits_fn()(p.bits)
+        # Coordinate i is bit i-1: a 1-junta on coordinate i reads it, and
+        # the hex form's last digit holds coordinates 1 to 4.
+        p = parse_hex_point("05", 5)
+        reads = [JuntaSpec(5, TruthTable.parity(1), (i,)).bits_fn()(p)
                  for i in range(1, 6)]
         assert reads == [1, 0, 1, 0, 0]
+        assert hex_point(1 << 4, 5) == "10"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Point(0, 0)
-        with pytest.raises(ValueError):
-            Point(3, 8)
+        # A value of 2^n or more does not fit n bits.
+        assert parse_hex_point("7", 3) == 7
+        for text, n in (("8", 3), ("100", 8), ("1", 0)):
+            with pytest.raises(ValueError, match="out of range for n=%d" % n):
+                parse_hex_point(text, n)
 
     def test_large_n(self):
-        p = Point(1024, (1 << 1024) - 1)
-        assert p.weight() == 1024
-        assert Point.from_hex(p.to_hex(), 1024) == p
+        p = (1 << 1024) - 1
+        assert hex_point(p, 1024) == "f" * 256
+        assert parse_hex_point(hex_point(p, 1024), 1024) == p
+        assert hex_point(0, 1021) == "0" * 256
 
     def test_from_hex_takes_hex_digits_only(self):
-        assert Point.from_hex("A5", 8) == Point.from_hex("a5", 8) == Point(8, 0xA5)
+        assert parse_hex_point("A5", 8) == parse_hex_point("a5", 8) == 0xA5
         for text in ("", "0xa5", "a_5", " a5", "a5\n", "+a5", "-1", "\u0663"):
-            with pytest.raises(ValueError):
-                Point.from_hex(text, 8)
+            with pytest.raises(ValueError, match="not a string of hex digits"):
+                parse_hex_point(text, 8)
 
 
 class TestEvalJunta:

@@ -8,7 +8,7 @@ import pytest
 from localcorrect import correctors
 from localcorrect.acceptance import _random_low_degree_table
 from localcorrect.analysis import sample_random_junta
-from localcorrect.boolfn import JuntaSpec, Point, TruthTable
+from localcorrect.boolfn import JuntaSpec, TruthTable
 from localcorrect.correctors import (
     InfluenceCorrectorParams,
     build_masked_input,
@@ -41,7 +41,7 @@ def old_subcube_points(offset, dirs):
 def cube_walk(n, x, k, seed):
     """The points cube_sum_correct(o, x, k, seed) queries, as one list."""
     rng = random.Random(seed)
-    return old_subcube_points(x.bits, [rng.getrandbits(n) for _ in range(k + 1)])
+    return old_subcube_points(x, [rng.getrandbits(n) for _ in range(k + 1)])
 
 
 def unstreamed_cube_sum(o, x, k, seed):
@@ -76,10 +76,10 @@ class TestCubeSum:
         spec = JuntaSpec(10, TruthTable.and_all(3), (2, 5, 7))
         rng = random.Random(0)
         for _ in range(30):
-            x = Point(10, rng.getrandbits(10))
+            x = rng.getrandbits(10)
             o = NoisyOracle(spec.n, spec.bits_fn(), parse_corruption("none", spec.n))
             res = cube_sum_correct(o, x, 3, rng.getrandbits(32))
-            assert res.value == spec.bits_fn()(x.bits)
+            assert res.value == spec.bits_fn()(x)
             assert res.queries_used == 15
             assert o.query_count == 15
 
@@ -146,10 +146,10 @@ class TestCubeSum:
         rng = random.Random(7)
         failures = 0
         for t in range(trials):
-            x = Point(n, rng.getrandbits(n))
+            x = rng.getrandbits(n)
             o = NoisyOracle(spec.n, spec.bits_fn(), flips)
             res = cube_sum_correct(o, x, k, rng.getrandbits(64))
-            failures += res.value != spec.bits_fn()(x.bits)
+            failures += res.value != spec.bits_fn()(x)
         assert failures / trials <= 7 * (2 / 64) + 0.02
 
     @pytest.mark.parametrize("k", [11, 12, 13])
@@ -162,7 +162,7 @@ class TestCubeSum:
         spec = sample_random_junta(k, n, k)
         rng = random.Random(100 + k)
         for _ in range(4):
-            x, seed = Point(n, rng.getrandbits(n)), rng.getrandbits(64)
+            x, seed = rng.getrandbits(n), rng.getrandbits(64)
             if corruption == "iid":
                 model = IidFlips(Fraction(1, 64), k)
             elif corruption == "flips":
@@ -187,7 +187,7 @@ class TestCubeSum:
         # block or two of them and their values are alive at once.
         spec = sample_random_junta(16, 64, 3)
         o = NoisyOracle(64, spec.bits_fn(), IidFlips(Fraction(1, 1 << 24), 1))
-        x = Point(64, random.Random(4).getrandbits(64))
+        x = random.Random(4).getrandbits(64)
         tracemalloc.start()
         try:
             res = cube_sum_correct(o, x, 16, 5)
@@ -200,7 +200,7 @@ class TestCubeSum:
     def test_query_count_exact(self):
         spec = sample_random_junta(4, 12, 1)
         o = NoisyOracle(spec.n, spec.bits_fn(), parse_corruption("none", spec.n))
-        res = cube_sum_correct(o, Point(12), 4, 0)
+        res = cube_sum_correct(o, 0, 4, 0)
         assert res.queries_used == 31 == o.query_count
 
 
@@ -275,8 +275,8 @@ class TestIdentifyParts:
 
 class TestBuildMaskedInput:
     def test_full_freeze(self):
-        x = Point(12, 0b101010101010)
-        assert build_masked_input(x, (1 << 12) - 1, 1) == x
+        x = 0b101010101010
+        assert build_masked_input(x, 12, (1 << 12) - 1, 1) == x
 
 
 class TestInfluenceCorrect:
@@ -287,17 +287,17 @@ class TestInfluenceCorrect:
         trials = 300
         ok = 0
         for _ in range(trials):
-            x = Point(24, rng.getrandbits(24))
+            x = rng.getrandbits(24)
             o = NoisyOracle(spec.n, spec.bits_fn(), parse_corruption("none", spec.n))
             res = influence_correct(o, x, 4, rng.getrandbits(64))
-            ok += res.value == spec.bits_fn()(x.bits)
+            ok += res.value == spec.bits_fn()(x)
             assert res.queries_used == 6 * 4 * params.r + 1
         assert ok / trials >= 0.98
 
     def test_constant_base_as_k1_junta(self):
         for seed in range(20):
             o = NoisyOracle(16, lambda bits: 0, parse_corruption("none", 16))
-            res = influence_correct(o, Point(16, seed * 37 % 65536), 1, seed=seed)
+            res = influence_correct(o, seed * 37 % 65536, 1, seed=seed)
             assert res.value == 0
             assert res.queries_used == 6 * 1 * 500 + 1
 
@@ -309,7 +309,7 @@ class TestInfluenceCorrect:
         monkeypatch.setattr(correctors, "pair_rounds", lambda k: 1)
         n, k = 60, 5
         runs = 50000
-        x = Point(n)
+        x = 0
         counts = [0] * n
         for seed in range(runs):
             o = NoisyOracle(n, lambda bits: 0, parse_corruption("none", n))
@@ -322,7 +322,7 @@ class TestInfluenceCorrect:
 
             o.query = spy
             influence_correct(o, x, k, seed)
-            yb = captured["y"].bits
+            yb = captured["y"]
             for c in range(n):
                 counts[c] += (yb >> c) & 1
         for c in range(n):
@@ -331,20 +331,16 @@ class TestInfluenceCorrect:
 
 class TestSymmetric:
     def test_maj5(self):
-        res = symmetric_correct((0, 0, 0, 1, 1, 1), Point(5, 0b00111))
+        res = symmetric_correct((0, 0, 0, 1, 1, 1), 0b00111)
         assert (res.value, res.queries_used) == (1, 0)
 
     def test_parity_profile(self):
         profile = tuple(w % 2 for w in range(9))
-        res = symmetric_correct(profile, Point(8, 0b01011010))
+        res = symmetric_correct(profile, 0b01011010)
         assert res.value == 0
         assert res.queries_used == 0
 
     def test_constant_one(self):
         profile = (1,) * 7
         for bits in range(64):
-            assert symmetric_correct(profile, Point(6, bits)).value == 1
-
-    def test_rejects_wrong_profile_length(self):
-        with pytest.raises(ValueError):
-            symmetric_correct((0, 1), Point(4, 0))
+            assert symmetric_correct(profile, bits).value == 1

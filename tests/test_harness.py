@@ -6,6 +6,7 @@ import pytest
 from localcorrect import harness
 from localcorrect.analysis import min_influence_report, sample_random_junta
 from localcorrect.harness import (
+    MAX_SCAN,
     REPORT_ENCODER,
     ConfigError,
     ExperimentConfig,
@@ -15,7 +16,7 @@ from localcorrect.harness import (
     run_correction_experiment,
     sample_influential_junta,
 )
-from localcorrect.oracle import parse_corruption, random_flip_set
+from localcorrect.oracle import ExplicitFlips, IidFlips, parse_corruption, random_flip_set
 
 
 class TestDeriveSeed:
@@ -134,15 +135,43 @@ class TestRunExperiment:
         assert {r["queries"] for r in records} == {3 * 7}
         assert summary["mean_queries"] == 21.0
 
-    def test_adversarial_without_corruption_rejected(self):
+    def test_adversarial_without_corruption_rejected(self, monkeypatch):
         # The empty flip set and iid eps 0 flip no point: both are refused
         # before a single draw is scanned.
         scanned = []
+        for model in (ExplicitFlips, IidFlips):
+            monkeypatch.setattr(model, "corrupt", lambda *args: scanned.append(args))
         for spec in ("none", "iid:0:3"):
             with pytest.raises(ConfigError, match="flips no point") as exc:
-                find_corrupted_point(10, scanned.append, parse_corruption(spec, 10), 1)
+                find_corrupted_point(10, parse_corruption(spec, 10), 1)
             assert exc.value.fieldname == "x_mode"
         assert scanned == []
+
+    @pytest.mark.parametrize("model", ["iid", "flips"])
+    def test_x_search_matches_value_based_loop(self, model):
+        # A flip does not depend on the value, so testing each draw at
+        # value 0 finds the point a search that evaluates the base finds.
+        n = 32
+        base = sample_random_junta(4, n, 11).bits_fn()
+        corruption = (random_flip_set(n, 64, 12) if model == "flips"
+                      else parse_corruption("iid:1/64:5", n))
+
+        def value_based(seed):
+            rng = random.Random(seed)
+            if isinstance(corruption, ExplicitFlips):
+                return rng.choice(sorted(corruption.flips))
+            for _ in range(MAX_SCAN):
+                b = rng.getrandbits(n)
+                if corruption.corrupt(n, b, base(b)) != base(b):
+                    return b
+
+        for seed in range(50):
+            assert find_corrupted_point(n, corruption, seed) == value_based(seed)
+        # The per-draw rule itself, on uniform draws and on flipped points.
+        draws = [random.Random(seed).getrandbits(n) for seed in range(50)]
+        for b in draws + sorted(getattr(corruption, "flips", ())):
+            value = base(b)
+            assert bool(corruption.corrupt(n, b, 0)) == (corruption.corrupt(n, b, value) != value)
 
     def test_amplification_monotone(self):
         # single-run success ~0.89 under 7*eps union bound; majority of 5

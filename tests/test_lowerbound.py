@@ -135,12 +135,12 @@ class TestSampleHardInstance:
         for seed in range(1000):
             label = seed % 2
             inst = sample_hard_instance(12, 3, label, seed)
-            assert and_before_truncation(inst, inst.x_star.bits) == label
+            assert and_before_truncation(inst, inst.x_star) == label
 
     def test_x_star_is_balanced(self):
         inst = sample_hard_instance(8, 2, 0, 1)
-        assert inst.x_star.bits == 0b11110000
-        assert inst.x_star.weight() == 4
+        assert inst.x_star == 0b11110000
+        assert inst.x_star.bit_count() == 4
 
 
 class TestEvalHardG:
@@ -156,8 +156,8 @@ class TestEvalHardG:
 
     def test_x_star_is_truncated(self):
         inst = HardInstance(10, 1 << 5 | 1 << 6)
-        assert and_before_truncation(inst, inst.x_star.bits) == 1
-        assert hard_g(inst, inst.x_star.bits) == 0
+        assert and_before_truncation(inst, inst.x_star) == 1
+        assert hard_g(inst, inst.x_star) == 0
 
     def test_never_one_outside_box(self):
         inst = sample_hard_instance(400, 10, 1, 3)
@@ -282,7 +282,7 @@ def loop_cube_sum(n, k, trials, seed):
         inst = sample_hard_instance(n, k, label, rng.getrandbits(64))
         walk = random.Random(rng.getrandbits(64))
         dirs = [walk.getrandbits(n) for _ in range(k + 1)]
-        cur, vals = inst.x_star.bits, []
+        cur, vals = inst.x_star, []
         for t in range(1, 1 << (k + 1)):
             cur ^= dirs[(t & -t).bit_length() - 1]
             vals.append(reference_eval_hard_bits(inst, cur))

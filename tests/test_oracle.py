@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from localcorrect import oracle
-from localcorrect.boolfn import MAX_TABLE_VARS, DimensionMismatch, JuntaSpec, Point, TruthTable
+from localcorrect.boolfn import MAX_TABLE_VARS, JuntaSpec, TruthTable, hex_point
 from localcorrect.correctors import cube_sum_correct, pair_rounds
 from localcorrect.oracle import (
     ExplicitFlips,
@@ -67,21 +67,16 @@ CORRUPTIONS = {
 class TestQuery:
     def test_no_corruption_passthrough(self):
         o = and2_oracle()
-        assert o.query(Point(6, 0b000011)) == 1
-        assert o.query(Point(6, 0b000001)) == 0
+        assert o.query(0b000011) == 1
+        assert o.query(0b000001) == 0
 
     def test_explicit_flip_definition(self):
         x0 = 0b1010
         o = NoisyOracle(4, lambda bits: 0, ExplicitFlips(4, frozenset([x0])))
-        assert o.query(Point(4, x0)) == 1
+        assert o.query(x0) == 1
         for bits in range(16):
             if bits != x0:
-                assert o.query(Point(4, bits)) == 0
-
-    def test_dimension_mismatch(self):
-        o = and2_oracle()
-        with pytest.raises(DimensionMismatch):
-            o.query(Point(5, 0))
+                assert o.query(bits) == 0
 
     @pytest.mark.parametrize("model", sorted(CORRUPTIONS))
     def test_query_many_matches_query(self, model):
@@ -93,7 +88,7 @@ class TestQuery:
         pts += sorted(CORRUPTIONS["flips"].flips)[:50] + [0, 4095, 0]
         batched = o.query_many(pts)
         assert o.query_count == len(pts)
-        assert batched == [o.query(Point(12, b)) for b in pts]
+        assert batched == [o.query(b) for b in pts]
         assert o.query_count == 2 * len(pts)
         assert o.query_many([]) == [] and o.query_count == 2 * len(pts)
 
@@ -120,7 +115,7 @@ class TestQuery:
         spec = JuntaSpec(8, TruthTable.majority(3), (2, 4, 8))
         o = NoisyOracle(8, spec.bits_fn(), parse_corruption("none", 8))
         for bits in range(256):
-            assert o.query(Point(8, bits)) == spec.bits_fn()(bits)
+            assert o.query(bits) == spec.bits_fn()(bits)
 
 
 def batch_models(n, points):
@@ -162,7 +157,7 @@ class TestCorruptMany:
 
         monkeypatch.setattr(NoisyOracle, "query_many", counted)
         o = NoisyOracle(16, lambda bits: 0, IidFlips(Fraction(1, 4096), 3))
-        result = cube_sum_correct(o, Point(16, 5), 13, 7)
+        result = cube_sum_correct(o, 5, 13, 7)
         assert result.queries_used == sum(sizes) == (1 << 14) - 1
         assert max(sizes) == 1 << 12
         assert pair_rounds(MAX_TABLE_VARS) < 1 << 12
@@ -179,7 +174,7 @@ class TestCounter:
     def test_counts_every_query(self):
         o = and2_oracle()
         for q in range(1, 8):
-            o.query(Point(6, q))
+            o.query(q)
             assert o.query_count == q
 
 
@@ -237,7 +232,7 @@ class TestIidFlips:
         b = NoisyOracle(spec.n, spec.bits_fn(), corr)
         rng = random.Random(3)
         for _ in range(20000):
-            p = Point(64, rng.getrandbits(64))
+            p = rng.getrandbits(64)
             assert a.query(p) == b.query(p)
 
     def test_realized_fraction_concentrates(self):
@@ -325,15 +320,15 @@ class TestParseCorruption:
             parse_corruption("iid:%d^-1024:3" % (1 << 64), 16)
 
     def test_flips_file(self, tmp_path):
-        pts = [Point(12, b) for b in (0b1, 0b1010, 0b111111111111)]
+        pts = [0b1, 0b1010, 0b111111111111]
         path = tmp_path / "flips.txt"
-        path.write_text("".join(p.to_hex() + "\n" for p in pts))
+        path.write_text("".join(hex_point(p, 12) + "\n" for p in pts))
         c = parse_corruption("flips:%s" % path, 12)
         assert isinstance(c, ExplicitFlips)
-        assert c.flips == frozenset(p.bits for p in pts)
+        assert c.flips == frozenset(pts)
 
     def test_flips_file_spelling(self, tmp_path):
-        # Each line is stripped and read as Point.from_hex reads it; blank
+        # Each line is stripped and read as parse_hex_point reads it; blank
         # lines are skipped.  Other spellings, and points wider than n,
         # are rejected (more spellings are in test_cli's exit-2 rows).
         path = tmp_path / "flips.txt"

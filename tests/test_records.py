@@ -8,20 +8,19 @@ import pytest
 
 from localcorrect.acceptance import CriterionResult
 from localcorrect.analysis import InfluenceReport
-from localcorrect.boolfn import JuntaSpec, Point, TruthTable
+from localcorrect.boolfn import JuntaSpec, TruthTable
 from localcorrect.correctors import InfluenceCorrectorParams, PartitionState
 from localcorrect.harness import ExperimentConfig
 from localcorrect.lowerbound import HardInstance
 from localcorrect.oracle import ExplicitFlips, IidFlips
 
 RECORDS = [
-    Point(4, 5),
     TruthTable(2, 0b1000),
     JuntaSpec(4, TruthTable(2, 0b1000), (1, 3)),
     ExplicitFlips(4, frozenset([1, 5])),
     IidFlips(Fraction(1, 3), 5),
     InfluenceCorrectorParams(2),
-    PartitionState((0, 1, 0), frozenset([0]), (0, 1), frozenset([1, 3])),
+    PartitionState((0, 1, 0), frozenset([0]), (0, 1), 0b111),
     HardInstance(10, 96),
     InfluenceReport(Fraction(1, 2), True),
     ExperimentConfig(),
