@@ -23,7 +23,7 @@ from itertools import chain
 
 from . import cli
 from .analysis import fraction_low_influence, influence_exact
-from .boolfn import TruthTable, _mobius
+from .boolfn import _mobius, truth_table
 from .correctors import build_masked_input, pair_rounds, subcube_blocks
 from .harness import build_base, derive_seed, find_corrupted_point
 from .lowerbound import (
@@ -193,25 +193,26 @@ def criterion_4():
     return not bad, "all %d coordinates within tolerance" % n if not bad else "; ".join(bad[:4])
 
 
-def _influence_brute(tt: TruthTable, i: int) -> Fraction:
-    # Independent oracle: literal scan of all points, no bit tricks.
+def _influence_brute(table: int, k: int, i: int) -> Fraction:
+    # Independent oracle: literal scan of all points, no masks.
     e = 1 << (i - 1)
-    count = sum(tt.value(j) != tt.value(j ^ e) for j in range(tt.size))
-    return Fraction(count, tt.size)
+    count = sum((table >> j) & 1 != (table >> (j ^ e)) & 1 for j in range(1 << k))
+    return Fraction(count, 1 << k)
 
 
 @_criterion(5, "exact influences vs brute force")
 def criterion_5():
     """Exact influences agree with brute force and the closed forms."""
-    rows = [("AND_%d" % k, TruthTable.and_all(k), Fraction(1, 1 << (k - 1)))
-            for k in range(1, 11)]
+    rows = [("AND_%d" % k, k, truth_table(k, lambda j: j == (1 << k) - 1),
+             Fraction(1, 1 << (k - 1))) for k in range(1, 11)]
     for k in (3, 5, 8):
-        rows += [("parity_%d" % k, TruthTable.parity(k), 1),
-                 ("const_%d" % k, TruthTable.constant(k, 1), 0)]
-    rows.append(("Maj_3", TruthTable.majority(3), Fraction(1, 2)))
-    problems = ["%s var %d" % (label, i) for label, tt, want in rows
-                for i in range(1, tt.k + 1)
-                if influence_exact(tt, i) != want or _influence_brute(tt, i) != want]
+        rows += [("parity_%d" % k, k, truth_table(k, lambda j: j.bit_count() & 1), 1),
+                 ("const_%d" % k, k, truth_table(k, lambda j: 1), 0)]
+    rows.append(("Maj_3", 3, truth_table(3, lambda j: j.bit_count() > 1), Fraction(1, 2)))
+    problems = ["%s var %d" % (label, i) for label, k, table, want in rows
+                for i in range(1, k + 1)
+                if influence_exact(table, k, i) != want
+                or _influence_brute(table, k, i) != want]
     return not problems, "all closed forms match" if not problems else "; ".join(problems[:4])
 
 

@@ -1,7 +1,8 @@
 """Variable influence, exact and sampled, and random junta generation.
 
 Influence of variable i is the probability over uniform x that flipping
-coordinate i changes the function value.  All threshold comparisons
+coordinate i changes the function value.  A core function is its truth
+table, a 2^k-bit int, passed with its k.  All threshold comparisons
 (against 1/50) are exact rational; floating point never decides them.
 """
 
@@ -11,7 +12,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 
-from .boolfn import ConfigError, JuntaSpec, TruthTable, _low_mask, check_seed
+from .boolfn import ConfigError, JuntaSpec, _low_mask, check_seed
 
 INFLUENCE_THRESHOLD = Fraction(1, 50)
 
@@ -23,15 +24,15 @@ class InfluenceReport(namedtuple("InfluenceReport", "min_influence passes_thresh
     __slots__ = ()
 
 
-def influence_exact(tt: TruthTable, i: int) -> Fraction:
-    """|{x : f(x) != f(x + e_i)}| / 2^k, exact."""
-    if not 1 <= i <= tt.k:
-        raise IndexError("variable index %d out of [1, %d]" % (i, tt.k))
+def influence_exact(table: int, k: int, i: int) -> Fraction:
+    """|{x : f(x) != f(x + e_i)}| / 2^k for the k-variable table, exact."""
+    if not 1 <= i <= k:
+        raise IndexError("variable index %d out of [1, %d]" % (i, k))
     step = 1 << (i - 1)
     # Disagreeing inputs come in pairs {x, x+e_i}; count pairs on the
     # half of the indices where variable i is 0, then double.
-    diff = (tt.bits ^ (tt.bits >> step)) & _low_mask(tt.k, i - 1)
-    return Fraction(2 * diff.bit_count(), 1 << tt.k)
+    diff = (table ^ (table >> step)) & _low_mask(k, i - 1)
+    return Fraction(2 * diff.bit_count(), 1 << k)
 
 
 def sample_random_junta(k: int, n: int, seed: int) -> JuntaSpec:
@@ -39,13 +40,12 @@ def sample_random_junta(k: int, n: int, seed: int) -> JuntaSpec:
     if k > n:
         raise ValueError("k=%d exceeds n=%d" % (k, n))
     rng = random.Random(seed)
-    core = TruthTable(k, rng.getrandbits(1 << k))
-    embedding = tuple(rng.sample(range(1, n + 1), k))
-    return JuntaSpec(n, core, embedding)
+    core = rng.getrandbits(1 << k)
+    return JuntaSpec(n, core, rng.sample(range(1, n + 1), k))
 
 
-def min_influence_report(tt: TruthTable) -> InfluenceReport:
-    lo = min(influence_exact(tt, i) for i in range(1, tt.k + 1))
+def min_influence_report(table: int, k: int) -> InfluenceReport:
+    lo = min(influence_exact(table, k, i) for i in range(1, k + 1))
     return InfluenceReport(lo, lo >= INFLUENCE_THRESHOLD)
 
 
@@ -59,6 +59,5 @@ def fraction_low_influence(k: int, samples: int, seed: int) -> float:
     rng = random.Random(seed)
     low = 0
     for _ in range(samples):
-        tt = TruthTable(k, rng.getrandbits(1 << k))
-        low += not min_influence_report(tt).passes_threshold
+        low += not min_influence_report(rng.getrandbits(1 << k), k).passes_threshold
     return low / samples

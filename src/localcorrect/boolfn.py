@@ -5,9 +5,9 @@ Conventions fixed bit-exactly (reports and tests depend on them):
   - Coordinates are 1-based everywhere in the public API; a point or a set
     of coordinates is an n-bit int mask whose bit i-1 stands for
     coordinate i.
-  - A truth table on k variables is a 2^k-bit integer; the bit at index j
-    is the value at the assignment where variable i equals bit (i-1) of j
-    (variable 1 = least significant bit).
+  - A truth table on k variables is a plain 2^k-bit int, with k kept
+    beside it; the bit at index j is the value at the assignment where
+    variable i equals bit (i-1) of j (variable 1 = least significant bit).
 """
 
 from __future__ import annotations
@@ -71,71 +71,14 @@ def _mobius(bits: int, k: int) -> int:
     return bits
 
 
-class TruthTable(namedtuple("TruthTable", "k bits")):
-    """Dense truth table of a function on k <= 24 variables."""
-
-    __slots__ = ()
-
-    def __new__(cls, k: int, bits: int):
-        if not 1 <= k <= MAX_TABLE_VARS:
-            raise ValueError("k must be in [1, %d]" % MAX_TABLE_VARS)
-        if not 0 <= bits < 1 << (1 << k):
-            raise ValueError("table does not fit 2^k bits")
-        return tuple.__new__(cls, (k, bits))
-
-    @property
-    def size(self) -> int:
-        return 1 << self.k
-
-    def value(self, index: int) -> int:
-        """Value at assignment index (variable 1 = LSB of the index)."""
-        if not 0 <= index < self.size:
-            raise IndexError("assignment index out of range")
-        return (self.bits >> index) & 1
-
-    # ---- common families -------------------------------------------------
-
-    @classmethod
-    def constant(cls, k: int, value: int) -> "TruthTable":
-        return cls(k, ((1 << (1 << k)) - 1) if value else 0)
-
-    @classmethod
-    def and_all(cls, k: int) -> "TruthTable":
-        return cls(k, 1 << ((1 << k) - 1))
-
-    @classmethod
-    def parity(cls, k: int) -> "TruthTable":
-        bits = 0
-        for j in range(1 << k):
-            if j.bit_count() & 1:
-                bits |= 1 << j
-        return cls(k, bits)
-
-    @classmethod
-    def majority(cls, k: int) -> "TruthTable":
-        """Strict majority; k must be odd so there are no ties."""
-        if k % 2 == 0:
-            raise ValueError("majority needs odd arity")
-        bits = 0
-        for j in range(1 << k):
-            if j.bit_count() > k // 2:
-                bits |= 1 << j
-        return cls(k, bits)
-
-
-def _check_embedding(n: int, k: int, embedding) -> tuple:
-    emb = tuple(embedding)
-    if len(emb) != k:
-        raise ValueError("embedding length %d != k=%d" % (len(emb), k))
-    if any(not 1 <= c <= n for c in emb):
-        raise ValueError("embedding coordinate out of [1, n]")
-    if len(set(emb)) != k:
-        raise ValueError("embedding is not injective")
-    return emb
+def truth_table(k: int, rule) -> int:
+    """The 2^k-bit table whose bit j is rule(j), a 0 or 1 (or bool)."""
+    return sum(rule(j) << j for j in range(1 << k))
 
 
 class JuntaSpec(namedtuple("JuntaSpec", "n core embedding")):
-    """A core function on k variables embedded into n coordinates.
+    """A core table on k variables, a 2^k-bit int, embedded into n
+    coordinates; k is len(embedding).
 
     embedding[i-1] is the coordinate of [n] carrying core variable i.
     Two specs are equivalent iff they are pointwise equal as functions.
@@ -143,14 +86,22 @@ class JuntaSpec(namedtuple("JuntaSpec", "n core embedding")):
 
     __slots__ = ()
 
-    def __new__(cls, n: int, core: TruthTable, embedding):
-        if core.k > n:
-            raise ValueError("core arity exceeds n")
-        return tuple.__new__(cls, (n, core, _check_embedding(n, core.k, embedding)))
+    def __new__(cls, n: int, core: int, embedding):
+        emb = tuple(embedding)
+        k = len(emb)
+        if not 1 <= k <= MAX_TABLE_VARS:
+            raise ValueError("k must be in [1, %d]" % MAX_TABLE_VARS)
+        if not 0 <= core < 1 << (1 << k):
+            raise ValueError("table does not fit 2^k bits")
+        if any(not 1 <= c <= n for c in emb):
+            raise ValueError("embedding coordinate out of [1, n]")
+        if len(set(emb)) != k:
+            raise ValueError("embedding is not injective")
+        return tuple.__new__(cls, (n, core, emb))
 
     @property
     def k(self) -> int:
-        return self.core.k
+        return len(self.embedding)
 
     def bits_fn(self):
         """Evaluator on raw n-bit integers (the hot oracle path).
@@ -162,7 +113,7 @@ class JuntaSpec(namedtuple("JuntaSpec", "n core embedding")):
         single chunk (k <= 8) the dict holds the 0/1 value itself, and
         otherwise the index selects a bit of the table held as bytes.
         """
-        table = self.core.bits
+        table = self.core
         chunks = []
         for lo in range(0, self.k, 8):
             mask, shares = 0, {0: 0}

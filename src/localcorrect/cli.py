@@ -2,8 +2,8 @@
 
 Subcommands: correct, lowerbound, influence, ambiguity, bench.
 Exit codes: 0 success; 2 bad input (a ConfigError, which names the
-field); 1 an I/O failure, an internal fault, which propagates with its
-traceback, or a failed `bench` criterion.
+field, or argparse's usage error); 1 an I/O failure, an internal fault,
+which propagates with its traceback, or a failed `bench` criterion.
 """
 
 from __future__ import annotations

@@ -118,7 +118,7 @@ def sample_influential_junta(k: int, n: int, seed: int):
     redraws = 0
     while True:
         spec = sample_random_junta(k, n, rng.getrandbits(64))
-        if min_influence_report(spec.core).passes_threshold:
+        if min_influence_report(spec.core, k).passes_threshold:
             return spec, redraws
         redraws += 1
 

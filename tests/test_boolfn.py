@@ -3,28 +3,38 @@ import random
 import pytest
 
 from localcorrect.acceptance import _random_low_degree_table
-from localcorrect.boolfn import JuntaSpec, TruthTable, _low_mask, _mobius, hex_point, parse_hex_point
+from localcorrect.boolfn import (
+    MAX_TABLE_VARS,
+    JuntaSpec,
+    _low_mask,
+    _mobius,
+    hex_point,
+    parse_hex_point,
+    truth_table,
+)
+
+from families import and_all, majority, parity
 
 
-def brute_anf_coeffs(tt):
+def brute_anf_coeffs(table, k):
     """Independent oracle: coefficient of monomial t is the XOR of f over
     all assignments j with j a subset of t."""
     coeffs = set()
-    for t in range(tt.size):
+    for t in range(1 << k):
         acc = 0
-        for j in range(tt.size):
+        for j in range(1 << k):
             if j & ~t == 0:
-                acc ^= tt.value(j)
+                acc ^= (table >> j) & 1
         if acc:
             coeffs.add(t)
     return coeffs
 
 
-def anf_coeffs(tt):
-    """Monomials of tt's ANF as variable masks (bit i-1 = variable i),
-    read off the Moebius transform."""
-    coeffs = _mobius(tt.bits, tt.k)
-    return {t for t in range(tt.size) if (coeffs >> t) & 1}
+def anf_coeffs(table, k):
+    """Monomials of the table's ANF as variable masks (bit i-1 = variable
+    i), read off the Moebius transform."""
+    coeffs = _mobius(table, k)
+    return {t for t in range(1 << k) if (coeffs >> t) & 1}
 
 
 def with_coords(n, coords):
@@ -44,12 +54,12 @@ def reference_bits_fn(spec):
         for i, m in enumerate(masks):
             if bits & m:
                 idx |= 1 << i
-        return (spec.core.bits >> idx) & 1
+        return (spec.core >> idx) & 1
 
     return fn
 
 
-class TestPoint:
+class TestHexPoint:
     """A point is an n-bit int; hex_point and parse_hex_point are its one
     outside form."""
 
@@ -57,7 +67,7 @@ class TestPoint:
         # Coordinate i is bit i-1: a 1-junta on coordinate i reads it, and
         # the hex form's last digit holds coordinates 1 to 4.
         p = parse_hex_point("05", 5)
-        reads = [JuntaSpec(5, TruthTable.parity(1), (i,)).bits_fn()(p)
+        reads = [JuntaSpec(5, parity(1), (i,)).bits_fn()(p)
                  for i in range(1, 6)]
         assert reads == [1, 0, 1, 0, 0]
         assert hex_point(1 << 4, 5) == "10"
@@ -84,11 +94,11 @@ class TestPoint:
 
 class TestEvalJunta:
     def test_and3_all_relevant_ones(self):
-        spec = JuntaSpec(10, TruthTable.and_all(3), (2, 5, 7))
+        spec = JuntaSpec(10, and_all(3), (2, 5, 7))
         assert spec.bits_fn()(with_coords(10, (2, 5, 7))) == 1
 
     def test_and3_zero_relevant_coordinate(self):
-        g = JuntaSpec(10, TruthTable.and_all(3), (2, 5, 7)).bits_fn()
+        g = JuntaSpec(10, and_all(3), (2, 5, 7)).bits_fn()
         rng = random.Random(1)
         for _ in range(50):
             bits = rng.getrandbits(10) & ~(1 << 1)  # x_2 = 0
@@ -96,18 +106,18 @@ class TestEvalJunta:
 
     def test_random_core_is_table_lookup(self):
         rng = random.Random(42)
-        core = TruthTable(4, rng.getrandbits(16))
+        core = rng.getrandbits(16)
         spec = JuntaSpec(9, core, (3, 1, 8, 5))
         # Build x whose restriction to the embedding is assignment index 13.
         idx = 13
         bits = with_coords(9, [c for i, c in enumerate(spec.embedding)
                                if (idx >> i) & 1])
-        assert spec.bits_fn()(bits) == core.value(13)
+        assert spec.bits_fn()(bits) == (core >> 13) & 1
 
     def test_locality_exhaustive_small_n(self):
         rng = random.Random(7)
         for _ in range(5):
-            core = TruthTable(3, rng.getrandbits(8))
+            core = rng.getrandbits(8)
             emb = tuple(rng.sample(range(1, 11), 3))
             g = JuntaSpec(10, core, emb).bits_fn()
             outside = [c for c in range(1, 11) if c not in emb]
@@ -118,7 +128,7 @@ class TestEvalJunta:
 
     def test_locality_sampled_large_n(self):
         rng = random.Random(8)
-        core = TruthTable(5, rng.getrandbits(32))
+        core = rng.getrandbits(32)
         emb = tuple(rng.sample(range(1, 201), 5))
         g = JuntaSpec(200, core, emb).bits_fn()
         outside = [c for c in range(1, 201) if c not in emb]
@@ -135,7 +145,7 @@ class TestEvalJunta:
         rng = random.Random(1000 + k)
         for _ in range(3):
             n = rng.randint(max(k, 2), 200)
-            core = TruthTable(k, rng.getrandbits(1 << k))
+            core = rng.getrandbits(1 << k)
             ends = [1, n][:k]
             middle = rng.sample(range(2, n), k - len(ends))
             emb = ends + middle
@@ -156,22 +166,22 @@ class TestAnf:
 
     def test_and_k_single_monomial(self):
         for k in (2, 3, 6):
-            assert anf_coeffs(TruthTable.and_all(k)) == {(1 << k) - 1}
+            assert anf_coeffs(and_all(k), k) == {(1 << k) - 1}
 
     def test_parity_linear(self):
         for k in (2, 4, 7):
-            assert anf_coeffs(TruthTable.parity(k)) == {1 << i for i in range(k)}
+            assert anf_coeffs(parity(k), k) == {1 << i for i in range(k)}
 
     def test_maj3_against_brute_force(self):
-        tt = TruthTable.majority(3)
-        assert anf_coeffs(tt) == brute_anf_coeffs(tt) == {0b011, 0b110, 0b101}
+        table = majority(3)
+        assert anf_coeffs(table, 3) == brute_anf_coeffs(table, 3) == {0b011, 0b110, 0b101}
 
     def test_matches_brute_force_random(self):
         rng = random.Random(11)
         for _ in range(30):
             k = rng.randint(1, 5)
-            tt = TruthTable(k, rng.getrandbits(1 << k))
-            assert anf_coeffs(tt) == brute_anf_coeffs(tt)
+            table = rng.getrandbits(1 << k)
+            assert anf_coeffs(table, k) == brute_anf_coeffs(table, k)
 
     def test_roundtrip_random_tables(self):
         # The transform is an involution: coefficients map back to the table.
@@ -184,10 +194,10 @@ class TestAnf:
     def test_evaluate_matches_table(self):
         # f(j) is the XOR of the coefficients of the monomials inside j.
         rng = random.Random(17)
-        tt = TruthTable(5, rng.getrandbits(32))
-        coeffs = anf_coeffs(tt)
+        table = rng.getrandbits(32)
+        coeffs = anf_coeffs(table, 5)
         for j in range(32):
-            assert sum(t & ~j == 0 for t in coeffs) % 2 == tt.value(j)
+            assert sum(t & ~j == 0 for t in coeffs) % 2 == (table >> j) & 1
 
 
 class TestLowMask:
@@ -219,8 +229,8 @@ class TestDegree:
         for max_deg in range(1, 6):
             degrees = set()
             for _ in range(20):
-                tt = TruthTable(6, _random_low_degree_table(rng, 6, max_deg))
-                degrees.add(max((t.bit_count() for t in anf_coeffs(tt)), default=0))
+                table = _random_low_degree_table(rng, 6, max_deg)
+                degrees.add(max((t.bit_count() for t in anf_coeffs(table, 6)), default=0))
             assert max(degrees) == max_deg
 
 
@@ -229,7 +239,7 @@ class TestRelabel:
     permuted embedding."""
 
     def test_symmetric_core_unchanged(self):
-        xor = TruthTable.parity(2)
+        xor = parity(2)
         a = JuntaSpec(4, xor, (1, 2)).bits_fn()
         b = JuntaSpec(4, xor, (2, 1)).bits_fn()
         for bits in range(16):
@@ -237,7 +247,7 @@ class TestRelabel:
 
     def test_asymmetric_core_differs_where_inputs_differ(self):
         # f(a, b) = a AND (NOT b): table bit j=1 only (var1=1, var2=0)
-        core = TruthTable(2, 0b0010)
+        core = 0b0010
         a = JuntaSpec(4, core, (1, 2)).bits_fn()
         b = JuntaSpec(4, core, (2, 1)).bits_fn()
         for bits in range(16):
@@ -245,17 +255,40 @@ class TestRelabel:
             assert differs == ((bits & 1) != ((bits >> 1) & 1))
 
     def test_identity_relabel(self):
-        spec = JuntaSpec(6, TruthTable.majority(3), (2, 4, 6))
+        spec = JuntaSpec(6, majority(3), (2, 4, 6))
         same = JuntaSpec(6, spec.core, spec.embedding)
         assert same == spec
         for bits in range(64):
             assert spec.bits_fn()(bits) == same.bits_fn()(bits)
 
     def test_rejects_bad_embeddings(self):
-        core = TruthTable.majority(3)
+        core = majority(3)
         with pytest.raises(ValueError):
             JuntaSpec(6, core, (2, 2, 6))
         with pytest.raises(ValueError):
             JuntaSpec(6, core, (2, 4, 7))
-        with pytest.raises(ValueError):
+        # k is the embedding's length: Maj_3's 8-bit table does not fit the
+        # 2^2 bits of a 2-variable core.
+        with pytest.raises(ValueError, match="does not fit"):
             JuntaSpec(6, core, (2, 4))
+        for emb in ((), range(1, MAX_TABLE_VARS + 2)):
+            with pytest.raises(ValueError, match="k must be in"):
+                JuntaSpec(30, 0, emb)
+        assert JuntaSpec(30, 0, range(1, MAX_TABLE_VARS + 1)).k == MAX_TABLE_VARS
+
+
+class TestTableInt:
+    """A truth table is a 2^k-bit int, built by truth_table from a rule."""
+
+    def test_families_at_k3(self):
+        # Criterion 5's four families, bit j = value at assignment j.
+        assert and_all(3) == 0x80
+        assert parity(3) == 0x96
+        assert majority(3) == 0xE8
+        assert truth_table(3, lambda j: 1) == 0xFF
+
+    def test_junta_rejects_table_of_2_to_the_2_to_the_k_or_more(self):
+        for core in (1 << 8, (1 << 9) - 1, -1):
+            with pytest.raises(ValueError, match="does not fit"):
+                JuntaSpec(6, core, (1, 2, 3))
+        assert JuntaSpec(6, (1 << 8) - 1, (1, 2, 3)).core == 0xFF

@@ -8,7 +8,7 @@ import pytest
 from localcorrect import correctors
 from localcorrect.acceptance import _random_low_degree_table
 from localcorrect.analysis import sample_random_junta
-from localcorrect.boolfn import JuntaSpec, TruthTable
+from localcorrect.boolfn import JuntaSpec
 from localcorrect.correctors import (
     InfluenceCorrectorParams,
     build_masked_input,
@@ -26,6 +26,8 @@ from localcorrect.oracle import (
     parse_corruption,
     random_flip_set,
 )
+
+from families import and_all, parity
 
 
 def old_subcube_points(offset, dirs):
@@ -73,7 +75,7 @@ class TestParams:
 
 class TestCubeSum:
     def test_clean_oracle_is_exact(self):
-        spec = JuntaSpec(10, TruthTable.and_all(3), (2, 5, 7))
+        spec = JuntaSpec(10, and_all(3), (2, 5, 7))
         rng = random.Random(0)
         for _ in range(30):
             x = rng.getrandbits(10)
@@ -238,7 +240,7 @@ class TestIdentifyParts:
     def test_parity_marks_every_relevant_part(self):
         # every influence is 1, so a relevant part escapes only with
         # probability 2^-r per part
-        spec = JuntaSpec(48, TruthTable.parity(8), tuple(range(3, 48, 6)))
+        spec = JuntaSpec(48, parity(8), tuple(range(3, 48, 6)))
         params = InfluenceCorrectorParams(8)
         for seed in range(100):
             o = NoisyOracle(spec.n, spec.bits_fn(), parse_corruption("none", spec.n))
@@ -249,7 +251,7 @@ class TestIdentifyParts:
     def test_and2_marks_both_parts(self):
         # per-pair disagreement probability is 1/4 for a part holding one
         # AND variable; missing it across r pairs is vanishingly rare
-        spec = JuntaSpec(12, TruthTable.and_all(2), (1, 12))
+        spec = JuntaSpec(12, and_all(2), (1, 12))
         params = InfluenceCorrectorParams(2)
         hits = 0
         trials = 300
@@ -281,7 +283,7 @@ class TestBuildMaskedInput:
 
 class TestInfluenceCorrect:
     def test_clean_parity_junta(self):
-        spec = JuntaSpec(24, TruthTable.parity(4), (3, 9, 15, 21))
+        spec = JuntaSpec(24, parity(4), (3, 9, 15, 21))
         params = InfluenceCorrectorParams(4)
         rng = random.Random(13)
         trials = 300

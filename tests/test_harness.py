@@ -98,7 +98,7 @@ class TestRunExperiment:
         rng = random.Random(4)
         drawn = [sample_random_junta(2, 10, rng.getrandbits(64)) for _ in range(redraws + 1)]
         assert drawn[-1] == spec
-        assert [min_influence_report(s.core).passes_threshold for s in drawn] == (
+        assert [min_influence_report(s.core, 2).passes_threshold for s in drawn] == (
             [False] * redraws + [True])
 
     def test_fixed_x_mode(self):

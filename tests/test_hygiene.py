@@ -1,16 +1,18 @@
 """Static checks on the package source: no unused imports, stdlib only,
 imports at module level, no broad exception handler that swallows what it
-catches, no public name or method that only the tests read; and what the
-command line's start-up imports."""
+catches, no public name or method that only the tests read; what the
+command line's start-up imports; and that README's module map is whole."""
 
 import ast
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "localcorrect"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "localcorrect"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -148,3 +150,12 @@ def test_cli_import_skips_dataclasses():
     run = subprocess.run([sys.executable, "-I", "-B", "-c", code],
                          capture_output=True, text=True, check=True)
     assert run.stdout.split() == []
+
+
+def test_readme_layout_names_each_module_once():
+    """README's Layout table has one row per module of the package, and
+    no row for a module that is gone."""
+    text = (ROOT / "README.md").read_text()
+    layout = text.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `localcorrect\.(\w+)` \|", layout, re.MULTILINE)
+    assert sorted(rows) == [p.stem for p in MODULES if p.stem != "__init__"]

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from localcorrect import oracle
-from localcorrect.boolfn import MAX_TABLE_VARS, JuntaSpec, TruthTable, hex_point
+from localcorrect.boolfn import MAX_TABLE_VARS, JuntaSpec, hex_point
 from localcorrect.correctors import cube_sum_correct, pair_rounds
 from localcorrect.oracle import (
     ExplicitFlips,
@@ -19,9 +19,11 @@ from localcorrect.oracle import (
     random_flip_set,
 )
 
+from families import and_all, majority
+
 
 def and2_oracle(n=6):
-    spec = JuntaSpec(n, TruthTable.and_all(2), (1, 2))
+    spec = JuntaSpec(n, and_all(2), (1, 2))
     return NoisyOracle(n, spec.bits_fn(), parse_corruption("none", n))
 
 
@@ -80,8 +82,7 @@ class TestQuery:
 
     @pytest.mark.parametrize("model", sorted(CORRUPTIONS))
     def test_query_many_matches_query(self, model):
-        spec = JuntaSpec(12, TruthTable(4, random.Random(8).getrandbits(16)),
-                         (2, 3, 7, 11))
+        spec = JuntaSpec(12, random.Random(8).getrandbits(16), (2, 3, 7, 11))
         o = NoisyOracle(12, spec.bits_fn(), CORRUPTIONS[model])
         rng = random.Random(9)
         pts = [rng.getrandbits(12) for _ in range(500)]
@@ -94,8 +95,7 @@ class TestQuery:
 
     @pytest.mark.parametrize("model", sorted(CORRUPTIONS))
     def test_query_many_matches_per_point_rule(self, model):
-        spec = JuntaSpec(12, TruthTable(4, random.Random(6).getrandbits(16)),
-                         (1, 5, 6, 12))
+        spec = JuntaSpec(12, random.Random(6).getrandbits(16), (1, 5, 6, 12))
         o = NoisyOracle(12, spec.bits_fn(), CORRUPTIONS[model])
         rng = random.Random(7)
         pts = [rng.getrandbits(12) for _ in range(LONG_BATCH)]
@@ -112,7 +112,7 @@ class TestQuery:
             assert o.query_count - before == len(batch)
 
     def test_no_corruption_matches_base_everywhere(self):
-        spec = JuntaSpec(8, TruthTable.majority(3), (2, 4, 8))
+        spec = JuntaSpec(8, majority(3), (2, 4, 8))
         o = NoisyOracle(8, spec.bits_fn(), parse_corruption("none", 8))
         for bits in range(256):
             assert o.query(bits) == spec.bits_fn()(bits)
@@ -209,7 +209,7 @@ class TestDisagreementFraction:
     @pytest.mark.parametrize("n", [6, 12, 16])
     def test_exact_kinds_match_exhaustive_comparison(self, n):
         # Flip models disagree with the base exactly on their flip set.
-        spec = JuntaSpec(n, TruthTable.majority(3), (1, 2, n))
+        spec = JuntaSpec(n, majority(3), (1, 2, n))
         flips = random_flip_set(n, 40, n)
         o = NoisyOracle(spec.n, spec.bits_fn(), flips)
         assert exhaustive_disagreement(o) == Fraction(40, 1 << n)
@@ -226,7 +226,7 @@ class TestIidFlips:
             assert corr.corrupt(12, bits, 0) == corr.corrupt(12, bits, 0)
 
     def test_two_oracles_agree_everywhere(self):
-        spec = JuntaSpec(64, TruthTable.majority(5), (1, 10, 20, 40, 60))
+        spec = JuntaSpec(64, majority(5), (1, 10, 20, 40, 60))
         corr = IidFlips(Fraction(1, 16), 9)
         a = NoisyOracle(spec.n, spec.bits_fn(), corr)
         b = NoisyOracle(spec.n, spec.bits_fn(), corr)

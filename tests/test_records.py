@@ -8,15 +8,14 @@ import pytest
 
 from localcorrect.acceptance import CriterionResult
 from localcorrect.analysis import InfluenceReport
-from localcorrect.boolfn import JuntaSpec, TruthTable
+from localcorrect.boolfn import JuntaSpec
 from localcorrect.correctors import InfluenceCorrectorParams, PartitionState
 from localcorrect.harness import ExperimentConfig
 from localcorrect.lowerbound import HardInstance
 from localcorrect.oracle import ExplicitFlips, IidFlips
 
 RECORDS = [
-    TruthTable(2, 0b1000),
-    JuntaSpec(4, TruthTable(2, 0b1000), (1, 3)),
+    JuntaSpec(4, 0b1000, (1, 3)),
     ExplicitFlips(4, frozenset([1, 5])),
     IidFlips(Fraction(1, 3), 5),
     InfluenceCorrectorParams(2),
