@@ -15,6 +15,7 @@ import math
 import random
 from collections import namedtuple
 from itertools import repeat
+from operator import ne
 
 from .oracle import NoisyOracle
 
@@ -145,7 +146,7 @@ def identify_influencing_parts(
             xs.append(xb)
             ys.append((xb & keep) | (rand(n) & pm))
         gx, gy = o.query_many(xs), o.query_many(ys)
-        hits[p] = sum(a != b for a, b in zip(gx, gy))
+        hits[p] = sum(map(ne, gx, gy))
     marked = [p for p in range(s) if hits[p]]
 
     if len(marked) <= k:

@@ -9,7 +9,10 @@ Each corruption model has two forms of one rule: `corrupt(n, bits, value)`
 for one point, the plain reference, and `corrupt_many(n, points, values)`
 for a whole batch, which query_many calls.  The batch form makes no Python
 call per point, so a query costs the base lookup plus, under iid, one
-keyed-hash copy, update and digest run from C.  Explicit flips screen each
+keyed-hash copy, update and digest run from C.  The iid batch joins its
+digests into one string and screens it on each digest's top byte: only
+points whose byte could fall below the threshold (1 in 256 for eps <=
+2^-8) are decoded and compared exactly.  Explicit flips screen each
 batch with one set intersection, and a batch that meets no flipped point
 keeps its base values untouched; "none" is the empty flip set, which
 every batch misses.
@@ -97,18 +100,35 @@ class IidFlips(namedtuple("IidFlips", "eps seed")):
         return value ^ (int.from_bytes(h.digest(), "little") < self._threshold)
 
     def corrupt_many(self, n: int, points, values) -> list:
-        """corrupt's rule over a batch, chained through C-level maps.  One
-        hasher copy is alive per point, so the caller bounds the batch:
-        the correctors send at most 2^12 points at a time."""
+        """corrupt's rule over a batch, hashed through C-level maps and
+        decided from one joined digest string.
+
+        A digest's top byte (index 7, little-endian) screens the batch:
+        h < T implies h >> 56 <= (T - 1) >> 56, so every flipped point is
+        a candidate, and only candidates are decoded and compared exactly.
+        For eps <= 2^-8 a point is a candidate with probability 1/256.  A
+        batch with no flip keeps its values list.  One hasher copy is alive
+        per point, so the caller bounds the batch: the correctors send at
+        most 2^12 points at a time."""
         size, blake2b = (n + 7) // 8, hashlib.blake2b
         hs = list(starmap(self._hasher.copy, repeat((), len(points))))
         # Both to_bytes arguments are given: Python 3.10 has no default
         # length or byte order.
         deque(map(blake2b.update, hs,
                   map(int.to_bytes, points, repeat(size), repeat("little"))), 0)
-        flips = map(self._threshold.__gt__,
-                    map(int.from_bytes, map(blake2b.digest, hs), repeat("little")))
-        return list(map(xor, values, flips))
+        digests = b"".join(map(blake2b.digest, hs))
+        threshold = self._threshold
+        top = (threshold - 1) >> 56
+        marks = digests[7::8].translate(b"\1" * (top + 1) + bytes(255 - top))
+        out = values
+        i = marks.find(1)
+        while i >= 0:
+            if int.from_bytes(digests[8 * i:8 * i + 8], "little") < threshold:
+                if out is values:
+                    out = list(values)
+                out[i] ^= 1
+            i = marks.find(1, i + 1)
+        return out
 
 
 class NoisyOracle:

@@ -119,11 +119,17 @@ class TestQuery:
 
 
 def batch_models(n, points):
-    """One instance of each model at n, with both outcomes reachable."""
+    """One instance of each model at n, with both outcomes reachable.
+
+    The iid eps values include the edges of the top-byte screen: at 2^-8
+    the threshold is 2^56, so every candidate flips; just above it the
+    candidate bytes are 0 and 1; at 1/2 and 255/256 most points are
+    candidates."""
     yield ExplicitFlips(n, frozenset(points[::3]))
     yield ExplicitFlips(n, frozenset())
-    for eps in (Fraction(0), Fraction(1, 1 << 12), Fraction(1, 3),
-                1 - Fraction(1, 1 << 64)):
+    for eps in (Fraction(0), Fraction(1, 1 << 12), Fraction(1, 1 << 8),
+                Fraction(1, 1 << 8) + Fraction(1, 1 << 64), Fraction(1, 3),
+                Fraction(1, 2), Fraction(255, 256), 1 - Fraction(1, 1 << 64)):
         yield IidFlips(eps, 0xBA7C + n)
 
 
@@ -137,12 +143,33 @@ class TestCorruptMany:
         vals = [rng.getrandbits(1) for _ in pts]
         for m in (0, 1, 800, len(pts)):
             batch = pts[:m]
-            for values in (vals[:m], [0] * m, [1] * m):
-                for corr in batch_models(n, batch):
+            for corr in batch_models(n, batch):
+                if isinstance(corr, IidFlips):
+                    flips = [reference_flips_point(corr, n, b) for b in batch]
+                else:
+                    flips = [b in corr.flips for b in batch]
+                for values in (vals[:m], [0] * m, [1] * m):
+                    before = list(values)
                     got = corr.corrupt_many(n, batch, values)
+                    assert values == before, (corr, m)
                     assert got == [corr.corrupt(n, b, v)
                                    for b, v in zip(batch, values)], (corr, m)
+                    assert got == [v ^ f for v, f in zip(values, flips)], (corr, m)
                     assert all(type(v) is int for v in got)
+
+    def test_boundary_byte_decides_both_ways(self):
+        # At eps = 1/3 the threshold is ceil(2^64 / 3) = 0x5555...56, so a
+        # digest whose top byte is 0x55 is a candidate, and the exact
+        # compare flips some such points and keeps others.
+        assert (-(-(1 << 64) // 3) - 1) >> 56 == 0x55
+        corr = IidFlips(Fraction(1, 3), 0xB0B)
+        rng = random.Random(33)
+        batch = [rng.getrandbits(64) for _ in range(LONG_BATCH)]
+        boundary = [b for b in batch if reference_hash(64, b, corr.seed) >> 56 == 0x55]
+        flipped = [b for b in boundary if reference_flips_point(corr, 64, b)]
+        assert 0 < len(flipped) < len(boundary)
+        got = corr.corrupt_many(64, batch, [0] * len(batch))
+        assert got == [int(reference_flips_point(corr, 64, b)) for b in batch]
 
     def test_callers_bound_the_batch(self, monkeypatch):
         # IidFlips.corrupt_many holds one hasher copy per point, so the
