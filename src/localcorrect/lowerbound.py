@@ -2,12 +2,12 @@
 
 The hard instance is an AND junta whose relevant variables all sit in one
 half of the coordinates, with the function forced to 0 outside the box of
-per-half Hamming weight <= floor(0.3n).  An instance is n and its
-relevant set, an n-bit coordinate mask (bit i-1 for coordinate i): the
-half holding the set is its label, and n fixes the threshold.  The
-target input is the balanced point (first half zeros, second half ones):
-D0 instances answer 0 there, D1 instances answer 1, yet queries almost
-never reveal which.
+per-half Hamming weight <= floor(0.3n).  An instance is its relevance
+mask, a plain int over n coordinates (bit i-1 for coordinate i), and the
+caller holds n: the half holding the mask is its label, and n fixes the
+threshold.  The target input is the balanced point x_star (first half
+zeros, second half ones): D0 instances answer 0 there, D1 instances
+answer 1, yet queries almost never reveal which.
 
 Both distinguishers run one trial loop; a strategy only supplies its
 points: uniform draws mapped from `getrandbits`, or the correctors'
@@ -22,12 +22,11 @@ with the threshold.  So no trial makes a Python function call per point.
 from __future__ import annotations
 
 import random
-from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, repeat
 from math import comb
 
-from .boolfn import MAX_N, MAX_TABLE_VARS, ConfigError, _low_mask, check_seed
+from .boolfn import MAX_N, MAX_TABLE_VARS, ConfigError, _low_mask, check_seed, truth_table
 from .correctors import subcube_blocks
 
 STRATEGIES = ("uniform-random-queries", "cube-sum-at-x_star")
@@ -37,36 +36,18 @@ def default_threshold(n: int) -> int:
     return (3 * n) // 10
 
 
-class HardInstance(namedtuple("HardInstance", "n relevant")):
-    """AND of the relevant coordinates, truncated to 0 above the derived
-    threshold default_threshold(n).  relevant is a nonzero coordinate mask
-    inside one half, and that half is the label: the first for D0, the
-    second for D1."""
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, relevant: int):
-        if n % 2:
-            raise ValueError("n must be even")
-        half = n // 2
-        if not 0 < relevant < 1 << n or relevant >> half and relevant & ((1 << half) - 1):
-            raise ValueError("relevant must be a nonzero mask inside one half")
-        return tuple.__new__(cls, (n, relevant))
-
-    @property
-    def x_star(self) -> int:
-        """First half zeros, second half ones."""
-        half = self.n // 2
-        return ((1 << half) - 1) << half
-
-
-def sample_hard_instance(n: int, k: int, label: int, seed: int) -> HardInstance:
-    """relevant is a uniform k-subset of the half designated by the label."""
+def sample_hard_instance(n: int, k: int, label: int, seed: int) -> int:
+    """The relevance mask of an instance: a uniform k-subset of the half
+    designated by the label (0: the first, 1: the second)."""
+    if n % 2:
+        raise ValueError("n must be even")
+    if not 1 <= k <= n // 2:
+        raise ValueError("k must lie in [1, n/2]")
     if label not in (0, 1):
         raise ValueError("label must be 0 or 1")
     half = n // 2
     picks = random.Random(seed).sample(range(label * half, (label + 1) * half), k)
-    return HardInstance(n, sum(1 << i for i in picks))
+    return sum(1 << i for i in picks)
 
 
 def single_query_one_prob(n: int, k: int, m: int) -> Fraction:
@@ -101,11 +82,12 @@ def uniform_one_hit_prob(n: int, k: int, q: int) -> Fraction:
     return 1 - (1 - p) ** q
 
 
-def _hard_hits(inst: HardInstance, points) -> list:
-    # The points where g is 1.  The relevance mask is tested first: a
-    # uniform point almost always misses it, so the box test rarely runs.
-    # Read as a module global, once per trial, so tracers can time it.
-    rel, half, t = inst.relevant, inst.n >> 1, default_threshold(inst.n)
+def _hard_hits(n: int, rel: int, points) -> list:
+    # The points where the instance with relevance mask rel is 1.  The
+    # mask is tested first: a uniform point almost always misses it, so
+    # the box test rarely runs.  Read as a module global, once per trial,
+    # so tracers can time it.
+    half, t = n >> 1, default_threshold(n)
     low = (1 << half) - 1
     return [b for b in points if b & rel == rel
             and (b & low).bit_count() <= t and (b >> half).bit_count() <= t]
@@ -143,21 +125,22 @@ def run_distinguisher(
         raise ConfigError("queries", "must be >= 0")
     check_seed(seed)
     rng = random.Random(seed)
+    x_star = ((1 << n // 2) - 1) << n // 2  # first half zeros, second half ones
     correct = hit_trials = 0
     for _ in range(trials):
         label = rng.getrandbits(1)
-        inst = sample_hard_instance(n, k, label, rng.getrandbits(64))
+        rel = sample_hard_instance(n, k, label, rng.getrandbits(64))
         if cube:
             # The subcube corrector at x_star, run against g directly:
             # the hit parity is the recovered bit (D1 answers 1 at x_star).
             walk = random.Random(rng.getrandbits(64))
             dirs = list(map(walk.getrandbits, repeat(n, k + 1)))
-            pts = chain.from_iterable(subcube_blocks(inst.x_star, dirs))
+            pts = chain.from_iterable(subcube_blocks(x_star, dirs))
         else:
             # The same q calls in the same order as a loop, made from C
             # and streamed, so no list of q points is held.
             pts = map(rng.getrandbits, repeat(n, q))
-        hits = _hard_hits(inst, pts)
+        hits = _hard_hits(n, rel, pts)
         # Uniform guesses D1 iff some 1 has a relevant-half pattern
         # consistent with D1: at least k ones in the second half.
         guess = len(hits) & 1 if cube else any((b >> n // 2).bit_count() >= k for b in hits)
@@ -188,19 +171,9 @@ def maj_ambiguity_check(n: int) -> dict:
     half = n // 2
     maj_cut = (n - 1) // 2  # strict majority of n-1 (odd) variables
 
-    tables = []
-    for j in range(1, n + 1):
-        drop = 1 << (j - 1)
-        tbl = 0
-        for bits in range(1 << n):
-            if (bits & ~drop).bit_count() > maj_cut:
-                tbl |= 1 << bits
-        tables.append(tbl)
-
-    layer_mask = 0
-    for bits in range(1 << n):
-        if bits.bit_count() == half:
-            layer_mask |= 1 << bits
+    tables = [truth_table(n, lambda bits, keep=~(1 << j): (bits & keep).bit_count() > maj_cut)
+              for j in range(n)]
+    layer_mask = truth_table(n, lambda bits: bits.bit_count() == half)
 
     # Each disagreement set must be the balanced-layer points where the two
     # dropped coordinates differ, i.e. where exactly one has bit 0.

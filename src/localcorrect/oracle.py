@@ -152,7 +152,7 @@ class NoisyOracle:
         return self.query_many((x,))[0]
 
     def query_many(self, points) -> list:
-        """g at each raw n-bit int of the sized, sliceable points, in order;
+        """g at each raw n-bit int of the sized points, in order;
         counts len(points).
 
         The one place g is evaluated and queries are counted.  The base is

@@ -287,6 +287,30 @@ class TestTableInt:
         assert majority(3) == 0xE8
         assert truth_table(3, lambda j: 1) == 0xFF
 
+    def test_matches_shifted_sum(self):
+        # The plain definition: bit j of the table is rule(j).
+        rules = (lambda j: 0, lambda j: 1, lambda j: j.bit_count() & 1,
+                 lambda j: j % 3 == 1, lambda j: j.bit_count() > 2)
+        for k in range(11):
+            for rule in rules:
+                assert truth_table(k, rule) == sum(rule(j) << j for j in range(1 << k))
+
+    def test_stateful_rule_called_once_per_j_in_order(self):
+        # A rule that draws from a seeded generator only at some j, as
+        # criterion 1's random low-degree coefficients do.
+        def drawing(rng, calls):
+            def rule(j):
+                calls.append(j)
+                return j.bit_count() <= 3 and rng.getrandbits(1)
+            return rule
+
+        for k in (0, 1, 5, 10):
+            calls, want_calls = [], []
+            got = truth_table(k, drawing(random.Random(k), calls))
+            rule = drawing(random.Random(k), want_calls)
+            assert got == sum(rule(j) << j for j in range(1 << k))
+            assert calls == want_calls == list(range(1 << k))
+
     def test_junta_rejects_table_of_2_to_the_2_to_the_k_or_more(self):
         for core in (1 << 8, (1 << 9) - 1, -1):
             with pytest.raises(ValueError, match="does not fit"):

@@ -11,7 +11,6 @@ import pytest
 from localcorrect import lowerbound
 from localcorrect.boolfn import ConfigError
 from localcorrect.lowerbound import (
-    HardInstance,
     default_threshold,
     maj_ambiguity_check,
     run_distinguisher,
@@ -21,27 +20,32 @@ from localcorrect.lowerbound import (
 )
 
 
-def and_before_truncation(inst, bits):
-    """The instance's AND junta at bits, ignoring the weight box."""
-    return int(bits & inst.relevant == inst.relevant)
+def and_before_truncation(rel, bits):
+    """The AND junta over the relevance mask at bits, ignoring the weight box."""
+    return int(bits & rel == rel)
 
 
-def reference_eval_hard_bits(inst, bits):
+def reference_eval_hard_bits(n, rel, bits):
     """The hard instance's value by its definition: both half-weights
     within the threshold, then the AND over the relevant coordinates."""
-    half, t = inst.n // 2, default_threshold(inst.n)
+    half, t = n // 2, default_threshold(n)
     if (bits & ((1 << half) - 1)).bit_count() > t:
         return 0
     if (bits >> half).bit_count() > t:
         return 0
-    return and_before_truncation(inst, bits)
+    return and_before_truncation(rel, bits)
 
 
-def hard_g(inst, bits):
+def hard_g(n, rel, bits):
     """g at one point, through the screen the distinguishers use."""
-    hits = lowerbound._hard_hits(inst, (bits,))
+    hits = lowerbound._hard_hits(n, rel, (bits,))
     assert hits in ([], [bits])
     return len(hits)
+
+
+def balanced_point(n):
+    """x_star: coordinates n/2+1 to n set, the first half clear."""
+    return sum(1 << i for i in range(n // 2, n))
 
 
 def weight_w_half(rng, half, w, forced=0):
@@ -76,9 +80,9 @@ def loop_distinguisher(q, n, k, trials, seed):
     correct = hit_trials = 0
     for _ in range(trials):
         label = rng.getrandbits(1)
-        inst = sample_hard_instance(n, k, label, rng.getrandbits(64))
+        rel = sample_hard_instance(n, k, label, rng.getrandbits(64))
         pts = [rng.getrandbits(n) for _ in range(q)]
-        hits = [b for b in pts if reference_eval_hard_bits(inst, b)]
+        hits = [b for b in pts if reference_eval_hard_bits(n, rel, b)]
         second_half = range(n // 2, n)
         guess = int(any(sum((b >> i) & 1 for i in second_half) >= k for b in hits))
         correct += guess == label
@@ -89,78 +93,74 @@ def loop_distinguisher(q, n, k, trials, seed):
 class TestSampleHardInstance:
     def test_d0_relevant_in_first_half(self):
         for seed in range(50):
-            inst = sample_hard_instance(10, 2, 0, seed)
-            assert 0 < inst.relevant < 1 << 5
+            rel = sample_hard_instance(10, 2, 0, seed)
+            assert 0 < rel < 1 << 5
 
     def test_d1_relevant_in_second_half(self):
         for seed in range(50):
-            inst = sample_hard_instance(10, 2, 1, seed)
-            assert inst.relevant & 0b11111 == 0 and inst.relevant < 1 << 10
+            rel = sample_hard_instance(10, 2, 1, seed)
+            assert rel & 0b11111 == 0 and rel < 1 << 10
 
     def test_derived_state(self):
-        # The label picks the half that holds relevant.
+        # The label picks the half that holds the mask.
         rng = random.Random(12)
         for n in (2, 10, 40, 400):
             half = n // 2
             for label, k in itertools.product((0, 1), sorted({1, half})):
-                inst = sample_hard_instance(n, k, label, rng.getrandbits(64))
+                rel = sample_hard_instance(n, k, label, rng.getrandbits(64))
                 lo = label * half
-                assert inst.relevant.bit_count() == k
-                assert inst.relevant & ((1 << lo) - 1) == 0
-                assert inst.relevant >> (lo + half) == 0
+                assert type(rel) is int and rel.bit_count() == k
+                assert rel & ((1 << lo) - 1) == 0
+                assert rel >> (lo + half) == 0
 
     def test_marginal_coordinate_frequency(self):
         used = sum(
-            sample_hard_instance(10, 2, 0, s).relevant & 1 for s in range(10000)
+            sample_hard_instance(10, 2, 0, s) & 1 for s in range(10000)
         )
         assert abs(used / 10000 - 0.4) < 0.02
 
     def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="even"):
             sample_hard_instance(9, 2, 0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k must"):
             sample_hard_instance(10, 6, 0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k must"):
             sample_hard_instance(10, 0, 0, 0)
         with pytest.raises(ValueError, match="label"):
             sample_hard_instance(10, 2, 5, 0)
-        # Masks of coordinates: none, 5 and 6 (both halves), 1 and 10
-        # (both halves), 11 (beyond n) and a negative one.
-        for relevant in (0, 0b110000, 1 | 1 << 9, 1 << 10, -1):
-            with pytest.raises(ValueError):
-                HardInstance(10, relevant)
 
     def test_label_consistency_at_x_star(self):
         # the uncorrupted AND junta answers the label at the balanced input
         for seed in range(1000):
             label = seed % 2
-            inst = sample_hard_instance(12, 3, label, seed)
-            assert and_before_truncation(inst, inst.x_star) == label
+            rel = sample_hard_instance(12, 3, label, seed)
+            assert and_before_truncation(rel, balanced_point(12)) == label
 
-    def test_x_star_is_balanced(self):
-        inst = sample_hard_instance(8, 2, 0, 1)
-        assert inst.x_star == 0b11110000
-        assert inst.x_star.bit_count() == 4
+    def test_x_star_is_balanced(self, monkeypatch):
+        # Every cube-sum trial walks from first half zeros, second half ones.
+        offsets = []
+        monkeypatch.setattr(lowerbound, "subcube_blocks",
+                            lambda offset, dirs: offsets.append(offset) or [])
+        run_distinguisher("cube-sum-at-x_star", 7, 8, 2, 5, 1)
+        assert offsets == [0b11110000] * 5
 
 
 class TestEvalHardG:
     def test_inside_box_and_satisfied(self):
-        inst = HardInstance(10, 1 << 5 | 1 << 6)
         y = (1 << 5) | (1 << 6)
-        assert hard_g(inst, y) == 1
+        assert hard_g(10, 1 << 5 | 1 << 6, y) == 1
 
     def test_first_half_over_threshold_forces_zero(self):
-        inst = HardInstance(10, 1 << 5 | 1 << 6)
         y = 0b1111 | (1 << 5) | (1 << 6)  # first-half weight 4
-        assert hard_g(inst, y) == 0
+        assert hard_g(10, 1 << 5 | 1 << 6, y) == 0
 
     def test_x_star_is_truncated(self):
-        inst = HardInstance(10, 1 << 5 | 1 << 6)
-        assert and_before_truncation(inst, inst.x_star) == 1
-        assert hard_g(inst, inst.x_star) == 0
+        rel = 1 << 5 | 1 << 6
+        assert and_before_truncation(rel, balanced_point(10)) == 1
+        assert hard_g(10, rel, balanced_point(10)) == 0
 
     def test_never_one_outside_box(self):
-        inst = sample_hard_instance(400, 10, 1, 3)
+        rel = sample_hard_instance(400, 10, 1, 3)
         rng = random.Random(4)
         half, t = 200, default_threshold(400)
         outside = []
@@ -174,7 +174,7 @@ class TestEvalHardG:
             if lo > t or hi > t:
                 outside.append(bits)
         assert len(outside) > 1000
-        assert lowerbound._hard_hits(inst, outside) == []
+        assert lowerbound._hard_hits(400, rel, outside) == []
 
     def test_matches_generator_reference(self):
         # Uniform points, points covering the relevance mask (so the box
@@ -185,8 +185,7 @@ class TestEvalHardG:
         for n in (2, 10, 40, 400, 1000):
             half, t = n // 2, default_threshold(n)
             for label, k in itertools.product((0, 1), sorted({1, half})):
-                inst = sample_hard_instance(n, k, label, rng.getrandbits(64))
-                rel = inst.relevant
+                rel = sample_hard_instance(n, k, label, rng.getrandbits(64))
                 shift = 0 if label == 0 else half
                 pts = [rng.getrandbits(n) for _ in range(200)]
                 pts += [rng.getrandbits(n) | rel for _ in range(200)]
@@ -197,21 +196,11 @@ class TestEvalHardG:
                         inside = weight_w_half(rng, half, w_rel, rel >> shift)
                         other = weight_w_half(rng, half, w_free)
                         pts.append((inside << shift) | (other << (half - shift)))
-                want = [b for b in pts if reference_eval_hard_bits(inst, b)]
-                assert lowerbound._hard_hits(inst, pts) == want
+                want = [b for b in pts if reference_eval_hard_bits(n, rel, b)]
+                assert lowerbound._hard_hits(n, rel, pts) == want
                 checked += len(pts)
                 ones += len(want)
         assert checked > 4000 and ones > 200
-
-    def test_cached_state_is_not_a_field(self):
-        # An instance is its two fields: the masks and the threshold are
-        # derived where they are used (test_records checks it has no dict).
-        a = HardInstance(10, 1 << 5 | 1 << 6)
-        b = HardInstance(10, 96)
-        assert a._fields == ("n", "relevant")
-        assert repr(a) == "HardInstance(n=10, relevant=96)"
-        assert a == b and hash(a) == hash(b)
-        assert a != HardInstance(10, 1 << 5 | 1 << 7)
 
     def test_default_threshold(self):
         assert default_threshold(10) == 3
@@ -253,9 +242,9 @@ class TestUniformOneHitProb:
                 counts = set()
                 for label in (0, 1):
                     lo = label * half
-                    for rel in itertools.combinations(range(lo, lo + half), k):
-                        inst = HardInstance(n, sum(1 << i for i in rel))
-                        counts.add(sum(reference_eval_hard_bits(inst, b)
+                    for picks in itertools.combinations(range(lo, lo + half), k):
+                        rel = sum(1 << i for i in picks)
+                        counts.add(sum(reference_eval_hard_bits(n, rel, b)
                                        for b in range(1 << n)))
                 assert len(counts) == 1
                 p = Fraction(counts.pop(), 1 << n)
@@ -279,13 +268,13 @@ def loop_cube_sum(n, k, trials, seed):
     correct = hit_trials = 0
     for _ in range(trials):
         label = rng.getrandbits(1)
-        inst = sample_hard_instance(n, k, label, rng.getrandbits(64))
+        rel = sample_hard_instance(n, k, label, rng.getrandbits(64))
         walk = random.Random(rng.getrandbits(64))
         dirs = [walk.getrandbits(n) for _ in range(k + 1)]
-        cur, vals = inst.x_star, []
+        cur, vals = balanced_point(n), []
         for t in range(1, 1 << (k + 1)):
             cur ^= dirs[(t & -t).bit_length() - 1]
-            vals.append(reference_eval_hard_bits(inst, cur))
+            vals.append(reference_eval_hard_bits(n, rel, cur))
         correct += (sum(vals) & 1) == label
         hit_trials += any(vals)
     q = (1 << (k + 1)) - 1
@@ -441,6 +430,13 @@ class TestMajAmbiguity:
         assert rep["disagreements_on_balanced_layer_only"]
         assert rep["truncated_all_identical"]
         assert rep["layer_fraction"] == "5/16"
+
+    def test_n16_report(self):
+        # The largest n that `ambiguity` accepts.
+        rep = maj_ambiguity_check(16)
+        assert rep["disagreements_on_balanced_layer_only"] is True
+        assert rep["truncated_all_identical"] is True
+        assert rep["layer_fraction"] == "6435/32768"
 
     def test_rejects_odd_n(self):
         with pytest.raises(ValueError):

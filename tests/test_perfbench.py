@@ -21,6 +21,8 @@ change to perfbench/ may move:
     emit_report and run_distinguisher; lowerbound.sample_hard_instance,
     correctors.build_masked_input, correctors.pair_rounds,
     oracle.random_flip_set(n, count, seed).flips and cli.main(argv).
+    sample_hard_instance is read by name only: the benchmark timestamps
+    each call and passes its result, the relevance mask, through unread.
 """
 
 import os

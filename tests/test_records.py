@@ -11,7 +11,6 @@ from localcorrect.analysis import InfluenceReport
 from localcorrect.boolfn import JuntaSpec
 from localcorrect.correctors import InfluenceCorrectorParams, PartitionState
 from localcorrect.harness import ExperimentConfig
-from localcorrect.lowerbound import HardInstance
 from localcorrect.oracle import ExplicitFlips, IidFlips
 
 RECORDS = [
@@ -20,7 +19,6 @@ RECORDS = [
     IidFlips(Fraction(1, 3), 5),
     InfluenceCorrectorParams(2),
     PartitionState((0, 1, 0), frozenset([0]), (0, 1), 0b111),
-    HardInstance(10, 96),
     InfluenceReport(Fraction(1, 2), True),
     ExperimentConfig(),
     CriterionResult(1, "name", True, "detail", 0.5),
