@@ -45,18 +45,6 @@ def pair_rounds(k: int) -> int:
     return math.ceil(100 * math.log2(k)) + 500
 
 
-class PartitionState(namedtuple("PartitionState", "assignment marked chosen S")):
-    """Outcome of the part-marking phase.
-
-    assignment (a tuple) maps each coordinate (1-based) to a part id in
-    [0, s); marked is the frozenset of marked parts; chosen is the ordered
-    tuple of exactly k part ids; S is their union as a coordinate mask,
-    with bit c-1 set iff coordinate c is frozen.
-    """
-
-    __slots__ = ()
-
-
 class CorrectionResult:
     """One corrector run; a plain slotted class, since one is built per
     correction."""
@@ -120,8 +108,10 @@ def cube_sum_correct(o: NoisyOracle, x: int, k: int, seed: int) -> CorrectionRes
 
 def identify_influencing_parts(
     o: NoisyOracle, n: int, params: InfluenceCorrectorParams, seed: int
-) -> PartitionState:
-    """Randomly partition [n] into s parts and mark the influencing ones.
+) -> int:
+    """Randomly partition [n] into s parts, mark the influencing ones, and
+    return S, the coordinate mask of the k chosen parts (bit c-1 set iff
+    coordinate c is frozen).
 
     For each part, r query pairs (x, x') with x uniform and x' equal to x
     except the part's coordinates re-randomized; a part is marked iff any
@@ -129,10 +119,9 @@ def identify_influencing_parts(
     """
     rng = random.Random(seed)
     s, r, k = params.s, params.r, params.k
-    assignment = tuple(rng.randrange(s) for _ in range(n))
     part_masks = [0] * s
-    for c, p in enumerate(assignment):
-        part_masks[p] |= 1 << c
+    for c in range(n):
+        part_masks[rng.randrange(s)] |= 1 << c
     full = (1 << n) - 1
 
     rand = rng.getrandbits
@@ -162,8 +151,7 @@ def identify_influencing_parts(
         order.sort(key=lambda p: -hits[p])
         chosen = order[:k]
 
-    S = sum(part_masks[p] for p in chosen)  # disjoint parts, so sum is OR
-    return PartitionState(assignment, frozenset(marked), tuple(chosen), S)
+    return sum(part_masks[p] for p in chosen)  # disjoint parts, so sum is OR
 
 
 def build_masked_input(x: int, n: int, S: int, seed: int) -> int:
@@ -188,8 +176,8 @@ def influence_correct(o: NoisyOracle, x: int, k: int, seed: int) -> CorrectionRe
     parts_seed = rng.getrandbits(64)
     mask_seed = rng.getrandbits(64)
     before = o.query_count
-    state = identify_influencing_parts(o, o.n, params, parts_seed)
-    y = build_masked_input(x, o.n, state.S, mask_seed)
+    S = identify_influencing_parts(o, o.n, params, parts_seed)
+    y = build_masked_input(x, o.n, S, mask_seed)
     value = o.query(y)
     return CorrectionResult(value, o.query_count - before)
 

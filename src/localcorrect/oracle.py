@@ -6,7 +6,7 @@ each point's flip with a keyed hash, so two oracles built from the same
 through NoisyOracle.query and NoisyOracle.query_many, which count.
 
 Each corruption model has two forms of one rule: `corrupt(n, bits, value)`
-for one point, the plain reference, and `corrupt_many(n, points, values)`
+for one point, read by the x search, and `corrupt_many(n, points, values)`
 for a whole batch, which query_many calls.  The batch form makes no Python
 call per point, so a query costs the base lookup plus, under iid, one
 keyed-hash copy, update and digest run from C.  The iid batch joins its

@@ -1,0 +1,181 @@
+"""Plain reference rules, each written once, that the tests hold the
+package's fast paths to.
+
+Every rule here takes one point at a time and imports no fast path of the
+package (no `bits_fn`, `corrupt_many`, `query_many`, `subcube_blocks`,
+`identify_influencing_parts`, `build_masked_input`, `find_corrupted_point`
+or report template).  `reference_correct_report(cfg)` rebuilds the whole
+`correct` report from the documented seed streams, so a test compares
+outputs, not internals.
+"""
+
+import hashlib
+import json
+import math
+import random
+
+from localcorrect.analysis import sample_random_junta
+from localcorrect.boolfn import hex_point
+from localcorrect.correctors import pair_rounds
+from localcorrect.harness import MAX_SCAN, derive_seed, sample_influential_junta
+from localcorrect.oracle import IidFlips
+
+# derive_seed indices of the base function and of the x search; trial t
+# uses index t.  Written out, not imported, so that a moved stream fails.
+BASE_STREAM = 1 << 48
+X_STREAM = (1 << 48) + 1
+
+
+def reference_bits_fn(spec):
+    """The plain evaluator: one test per relevant coordinate."""
+    masks = [1 << (c - 1) for c in spec.embedding]
+
+    def fn(bits):
+        idx = 0
+        for i, m in enumerate(masks):
+            if bits & m:
+                idx |= 1 << i
+        return (spec.core >> idx) & 1
+
+    return fn
+
+
+def reference_hash(n, bits, seed):
+    digest = hashlib.blake2b(bits.to_bytes((n + 7) // 8, "little"), digest_size=8,
+                             key=seed.to_bytes(8, "little")).digest()
+    return int.from_bytes(digest, "little")
+
+
+def reference_flips_point(corr, n, bits):
+    """The plain iid flip rule: a freshly keyed hash, h / 2^64 < eps
+    compared as h * den < num * 2^64."""
+    h = reference_hash(n, bits, corr.seed)
+    return h * corr.eps.denominator < corr.eps.numerator << 64
+
+
+def reference_flipped(corruption, n):
+    """Whether a point is flipped: the iid rule, or membership of the
+    explicit flip set."""
+    if isinstance(corruption, IidFlips):
+        return lambda bits: reference_flips_point(corruption, n, bits)
+    return corruption.flips.__contains__
+
+
+def reference_x_search(n, corruption, seed):
+    """The adversarial x: a seeded pick from the sorted flip set, or the
+    first flipped one of up to MAX_SCAN uniform draws (None after them)."""
+    rng = random.Random(seed)
+    if not isinstance(corruption, IidFlips):
+        return rng.choice(sorted(corruption.flips))
+    flipped = reference_flipped(corruption, n)
+    for _ in range(MAX_SCAN):
+        bits = rng.getrandbits(n)
+        if flipped(bits):
+            return bits
+    return None
+
+
+def reference_cube_sum(g, n, x, k, seed):
+    """XOR of g over every nonempty subset sum of k+1 seeded directions,
+    offset by x."""
+    rng = random.Random(seed)
+    dirs = [rng.getrandbits(n) for _ in range(k + 1)]
+    acc = 0
+    for t in range(1, 1 << (k + 1)):
+        y = x
+        for i, d in enumerate(dirs):
+            if t >> i & 1:
+                y ^= d
+        acc ^= g(y)
+    return acc
+
+
+def reference_influence(g, n, x, k, seed):
+    """Mark the parts holding influencing variables with one query per
+    point, freeze x on the k chosen parts and ask g once elsewhere."""
+    rng = random.Random(seed)
+    parts_rng = random.Random(rng.getrandbits(64))
+    mask_rng = random.Random(rng.getrandbits(64))
+    s, r = 3 * k, pair_rounds(k)
+    part = [parts_rng.randrange(s) for _ in range(n)]
+    hits = []
+    for p in range(s):
+        members = sum(1 << c for c in range(n) if part[c] == p)
+        count = 0
+        for _ in range(r):
+            a, b = parts_rng.getrandbits(n), parts_rng.getrandbits(n)
+            count += g(a) != g(a ^ ((a ^ b) & members))
+        hits.append(count)
+    marked = [p for p in range(s) if hits[p]]
+    if len(marked) <= k:
+        unmarked = [p for p in range(s) if not hits[p]]
+        chosen = marked + parts_rng.sample(unmarked, k - len(marked))
+    else:
+        parts_rng.shuffle(marked)
+        chosen = sorted(marked, key=lambda p: hits[p], reverse=True)[:k]
+    y = x
+    for c in range(n):
+        if part[c] not in chosen and mask_rng.randrange(4) < 3:
+            y ^= 1 << c
+    return g(y)
+
+
+def reference_correct_report(cfg):
+    """The text of the `correct` report for cfg, from the seed streams:
+    one sorted-key JSON line per trial, then the summary line."""
+    corruption, x = cfg.validate()
+    n, k = cfg.n, cfg.k
+    base_seed = derive_seed(cfg.master_seed, BASE_STREAM)
+    redraws = None
+    if cfg.algo == "symmetric":
+        def base(bits):
+            return int(2 * bits.bit_count() > n)
+    else:
+        if cfg.algo == "influence":
+            spec, redraws = sample_influential_junta(k, n, base_seed)
+        else:
+            spec = sample_random_junta(k, n, base_seed)
+        base = reference_bits_fn(spec)
+    flipped = reference_flipped(corruption, n)
+    queries = [0]
+
+    def g(bits):
+        queries[0] += 1
+        return base(bits) ^ flipped(bits)
+
+    def correct(x, seed):
+        if cfg.algo == "cube":
+            return reference_cube_sum(g, n, x, k, seed)
+        if cfg.algo == "influence":
+            return reference_influence(g, n, x, k, seed)
+        return base(x)
+
+    if cfg.x_mode == "adversarial-flipped":
+        x = reference_x_search(n, corruption, derive_seed(cfg.master_seed, X_STREAM))
+    runs = cfg.repeat_t or 1
+    lines, successes = [], 0
+    for t in range(cfg.trials):
+        seed = derive_seed(cfg.master_seed, t)
+        rng = random.Random(seed)
+        xt = rng.getrandbits(n) if x is None else x
+        before = queries[0]
+        votes = sum(correct(xt, rng.getrandbits(64)) for _ in range(runs))
+        value, truth = int(2 * votes > runs), base(xt)
+        successes += value == truth
+        lines.append(json.dumps({
+            "trial": t, "x": hex_point(xt, n), "returned": value,
+            "truth": truth, "success": value == truth,
+            "queries": queries[0] - before, "seed": seed,
+        }, sort_keys=True))
+    rate = successes / cfg.trials
+    summary = {
+        "trials": cfg.trials, "success_rate": rate,
+        "mean_queries": queries[0] / cfg.trials,
+        "ci_halfwidth": 1.96 * math.sqrt(rate * (1 - rate) / cfg.trials),
+        "algo": cfg.algo, "k": k, "n": n, "corruption": cfg.corruption,
+        "x_mode": cfg.x_mode, "seed": cfg.master_seed, "repeat_t": cfg.repeat_t,
+    }
+    if redraws is not None:
+        summary["junta_redraws"] = redraws
+    lines.append(json.dumps({"summary": summary}, sort_keys=True))
+    return "\n".join(lines) + "\n"

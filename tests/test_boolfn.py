@@ -14,6 +14,7 @@ from localcorrect.boolfn import (
 )
 
 from families import and_all, majority, parity
+from reference import reference_bits_fn
 
 
 def brute_anf_coeffs(table, k):
@@ -43,20 +44,6 @@ def with_coords(n, coords):
     for c in coords:
         bits |= 1 << (c - 1)
     return bits
-
-
-def reference_bits_fn(spec):
-    """The plain evaluator: one test per relevant coordinate."""
-    masks = [1 << (c - 1) for c in spec.embedding]
-
-    def fn(bits):
-        idx = 0
-        for i, m in enumerate(masks):
-            if bits & m:
-                idx |= 1 << i
-        return (spec.core >> idx) & 1
-
-    return fn
 
 
 class TestHexPoint:

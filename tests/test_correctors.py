@@ -5,7 +5,6 @@ from itertools import chain
 
 import pytest
 
-from localcorrect import correctors
 from localcorrect.acceptance import _random_low_degree_table
 from localcorrect.analysis import sample_random_junta
 from localcorrect.boolfn import JuntaSpec
@@ -206,36 +205,21 @@ class TestCubeSum:
         assert res.queries_used == 31 == o.query_count
 
 
-def assert_partition_state(state, n, k):
-    # S is the union of the k distinct chosen parts of an n-coordinate
-    # assignment; over-marked, the chosen parts are marked ones.
-    assert len(state.assignment) == n
-    assert len(state.chosen) == len(set(state.chosen)) == k
-    chosen = set(state.chosen)
-    assert state.S == sum(1 << c for c, p in enumerate(state.assignment) if p in chosen)
-    if len(state.marked) > k:
-        assert chosen <= state.marked
+def relevance_mask(spec):
+    return sum(1 << (c - 1) for c in spec.embedding)
 
 
 class TestIdentifyParts:
     def test_constant_base_marks_nothing(self):
+        # Neither constant marks a part, so S is the seed's draw alone.
         params = InfluenceCorrectorParams(3)
         for seed in range(10):
-            o = NoisyOracle(12, lambda bits: 0, parse_corruption("none", 12))
-            state = identify_influencing_parts(o, 12, params, seed)
-            assert state.marked == frozenset()
-            assert_partition_state(state, 12, 3)
-            assert o.query_count == 2 * params.s * params.r
-
-    def test_heavy_corruption_over_marks(self):
-        # Under iid eps = 1/4 nearly every part marks, so the k parts come
-        # from the over-marked branch.
-        params = InfluenceCorrectorParams(3)
-        for seed in range(5):
-            o = NoisyOracle(20, lambda bits: 0, IidFlips(Fraction(1, 4), seed))
-            state = identify_influencing_parts(o, 20, params, seed)
-            assert len(state.marked) > 3
-            assert_partition_state(state, 20, 3)
+            masks = []
+            for value in (0, 1):
+                o = NoisyOracle(12, lambda bits, v=value: v, parse_corruption("none", 12))
+                masks.append(identify_influencing_parts(o, 12, params, seed))
+                assert o.query_count == 2 * params.s * params.r
+            assert masks[0] == masks[1]
 
     def test_parity_marks_every_relevant_part(self):
         # every influence is 1, so a relevant part escapes only with
@@ -244,35 +228,18 @@ class TestIdentifyParts:
         params = InfluenceCorrectorParams(8)
         for seed in range(100):
             o = NoisyOracle(spec.n, spec.bits_fn(), parse_corruption("none", spec.n))
-            state = identify_influencing_parts(o, 48, params, seed)
-            relevant_parts = {state.assignment[c - 1] for c in spec.embedding}
-            assert relevant_parts <= set(state.marked)
+            S = identify_influencing_parts(o, 48, params, seed)
+            assert relevance_mask(spec) & ~S == 0
 
     def test_and2_marks_both_parts(self):
         # per-pair disagreement probability is 1/4 for a part holding one
         # AND variable; missing it across r pairs is vanishingly rare
         spec = JuntaSpec(12, and_all(2), (1, 12))
         params = InfluenceCorrectorParams(2)
-        hits = 0
-        trials = 300
-        for seed in range(trials):
+        for seed in range(300):
             o = NoisyOracle(spec.n, spec.bits_fn(), parse_corruption("none", spec.n))
-            state = identify_influencing_parts(o, 12, params, seed)
-            p1 = state.assignment[0]
-            p2 = state.assignment[11]
-            if p1 != p2 and p1 in state.marked and p2 in state.marked:
-                hits += 1
-            elif p1 == p2 and p1 in state.marked:
-                hits += 1
-        assert hits == trials
-
-    def test_partition_state_consistency(self):
-        spec = sample_random_junta(3, 20, 11)
-        params = InfluenceCorrectorParams(3)
-        o = NoisyOracle(spec.n, spec.bits_fn(), parse_corruption("none", spec.n))
-        state = identify_influencing_parts(o, 20, params, 5)
-        assert all(0 <= p < params.s for p in state.assignment)
-        assert_partition_state(state, 20, 3)
+            S = identify_influencing_parts(o, 12, params, seed)
+            assert relevance_mask(spec) & ~S == 0
 
 
 class TestBuildMaskedInput:
@@ -302,33 +269,6 @@ class TestInfluenceCorrect:
             res = influence_correct(o, seed * 37 % 65536, 1, seed=seed)
             assert res.value == 0
             assert res.queries_used == 6 * 1 * 500 + 1
-
-    def test_y_marginal_uniform_on_constant_base(self, monkeypatch):
-        # On a constant base nothing marks, so the chosen parts are random
-        # and each coordinate of y should be a fair coin relative to x.
-        # r is shrunk to 1 purely to keep the runtime sane; marking cannot
-        # fire either way.
-        monkeypatch.setattr(correctors, "pair_rounds", lambda k: 1)
-        n, k = 60, 5
-        runs = 50000
-        x = 0
-        counts = [0] * n
-        for seed in range(runs):
-            o = NoisyOracle(n, lambda bits: 0, parse_corruption("none", n))
-            captured = {}
-            orig_query = o.query
-
-            def spy(p, _captured=captured, _orig=orig_query):
-                _captured["y"] = p
-                return _orig(p)
-
-            o.query = spy
-            influence_correct(o, x, k, seed)
-            yb = captured["y"]
-            for c in range(n):
-                counts[c] += (yb >> c) & 1
-        for c in range(n):
-            assert abs(counts[c] / runs - 0.5) <= 0.01
 
 
 class TestSymmetric:

@@ -6,8 +6,9 @@ import pytest
 from localcorrect import harness
 from localcorrect.analysis import min_influence_report, sample_random_junta
 from localcorrect.harness import (
-    MAX_SCAN,
+    ALGOS,
     REPORT_ENCODER,
+    X_MODES,
     ConfigError,
     ExperimentConfig,
     derive_seed,
@@ -17,6 +18,8 @@ from localcorrect.harness import (
     sample_influential_junta,
 )
 from localcorrect.oracle import ExplicitFlips, IidFlips, parse_corruption, random_flip_set
+
+from reference import reference_correct_report, reference_x_search
 
 
 class TestDeriveSeed:
@@ -149,29 +152,15 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("model", ["iid", "flips"])
     def test_x_search_matches_value_based_loop(self, model):
-        # A flip does not depend on the value, so testing each draw at
-        # value 0 finds the point a search that evaluates the base finds.
+        # g differs from the base exactly at a flipped draw, so the plain
+        # per-draw search over flips is the value-based search; this runs
+        # more seeds, at a wider n, than the reference grid.
         n = 32
-        base = sample_random_junta(4, n, 11).bits_fn()
         corruption = (random_flip_set(n, 64, 12) if model == "flips"
                       else parse_corruption("iid:1/64:5", n))
-
-        def value_based(seed):
-            rng = random.Random(seed)
-            if isinstance(corruption, ExplicitFlips):
-                return rng.choice(sorted(corruption.flips))
-            for _ in range(MAX_SCAN):
-                b = rng.getrandbits(n)
-                if corruption.corrupt(n, b, base(b)) != base(b):
-                    return b
-
         for seed in range(50):
-            assert find_corrupted_point(n, corruption, seed) == value_based(seed)
-        # The per-draw rule itself, on uniform draws and on flipped points.
-        draws = [random.Random(seed).getrandbits(n) for seed in range(50)]
-        for b in draws + sorted(getattr(corruption, "flips", ())):
-            value = base(b)
-            assert bool(corruption.corrupt(n, b, 0)) == (corruption.corrupt(n, b, value) != value)
+            assert find_corrupted_point(n, corruption, seed) == (
+                reference_x_search(n, corruption, seed))
 
     def test_amplification_monotone(self):
         # single-run success ~0.89 under 7*eps union bound; majority of 5
@@ -241,3 +230,44 @@ class TestEmitReport:
             summary_keys.update(summary)
         assert successes == {True, False}
         assert "junta_redraws" in summary_keys
+
+
+# (k, n, trials) of each algo's grid row, small enough that the plain
+# reference, one Python call per query, stays fast.
+GRID_SHAPES = {"cube": (3, 12, 12), "influence": (2, 12, 2), "symmetric": (12, 12, 12)}
+
+
+def grid_configs(algo, flip_path):
+    """algo under no corruption, a flip file and iid, in every x mode that
+    the corruption allows, with repeat_t unset and 3."""
+    k, n, trials = GRID_SHAPES[algo]
+    seed = 0
+    for corruption in ("none", "flips:%s" % flip_path, "iid:1/16:3"):
+        for x_mode in X_MODES:
+            if x_mode == "adversarial-flipped" and corruption == "none":
+                continue
+            for repeat_t in (None, 3):
+                seed += 1
+                yield ExperimentConfig(
+                    algo=algo, k=k, n=n, corruption=corruption, trials=trials,
+                    master_seed=seed, x_mode=x_mode, repeat_t=repeat_t,
+                    x_hex="a5c" if x_mode == "fixed-hex" else None)
+
+
+class TestReferenceGrid:
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_report_matches_reference(self, algo, tmp_path):
+        # The report's bytes against the plain reference's, config by
+        # config: every value, query count, record and summary line.
+        flip_path = tmp_path / "flips.txt"
+        flips = random_flip_set(12, 256, 21)
+        flip_path.write_text("".join("%03x\n" % b for b in sorted(flips.flips)))
+        out = tmp_path / "r.jsonl"
+        successes = set()
+        for cfg in grid_configs(algo, flip_path):
+            records, summary = run_correction_experiment(cfg)
+            emit_report(records, summary, str(out))
+            assert out.read_text() == reference_correct_report(cfg), cfg
+            successes.update(r["success"] for r in records)
+        # Both outcomes are written, so both spellings of a record are checked.
+        assert successes == ({True} if algo == "symmetric" else {True, False})

@@ -20,6 +20,7 @@ from localcorrect.oracle import (
 )
 
 from families import and_all, majority
+from reference import reference_flips_point, reference_hash
 
 
 def and2_oracle(n=6):
@@ -33,19 +34,6 @@ def exhaustive_disagreement(o):
     g = o.query_many(everywhere)
     count = sum(v != o.base_bits(bits) for bits, v in zip(everywhere, g))
     return Fraction(count, 1 << o.n)
-
-
-def reference_hash(n, bits, seed):
-    digest = hashlib.blake2b(bits.to_bytes((n + 7) // 8, "little"), digest_size=8,
-                             key=seed.to_bytes(8, "little")).digest()
-    return int.from_bytes(digest, "little")
-
-
-def reference_flips_point(corr, n, bits):
-    """The plain flip rule: a freshly keyed hash, h / 2^64 < eps compared
-    as h * den < num * 2^64."""
-    h = reference_hash(n, bits, corr.seed)
-    return h * corr.eps.denominator < corr.eps.numerator << 64
 
 
 def per_point_query_many(o, points):
