@@ -1,22 +1,20 @@
 """The acceptance suite: every claim the artifact stands behind, runnable
 as one batch (CLI `bench`) or per criterion from the test suite.
 
-Each criterion pins its scale and tolerance here; nothing is deferred to
-later calibration.
+Each criterion returns its (passed, detail) pair and pins its scale and
+tolerance here; nothing is deferred to later calibration.
 """
 
 from __future__ import annotations
 
 import contextlib
 import filecmp
-import functools
 import io
 import multiprocessing
 import os
 import random
 import tempfile
 import time
-from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import chain
@@ -33,28 +31,6 @@ from .lowerbound import (
     uniform_one_hit_prob,
 )
 from .oracle import IidFlips, NoisyOracle, random_flip_set
-
-
-class CriterionResult(namedtuple("CriterionResult", "number name passed detail elapsed")):
-    __slots__ = ()
-
-    def line(self) -> str:
-        return "%s criterion %d: %s (%.1fs) %s" % (
-            "PASS" if self.passed else "FAIL", self.number, self.name,
-            self.elapsed, self.detail,
-        )
-
-
-def _criterion(number: int, name: str):
-    """Turn a body returning (passed, detail) into a timed criterion."""
-    def wrap(body):
-        @functools.wraps(body)
-        def run() -> CriterionResult:
-            t0 = time.perf_counter()
-            passed, detail = body()
-            return CriterionResult(number, name, passed, detail, time.perf_counter() - t0)
-        return run
-    return wrap
 
 
 def _random_low_degree_table(rng: random.Random, m: int, max_deg: int) -> int:
@@ -74,7 +50,6 @@ def subcube_parity(table: int, offset: int, dirs) -> int:
     return acc
 
 
-@_criterion(1, "subcube identity")
 def criterion_1():
     """Subcube identity: degree-<=k polynomials XOR to 0 over any
     (k+1)-direction affine subcube, dependent direction sets included."""
@@ -110,7 +85,6 @@ def _successes(algo: str, k: int, n: int, base_seed: int, corruption,
     return ok, None
 
 
-@_criterion(2, "cube-sum corrector under corruption")
 def criterion_2():
     """Cube-sum corrector at k=4, n=16 with exactly 256 explicit flips
     (eps = 2^-8), x itself a flipped point: success >= 0.85 over 10^4 trials."""
@@ -127,7 +101,6 @@ def criterion_2():
 _CRITERION_3_MODES = (("all-zeros", None, 0xC3), ("corrupted", 0xC3A, 0xC4))
 
 
-@_criterion(3, "influence corrector")
 def criterion_3():
     """Influence corrector at k=8, n=128 under iid eps=2^-12: success
     >= 0.70 at x=0 and at a corrupted x; exactly 6*8*800+1 queries/trial.
@@ -156,7 +129,6 @@ def criterion_3():
     return passed, "success rates (floor 0.70): " + ", ".join(details)
 
 
-@_criterion(4, "masked-input marginals")
 def criterion_4():
     """Masked-input marginals with k parts fixed by index: Pr[i in S] ~ 1/3,
     flip | i not in S ~ 3/4, unconditional flip ~ 1/2, each +-0.01."""
@@ -200,7 +172,6 @@ def _influence_brute(table: int, k: int, i: int) -> Fraction:
     return Fraction(count, 1 << k)
 
 
-@_criterion(5, "exact influences vs brute force")
 def criterion_5():
     """Exact influences agree with brute force and the closed forms."""
     rows = [("AND_%d" % k, k, truth_table(k, lambda j: j == (1 << k) - 1),
@@ -216,7 +187,6 @@ def criterion_5():
     return not problems, "all closed forms match" if not problems else "; ".join(problems[:4])
 
 
-@_criterion(6, "random-junta concentration")
 def criterion_6():
     """Random-core concentration: none of 200 sampled k=10 cores has
     minimum influence below 1/50."""
@@ -224,7 +194,6 @@ def criterion_6():
     return frac == 0.0, "low-influence fraction %.4f (must be exactly 0)" % frac
 
 
-@_criterion(7, "single-query probability bound")
 def criterion_7():
     """Single-query success bound: C(m,k)/C(n/2,k) <= (3/5)^k exactly for
     n=1000, k in 5..20, m <= 300; spot value 1/6 at n=20, k=3, m=6."""
@@ -240,7 +209,6 @@ def criterion_7():
     return not problems, "all exact comparisons hold" if not problems else "; ".join(problems[:4])
 
 
-@_criterion(8, "distinguisher blindness")
 def criterion_8():
     """Distinguisher blindness at lower-bound scale; the exponential-query
     cube-sum corrector still distinguishes in the same regime."""
@@ -260,7 +228,6 @@ def criterion_8():
     )
 
 
-@_criterion(9, "majority ambiguity")
 def criterion_9():
     """Majority-minus-one ambiguity at n=8, exhaustively."""
     rep = maj_ambiguity_check(8)
@@ -271,7 +238,6 @@ def criterion_9():
     return passed, "layer-only=%s identical=%s fraction=%s" % (layer_only, identical, fraction)
 
 
-@_criterion(10, "reproducibility")
 def criterion_10():
     """Reproducibility: identical CLI invocations yield byte-identical files."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -301,16 +267,28 @@ def criterion_10():
 
 
 ALL_CRITERIA = [
-    criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
-    criterion_6, criterion_7, criterion_8, criterion_9, criterion_10,
+    ("subcube identity", criterion_1),
+    ("cube-sum corrector under corruption", criterion_2),
+    ("influence corrector", criterion_3),
+    ("masked-input marginals", criterion_4),
+    ("exact influences vs brute force", criterion_5),
+    ("random-junta concentration", criterion_6),
+    ("single-query probability bound", criterion_7),
+    ("distinguisher blindness", criterion_8),
+    ("majority ambiguity", criterion_9),
+    ("reproducibility", criterion_10),
 ]
 
 
 def run_all():
-    """Run every criterion, printing each line as it finishes."""
-    results = []
-    for fn in ALL_CRITERIA:
-        res = fn()
-        results.append(res)
-        print(res.line())
-    return results
+    """Run every criterion in number order, flushing each one's line as it
+    finishes; returns the pass flags."""
+    flags = []
+    for number, (name, criterion) in enumerate(ALL_CRITERIA, 1):
+        t0 = time.perf_counter()
+        passed, detail = criterion()
+        elapsed = time.perf_counter() - t0
+        print("%s criterion %d: %s (%.1fs) %s" % (
+            "PASS" if passed else "FAIL", number, name, elapsed, detail), flush=True)
+        flags.append(passed)
+    return flags

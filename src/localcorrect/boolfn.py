@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 
-MAX_TABLE_VARS = 24  # dense 2^k-bit tables; 16 MiB at the cap
+MAX_TABLE_VARS = 24  # dense 2^k-bit tables; 2 MiB at the cap
 MAX_N = 1 << 16  # coordinates of a point; the experiments use at most 1,000
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _ASCII_BITS = bytes.maketrans(b"\0\1", b"01")

@@ -112,8 +112,7 @@ def _cmd_ambiguity(args) -> int:
 def _cmd_bench(_args) -> int:
     from .acceptance import run_all
 
-    results = run_all()
-    return 0 if all(r.passed for r in results) else 1
+    return 0 if all(run_all()) else 1
 
 
 def main(argv=None) -> int:

@@ -75,17 +75,23 @@ def reference_x_search(n, corruption, seed):
     return None
 
 
+def reference_walk(offset, dirs):
+    """The subcube walk as one list, one step per point: step t XORs in the
+    direction of t's lowest set bit, so the 2^m - 1 points are offset plus
+    each nonempty subset sum of the m directions."""
+    pts = []
+    cur = offset
+    for t in range(1, 1 << len(dirs)):
+        cur ^= dirs[(t & -t).bit_length() - 1]
+        pts.append(cur)
+    return pts
+
+
 def reference_cube_sum(g, n, x, k, seed):
-    """XOR of g over every nonempty subset sum of k+1 seeded directions,
-    offset by x."""
+    """XOR of g over the walk of k+1 seeded directions from x."""
     rng = random.Random(seed)
-    dirs = [rng.getrandbits(n) for _ in range(k + 1)]
     acc = 0
-    for t in range(1, 1 << (k + 1)):
-        y = x
-        for i, d in enumerate(dirs):
-            if t >> i & 1:
-                y ^= d
+    for y in reference_walk(x, [rng.getrandbits(n) for _ in range(k + 1)]):
         acc ^= g(y)
     return acc
 

@@ -2,12 +2,14 @@ import hashlib
 import json
 import os
 import pathlib
+import re
+import select
 import subprocess
 import sys
 
 import pytest
 
-from localcorrect import cli, harness
+from localcorrect import acceptance, cli, harness
 from localcorrect.oracle import random_flip_set
 
 
@@ -345,3 +347,34 @@ def test_flips_fifo_exit_2(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error: corruption: ")
     assert "regular file" in proc.stderr
+
+
+@pytest.mark.parametrize("second, rc", [(True, 0), (False, 1)])
+def test_bench_exits_1_on_a_failed_criterion(second, rc, capsys, monkeypatch):
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [
+        ("first", lambda: (True, "one")), ("second", lambda: (second, "two"))])
+    assert run(["bench"], capsys) == (rc, (
+        "PASS criterion 1: first (0.0s) one\n"
+        "%s criterion 2: second (0.0s) two\n" % ("PASS" if second else "FAIL")), "")
+
+
+def test_bench_flushes_each_line_into_a_pipe():
+    # Without PYTHONUNBUFFERED a pipe is block-buffered.  The second
+    # criterion waits for stdin to close, so criterion 1's line must reach
+    # the pipe while the process still runs; the read has a timeout, so a
+    # held line fails instead of stalling.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, %r); from localcorrect import acceptance, cli; "
+            "acceptance.ALL_CRITERIA = [('fast', lambda: (True, 'a')), "
+            "('waits', lambda: (sys.stdin.read() == '', 'b'))]; "
+            "sys.exit(cli.main(['bench']))" % str(src))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with subprocess.Popen([sys.executable, "-c", code], env=env,
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE) as proc:
+        readable, _, _ = select.select([proc.stdout], [], [], 30)
+        first = proc.stdout.readline() if readable else b""
+        proc.stdin.close()
+        rest = proc.stdout.read()
+        assert proc.wait(timeout=30) == 0
+    assert first == b"PASS criterion 1: fast (0.0s) a\n"
+    assert re.fullmatch(rb"PASS criterion 2: waits \(\d+\.\ds\) b\n", rest)

@@ -27,22 +27,13 @@ from localcorrect.oracle import (
 )
 
 from families import and_all, parity
-
-
-def old_subcube_points(offset, dirs):
-    """The walk as one list, one lowest-set-bit computation per step."""
-    pts = []
-    cur = offset
-    for t in range(1, 1 << len(dirs)):
-        cur ^= dirs[(t & -t).bit_length() - 1]
-        pts.append(cur)
-    return pts
+from reference import reference_walk
 
 
 def cube_walk(n, x, k, seed):
     """The points cube_sum_correct(o, x, k, seed) queries, as one list."""
     rng = random.Random(seed)
-    return old_subcube_points(x, [rng.getrandbits(n) for _ in range(k + 1)])
+    return reference_walk(x, [rng.getrandbits(n) for _ in range(k + 1)])
 
 
 def unstreamed_cube_sum(o, x, k, seed):
@@ -98,12 +89,8 @@ class TestCubeSum:
                     if rng.random() < 0.1:
                         dirs[0] = 0
                     offset = rng.getrandbits(8)
-                    acc = 0
-                    for t in range(1 << (k + 1)):
-                        cur = offset
-                        for i in range(k + 1):
-                            if (t >> i) & 1:
-                                cur ^= dirs[i]
+                    acc = (table >> offset) & 1
+                    for cur in reference_walk(offset, dirs):
                         acc ^= (table >> cur) & 1
                     assert acc == 0
 
@@ -113,6 +100,8 @@ class TestCubeSum:
         [0b1001, 0b110, 0b1111, 0b11, 0b1100, 0b1001],
     ])
     def test_subcube_points_are_nonempty_subset_sums(self, dirs):
+        # The one check of the walk against its definition; the other
+        # walk tests compare with reference_walk.
         offset = 0b1011
         want = []
         for t in range(1, 1 << len(dirs)):
@@ -121,9 +110,10 @@ class TestCubeSum:
                 if (t >> i) & 1:
                     cur ^= d
             want.append(cur)
-        pts = list(chain.from_iterable(subcube_blocks(offset, dirs)))
+        pts = reference_walk(offset, dirs)
         assert len(pts) == (1 << len(dirs)) - 1
         assert sorted(pts) == sorted(want)
+        assert list(chain.from_iterable(subcube_blocks(offset, dirs))) == pts
 
     @pytest.mark.parametrize("m", range(15))
     def test_blocks_follow_the_old_walk(self, m):
@@ -135,7 +125,7 @@ class TestCubeSum:
             dirs[3] = dirs[1]  # a dependent direction
         offset = rng.getrandbits(40)
         blocks = list(subcube_blocks(offset, dirs))
-        assert list(chain.from_iterable(blocks)) == old_subcube_points(offset, dirs)
+        assert list(chain.from_iterable(blocks)) == reference_walk(offset, dirs)
         assert max(map(len, blocks)) <= 1 << 12
         assert len(blocks) == 1 << max(m - 12, 0)
 

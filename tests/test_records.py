@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from localcorrect.acceptance import CriterionResult
 from localcorrect.analysis import InfluenceReport
 from localcorrect.boolfn import JuntaSpec
 from localcorrect.correctors import InfluenceCorrectorParams
@@ -21,7 +20,6 @@ RECORDS = [
     InfluenceCorrectorParams(2),
     InfluenceReport(Fraction(1, 2), True),
     ExperimentConfig(),
-    CriterionResult(1, "name", True, "detail", 0.5),
 ]
 
 
