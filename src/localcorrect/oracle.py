@@ -6,10 +6,11 @@ each point's flip with a keyed hash, so two oracles built from the same
 through NoisyOracle.query and NoisyOracle.query_many, which count.
 
 Each corruption model has two forms of one rule: `corrupt(n, bits, value)`
-for one point, read by the x search, and `corrupt_many(n, points, values)`
-for a whole batch, which query_many calls.  The batch form makes no Python
-call per point, so a query costs the base lookup plus, under iid, one
-keyed-hash copy, update and digest run from C.  The iid batch joins its
+for one point, read by the iid x search only (a flip set's x is picked
+from the set itself), and `corrupt_many(n, points, values)` for a whole
+batch, which query_many calls.  The batch form makes no Python call per
+point, so a query costs the base lookup plus, under iid, one keyed-hash
+copy, update and digest run from C.  The iid batch joins its
 digests into one string and screens it on each digest's top byte: only
 points whose byte could fall below the threshold (1 in 256 for eps <=
 2^-8) are decoded and compared exactly.  Explicit flips screen each

@@ -1,12 +1,36 @@
 """Plain reference rules, each written once, that the tests hold the
 package's fast paths to.
 
-Every rule here takes one point at a time and imports no fast path of the
-package (no `bits_fn`, `corrupt_many`, `query_many`, `subcube_blocks`,
-`identify_influencing_parts`, `build_masked_input`, `find_corrupted_point`
-or report template).  `reference_correct_report(cfg)` rebuilds the whole
-`correct` report from the documented seed streams, so a test compares
-outputs, not internals.
+Every rule here takes one point, or one table entry, at a time and
+reaches no fast path of the package: `test_hygiene`'s
+`test_references_reach_no_fast_path` fails on an import or a read of
+one.  The two whole-report references rebuild a report from the
+documented seed streams, so a test compares outputs, not internals.
+Each fast path, its reference, and the one test that compares them:
+
+- `JuntaSpec.bits_fn`: `reference_bits_fn`,
+  `test_boolfn::TestEvalJunta::test_matches_mask_loop_reference`;
+- `boolfn._mobius`: `reference_anf_coeffs`,
+  `test_boolfn::TestAnf::test_matches_brute_force_random`;
+- `IidFlips.corrupt`: `reference_flips_point`,
+  `test_oracle::TestIidFlips::test_matches_fraction_reference`;
+- `corrupt_many`: `reference_flips_point` and flip-set membership,
+  `test_oracle::TestCorruptMany::test_matches_per_point_rule`;
+- `NoisyOracle.query_many`: the base plus `reference_flipped`,
+  `test_oracle::TestQuery::test_query_many_matches_per_point_rule`;
+- `subcube_blocks`: `reference_walk`,
+  `test_correctors::TestCubeSum::test_blocks_follow_the_old_walk`;
+- `find_corrupted_point`: `reference_x_search`,
+  `test_harness::TestRunExperiment::test_x_search_matches_value_based_loop`;
+- `lowerbound._hard_hits`: `reference_hard_value`,
+  `test_lowerbound::TestEvalHardG::test_matches_generator_reference`;
+- the `correct` report (`run_correction_experiment` and `emit_report`,
+  with the three correctors): `reference_correct_report`,
+  `test_harness::TestReferenceGrid::test_report_matches_reference`;
+- the `lowerbound` report (`run_distinguisher`):
+  `reference_distinguisher_report`,
+  `test_lowerbound::TestDistinguisher::test_matches_loop` (uniform
+  rows) and `::test_cube_sum_matches_loop` (cube-sum rows).
 """
 
 import hashlib
@@ -18,6 +42,7 @@ from localcorrect.analysis import sample_random_junta
 from localcorrect.boolfn import hex_point
 from localcorrect.correctors import pair_rounds
 from localcorrect.harness import MAX_SCAN, derive_seed, sample_influential_junta
+from localcorrect.lowerbound import default_threshold, sample_hard_instance
 from localcorrect.oracle import IidFlips
 
 # derive_seed indices of the base function and of the x search; trial t
@@ -38,6 +63,20 @@ def reference_bits_fn(spec):
         return (spec.core >> idx) & 1
 
     return fn
+
+
+def reference_anf_coeffs(table, k):
+    """The ANF's monomials as variable masks: the coefficient of monomial
+    t is the XOR of the table over every assignment j inside t."""
+    coeffs = set()
+    for t in range(1 << k):
+        acc = 0
+        for j in range(1 << k):
+            if j & ~t == 0:
+                acc ^= (table >> j) & 1
+        if acc:
+            coeffs.add(t)
+    return coeffs
 
 
 def reference_hash(n, bits, seed):
@@ -185,3 +224,48 @@ def reference_correct_report(cfg):
         summary["junta_redraws"] = redraws
     lines.append(json.dumps({"summary": summary}, sort_keys=True))
     return "\n".join(lines) + "\n"
+
+
+def reference_hard_value(n, rel, bits):
+    """The hard instance's value by its definition: both half-weights
+    within the threshold, then the AND over the relevant coordinates."""
+    half, t = n // 2, default_threshold(n)
+    if (bits & ((1 << half) - 1)).bit_count() > t or (bits >> half).bit_count() > t:
+        return 0
+    return int(bits & rel == rel)
+
+
+def x_star(n):
+    """The balanced point: coordinates n/2+1 to n set, the first half clear."""
+    return sum(1 << i for i in range(n // 2, n))
+
+
+def reference_distinguisher_report(strategy, q, n, k, trials, seed):
+    """The `lowerbound` report from one plain trial loop, every point
+    evaluated by the definition.  Uniform draws q points and guesses D1
+    iff some 1 has at least k of its second half's coordinates set;
+    cube-sum walks from x_star along k+1 seeded directions and guesses the
+    parity of its 1s."""
+    cube = strategy == "cube-sum-at-x_star"
+    rng = random.Random(seed)
+    correct = hit_trials = 0
+    for _ in range(trials):
+        label = rng.getrandbits(1)
+        rel = sample_hard_instance(n, k, label, rng.getrandbits(64))
+        if cube:
+            walk = random.Random(rng.getrandbits(64))
+            pts = reference_walk(x_star(n), [walk.getrandbits(n) for _ in range(k + 1)])
+        else:
+            pts = [rng.getrandbits(n) for _ in range(q)]
+        hits = [b for b in pts if reference_hard_value(n, rel, b)]
+        if cube:
+            guess = len(hits) & 1
+        else:
+            guess = int(any(sum((b >> i) & 1 for i in range(n // 2, n)) >= k for b in hits))
+        correct += guess == label
+        hit_trials += bool(hits)
+    return {
+        "strategy": strategy, "n": n, "k": k, "q": q, "trials": trials,
+        "advantage": abs(correct / trials - 0.5),
+        "one_hit_rate": hit_trials / trials, "seed": seed,
+    }

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from localcorrect.acceptance import _influence_brute
 from localcorrect.analysis import (
     INFLUENCE_THRESHOLD,
     fraction_low_influence,
@@ -31,9 +32,7 @@ class TestInfluenceExact:
             k = rng.randint(1, 6)
             table = rng.getrandbits(1 << k)
             i = rng.randint(1, k)
-            e = 1 << (i - 1)
-            count = sum((table >> j) & 1 != (table >> (j ^ e)) & 1 for j in range(1 << k))
-            assert influence_exact(table, k, i) == Fraction(count, 1 << k)
+            assert influence_exact(table, k, i) == _influence_brute(table, k, i)
 
     def test_numerator_even_over_table_size(self):
         # Disagreeing points come in pairs {x, x + e_i}.
@@ -66,9 +65,6 @@ class TestSampleRandomJunta:
         )
         assert abs(used / 10000 - 3 / 12) < 0.02
 
-    def test_deterministic(self):
-        assert sample_random_junta(4, 20, 99) == sample_random_junta(4, 20, 99)
-
     def test_rejects_k_above_n(self):
         with pytest.raises(ValueError):
             sample_random_junta(5, 4, 0)
@@ -90,10 +86,6 @@ class TestMinInfluenceReport:
         rep = min_influence_report(majority(3), 3)
         assert rep.min_influence == Fraction(1, 2)
         assert rep.passes_threshold
-
-    def test_recomputation_deterministic(self):
-        table = random.Random(8).getrandbits(64)
-        assert min_influence_report(table, 6) == min_influence_report(table, 6)
 
 
 class TestFractionLowInfluence:

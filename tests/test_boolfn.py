@@ -14,21 +14,7 @@ from localcorrect.boolfn import (
 )
 
 from families import and_all, majority, parity
-from reference import reference_bits_fn
-
-
-def brute_anf_coeffs(table, k):
-    """Independent oracle: coefficient of monomial t is the XOR of f over
-    all assignments j with j a subset of t."""
-    coeffs = set()
-    for t in range(1 << k):
-        acc = 0
-        for j in range(1 << k):
-            if j & ~t == 0:
-                acc ^= (table >> j) & 1
-        if acc:
-            coeffs.add(t)
-    return coeffs
+from reference import reference_anf_coeffs, reference_bits_fn
 
 
 def anf_coeffs(table, k):
@@ -80,58 +66,15 @@ class TestHexPoint:
 
 
 class TestEvalJunta:
-    def test_and3_all_relevant_ones(self):
-        spec = JuntaSpec(10, and_all(3), (2, 5, 7))
-        assert spec.bits_fn()(with_coords(10, (2, 5, 7))) == 1
-
-    def test_and3_zero_relevant_coordinate(self):
-        g = JuntaSpec(10, and_all(3), (2, 5, 7)).bits_fn()
-        rng = random.Random(1)
-        for _ in range(50):
-            bits = rng.getrandbits(10) & ~(1 << 1)  # x_2 = 0
-            assert g(bits) == 0
-
-    def test_random_core_is_table_lookup(self):
-        rng = random.Random(42)
-        core = rng.getrandbits(16)
-        spec = JuntaSpec(9, core, (3, 1, 8, 5))
-        # Build x whose restriction to the embedding is assignment index 13.
-        idx = 13
-        bits = with_coords(9, [c for i, c in enumerate(spec.embedding)
-                               if (idx >> i) & 1])
-        assert spec.bits_fn()(bits) == (core >> 13) & 1
-
-    def test_locality_exhaustive_small_n(self):
-        rng = random.Random(7)
-        for _ in range(5):
-            core = rng.getrandbits(8)
-            emb = tuple(rng.sample(range(1, 11), 3))
-            g = JuntaSpec(10, core, emb).bits_fn()
-            outside = [c for c in range(1, 11) if c not in emb]
-            for bits in range(1 << 10):
-                v = g(bits)
-                for c in outside:
-                    assert g(bits ^ (1 << (c - 1))) == v
-
-    def test_locality_sampled_large_n(self):
-        rng = random.Random(8)
-        core = rng.getrandbits(32)
-        emb = tuple(rng.sample(range(1, 201), 5))
-        g = JuntaSpec(200, core, emb).bits_fn()
-        outside = [c for c in range(1, 201) if c not in emb]
-        for _ in range(200):
-            bits = rng.getrandbits(200)
-            v = g(bits)
-            c = rng.choice(outside)
-            assert g(bits ^ (1 << (c - 1))) == v
-
-    @pytest.mark.parametrize("k", [1, 4, 8, 9, 16, 17, 24])
-    def test_matches_mask_loop_reference(self, k):
+    @pytest.mark.parametrize("k, every_point_n", [pytest.param(3, 10, id="3-n10-every-point")] + [
+        pytest.param(k, None, id=str(k)) for k in (1, 4, 8, 9, 16, 17, 24)])
+    def test_matches_mask_loop_reference(self, k, every_point_n):
         # bits_fn's per-chunk dicts against the plain per-mask loop, on
-        # random cores and embeddings that hold coordinates 1 and n.
+        # random cores and embeddings that hold coordinates 1 and n: at
+        # every point of n=10, or at sampled points of a random n up to 200.
         rng = random.Random(1000 + k)
         for _ in range(3):
-            n = rng.randint(max(k, 2), 200)
+            n = every_point_n or rng.randint(max(k, 2), 200)
             core = rng.getrandbits(1 << k)
             ends = [1, n][:k]
             middle = rng.sample(range(2, n), k - len(ends))
@@ -139,10 +82,13 @@ class TestEvalJunta:
             rng.shuffle(emb)
             spec = JuntaSpec(n, core, tuple(emb))
             fast, ref = spec.bits_fn(), reference_bits_fn(spec)
-            on_junta = with_coords(n, emb)
-            points = [0, (1 << n) - 1, on_junta]
-            points += [rng.getrandbits(n) for _ in range(400)]
-            points += [rng.getrandbits(n) & on_junta for _ in range(100)]
+            if every_point_n:
+                points = range(1 << n)
+            else:
+                on_junta = with_coords(n, emb)
+                points = [0, (1 << n) - 1, on_junta]
+                points += [rng.getrandbits(n) for _ in range(400)]
+                points += [rng.getrandbits(n) & on_junta for _ in range(100)]
             for bits in points:
                 assert fast(bits) == ref(bits)
 
@@ -161,14 +107,14 @@ class TestAnf:
 
     def test_maj3_against_brute_force(self):
         table = majority(3)
-        assert anf_coeffs(table, 3) == brute_anf_coeffs(table, 3) == {0b011, 0b110, 0b101}
+        assert anf_coeffs(table, 3) == reference_anf_coeffs(table, 3) == {0b011, 0b110, 0b101}
 
     def test_matches_brute_force_random(self):
         rng = random.Random(11)
         for _ in range(30):
             k = rng.randint(1, 5)
             table = rng.getrandbits(1 << k)
-            assert anf_coeffs(table, k) == brute_anf_coeffs(table, k)
+            assert anf_coeffs(table, k) == reference_anf_coeffs(table, k)
 
     def test_roundtrip_random_tables(self):
         # The transform is an involution: coefficients map back to the table.

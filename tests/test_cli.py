@@ -32,26 +32,6 @@ class TestCorrect:
         assert summary["success_rate"] == 1.0
         assert len(out.read_text().splitlines()) == 26
 
-    def test_config_error_exit_2(self, tmp_path, capsys):
-        rc, _, err = run(
-            ["correct", "--algo", "cube", "--k", "2", "--n", "8",
-             "--corruption", "bogus", "--trials", "5", "--seed", "1",
-             "--out", str(tmp_path / "x")],
-            capsys,
-        )
-        assert rc == 2
-        assert "corruption" in err
-
-    def test_even_repeat_t_exit_2(self, tmp_path, capsys):
-        rc, _, err = run(
-            ["correct", "--algo", "cube", "--k", "2", "--n", "8",
-             "--trials", "5", "--seed", "1", "--repeat-t", "4",
-             "--out", str(tmp_path / "x")],
-            capsys,
-        )
-        assert rc == 2
-        assert "repeat_t" in err
-
     def test_unwritable_out_exit_1(self, tmp_path, capsys, monkeypatch):
         calls = []
         real = harness.cube_sum_correct
@@ -149,24 +129,6 @@ class TestLowerbound:
         assert rep["strategy"] == "uniform-random-queries"
         assert rep["trials"] == 100
 
-    def test_unknown_strategy_exit_2(self, tmp_path, capsys):
-        rc, _, err = run(
-            ["lowerbound", "--strategy", "psychic", "--n", "40", "--k", "4",
-             "--queries", "20", "--trials", "10", "--seed", "3",
-             "--out", str(tmp_path / "x")],
-            capsys,
-        )
-        assert rc == 2
-
-
-class TestInfluence:
-    def test_reports_fraction(self, capsys):
-        rc, stdout, _ = run(["influence", "--k", "1", "--samples", "400",
-                             "--seed", "5"], capsys)
-        assert rc == 0
-        data = json.loads(stdout)
-        assert 0.4 < data["low_influence_fraction"] < 0.6
-
 
 class TestAmbiguity:
     def test_n8(self, capsys):
@@ -177,10 +139,6 @@ class TestAmbiguity:
         data = json.loads(stdout)
         assert data["truncated_all_identical"] is True
         assert data["layer_fraction"] == "35/128"
-
-    def test_odd_n_exit_2(self, capsys):
-        rc, _, _ = run(["ambiguity", "--n", "7"], capsys)
-        assert rc == 2
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -222,12 +180,16 @@ LOWERBOUND = ["lowerbound", "--strategy", "uniform-random-queries", "--n", "40",
     pytest.param(CORRECT + ["--seed", "1", "--corruption",
                             "iid:%d^-1024:3" % (1 << 100)],
                  "corruption", "bits", id="iid-eps-power-too-many-bits"),
+    pytest.param(CORRECT + ["--seed", "1", "--corruption", "bogus:1"],
+                 "corruption", "unknown corruption descriptor", id="corruption-unknown"),
     pytest.param(CORRECT + ["--seed", "1", "--corruption", "trunc:-3"],
                  "corruption", "unknown corruption descriptor", id="trunc-negative"),
     pytest.param(CORRECT + ["--seed", "1", "--corruption", "trunc:6"],
                  "corruption", "unknown corruption descriptor", id="trunc-unknown"),
     pytest.param(CORRECT + ["--seed", "1", "--corruption", "layer"],
                  "corruption", "unknown corruption descriptor", id="layer-unknown"),
+    pytest.param(CORRECT + ["--seed", "1", "--repeat-t", "4"], "repeat_t", "",
+                 id="correct-repeat-t-even"),
     pytest.param(CORRECT + ["--seed", "1", "--x-mode", "fixed-hex", "--x", "zz"],
                  "x_hex", "", id="correct-x-not-hex"),
     pytest.param(CORRECT + ["--seed", "1", "--x-mode", "fixed-hex", "--x", "1ff"],
@@ -292,6 +254,7 @@ LOWERBOUND = ["lowerbound", "--strategy", "uniform-random-queries", "--n", "40",
     pytest.param(["lowerbound", "--strategy", "uniform-random-queries", "--n", "65538",
                   "--k", "4", "--queries", "20", "--trials", "10", "--seed", "3"],
                  "n", "<= 65536", id="lowerbound-n-above-limit"),
+    pytest.param(["ambiguity", "--n", "7"], "n", "", id="ambiguity-n-odd"),
     pytest.param(["ambiguity", "--n", "0"], "n", "", id="ambiguity-n-zero"),
     pytest.param(["ambiguity", "--n", "-2"], "n", "", id="ambiguity-n-negative"),
 ])

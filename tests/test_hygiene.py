@@ -1,7 +1,8 @@
 """Static checks on the package source: no unused imports, stdlib only,
 imports at module level, no broad exception handler that swallows what it
 catches, no public name or method that only the tests read; what the
-command line's start-up imports; and that README's module map is whole."""
+command line's start-up imports; that README's module map is whole; and
+that the tests' plain references reach no fast path of the package."""
 
 import ast
 import pathlib
@@ -159,3 +160,27 @@ def test_readme_layout_names_each_module_once():
     layout = text.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `localcorrect\.(\w+)` \|", layout, re.MULTILINE)
     assert sorted(rows) == [p.stem for p in MODULES if p.stem != "__init__"]
+
+
+# The fast paths, and the report template, that the plain references in
+# tests/reference.py are compared against, and so must not reach.
+FAST_PATHS = {
+    "bits_fn", "_mobius", "corrupt", "corrupt_many", "query", "query_many",
+    "subcube_blocks", "identify_influencing_parts", "build_masked_input",
+    "find_corrupted_point", "run_correction_experiment", "emit_report",
+    "_RECORD_LINE", "REPORT_ENCODER", "_hard_hits", "run_distinguisher",
+}
+
+
+def test_references_reach_no_fast_path():
+    """A reference that imports or reads a fast path would agree with it
+    by construction, so its comparison would check nothing."""
+    reached = set()
+    for node in ast.walk(parse(ROOT / "tests" / "reference.py")):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            reached.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.Name):
+            reached.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reached.add(node.attr)
+    assert not reached & FAST_PATHS, sorted(reached & FAST_PATHS)

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import json
-import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -19,35 +18,9 @@ from localcorrect.lowerbound import (
     uniform_one_hit_prob,
 )
 
-from reference import reference_walk
+from reference import reference_distinguisher_report, reference_hard_value, x_star
 
-
-def and_before_truncation(rel, bits):
-    """The AND junta over the relevance mask at bits, ignoring the weight box."""
-    return int(bits & rel == rel)
-
-
-def reference_eval_hard_bits(n, rel, bits):
-    """The hard instance's value by its definition: both half-weights
-    within the threshold, then the AND over the relevant coordinates."""
-    half, t = n // 2, default_threshold(n)
-    if (bits & ((1 << half) - 1)).bit_count() > t:
-        return 0
-    if (bits >> half).bit_count() > t:
-        return 0
-    return and_before_truncation(rel, bits)
-
-
-def hard_g(n, rel, bits):
-    """g at one point, through the screen the distinguishers use."""
-    hits = lowerbound._hard_hits(n, rel, (bits,))
-    assert hits in ([], [bits])
-    return len(hits)
-
-
-def balanced_point(n):
-    """x_star: coordinates n/2+1 to n set, the first half clear."""
-    return sum(1 << i for i in range(n // 2, n))
+UNIFORM, CUBE = lowerbound.STRATEGIES
 
 
 def weight_w_half(rng, half, w, forced=0):
@@ -59,50 +32,7 @@ def weight_w_half(rng, half, w, forced=0):
     return bits
 
 
-def loop_report(strategy, q, n, k, trials, seed, correct, hit_trials):
-    """The report run_distinguisher returns, from a loop's two counts."""
-    return {
-        "strategy": strategy,
-        "n": n,
-        "k": k,
-        "q": q,
-        "trials": trials,
-        "advantage": abs(correct / trials - 0.5),
-        "one_hit_rate": hit_trials / trials,
-        "seed": seed,
-    }
-
-
-def loop_distinguisher(q, n, k, trials, seed):
-    """run_distinguisher's uniform strategy as a plain loop: the points
-    are drawn by a comprehension, every point is evaluated by the
-    definition, and D1 is guessed iff some 1 has at least k of its second
-    half's coordinates set."""
-    rng = random.Random(seed)
-    correct = hit_trials = 0
-    for _ in range(trials):
-        label = rng.getrandbits(1)
-        rel = sample_hard_instance(n, k, label, rng.getrandbits(64))
-        pts = [rng.getrandbits(n) for _ in range(q)]
-        hits = [b for b in pts if reference_eval_hard_bits(n, rel, b)]
-        second_half = range(n // 2, n)
-        guess = int(any(sum((b >> i) & 1 for i in second_half) >= k for b in hits))
-        correct += guess == label
-        hit_trials += bool(hits)
-    return loop_report("uniform-random-queries", q, n, k, trials, seed, correct, hit_trials)
-
-
 class TestSampleHardInstance:
-    def test_d0_relevant_in_first_half(self):
-        for seed in range(50):
-            rel = sample_hard_instance(10, 2, 0, seed)
-            assert 0 < rel < 1 << 5
-
-    def test_d1_relevant_in_second_half(self):
-        for seed in range(50):
-            rel = sample_hard_instance(10, 2, 1, seed)
-            assert rel & 0b11111 == 0 and rel < 1 << 10
-
     def test_derived_state(self):
         # The label picks the half that holds the mask.
         rng = random.Random(12)
@@ -136,7 +66,7 @@ class TestSampleHardInstance:
         for seed in range(1000):
             label = seed % 2
             rel = sample_hard_instance(12, 3, label, seed)
-            assert and_before_truncation(rel, balanced_point(12)) == label
+            assert int(x_star(12) & rel == rel) == label
 
     def test_x_star_is_balanced(self, monkeypatch):
         # Every cube-sum trial walks from first half zeros, second half ones.
@@ -148,18 +78,10 @@ class TestSampleHardInstance:
 
 
 class TestEvalHardG:
-    def test_inside_box_and_satisfied(self):
-        y = (1 << 5) | (1 << 6)
-        assert hard_g(10, 1 << 5 | 1 << 6, y) == 1
-
-    def test_first_half_over_threshold_forces_zero(self):
-        y = 0b1111 | (1 << 5) | (1 << 6)  # first-half weight 4
-        assert hard_g(10, 1 << 5 | 1 << 6, y) == 0
-
     def test_x_star_is_truncated(self):
         rel = 1 << 5 | 1 << 6
-        assert and_before_truncation(rel, balanced_point(10)) == 1
-        assert hard_g(10, rel, balanced_point(10)) == 0
+        assert x_star(10) & rel == rel
+        assert lowerbound._hard_hits(10, rel, [x_star(10)]) == []
 
     def test_never_one_outside_box(self):
         rel = sample_hard_instance(400, 10, 1, 3)
@@ -198,7 +120,7 @@ class TestEvalHardG:
                         inside = weight_w_half(rng, half, w_rel, rel >> shift)
                         other = weight_w_half(rng, half, w_free)
                         pts.append((inside << shift) | (other << (half - shift)))
-                want = [b for b in pts if reference_eval_hard_bits(n, rel, b)]
+                want = [b for b in pts if reference_hard_value(n, rel, b)]
                 assert lowerbound._hard_hits(n, rel, pts) == want
                 checked += len(pts)
                 ones += len(want)
@@ -236,7 +158,7 @@ class TestUniformOneHitProb:
                     lo = label * half
                     for picks in itertools.combinations(range(lo, lo + half), k):
                         rel = sum(1 << i for i in picks)
-                        counts.add(sum(reference_eval_hard_bits(n, rel, b)
+                        counts.add(sum(reference_hard_value(n, rel, b)
                                        for b in range(1 << n)))
                 assert len(counts) == 1
                 p = Fraction(counts.pop(), 1 << n)
@@ -251,24 +173,6 @@ class TestUniformOneHitProb:
         for args in ((7, 2, 1), (8, 0, 1), (8, 5, 1), (8, 2, -1)):
             with pytest.raises(ValueError):
                 uniform_one_hit_prob(*args)
-
-
-def loop_cube_sum(n, k, trials, seed):
-    """run_distinguisher's cube-sum strategy as a plain loop: the
-    reference walk, with every point evaluated by the definition."""
-    rng = random.Random(seed)
-    correct = hit_trials = 0
-    for _ in range(trials):
-        label = rng.getrandbits(1)
-        rel = sample_hard_instance(n, k, label, rng.getrandbits(64))
-        walk = random.Random(rng.getrandbits(64))
-        dirs = [walk.getrandbits(n) for _ in range(k + 1)]
-        vals = [reference_eval_hard_bits(n, rel, cur)
-                for cur in reference_walk(balanced_point(n), dirs)]
-        correct += (sum(vals) & 1) == label
-        hit_trials += any(vals)
-    q = (1 << (k + 1)) - 1
-    return loop_report("cube-sum-at-x_star", q, n, k, trials, seed, correct, hit_trials)
 
 
 class TestDistinguisher:
@@ -297,14 +201,28 @@ class TestDistinguisher:
         (200, 40, 20, 100, 5),
         (1000, 400, 20, 40, 6),
     ], ids=["n40-k4", "q0", "n2-k1", "dense-k1", "dense-k2", "k-half", "n400-k20"])
-    @pytest.mark.parametrize("strategy", ["uniform-random-queries"])
+    @pytest.mark.parametrize("strategy", [UNIFORM])
     def test_matches_loop(self, strategy, q, n, k, trials, seed):
         # The bulk draws and the relevance screen give the plain loop's
-        # report, with or without hits.
+        # whole report, with or without hits.
         rep = run_distinguisher(strategy, q, n, k, trials, seed)
-        assert rep == loop_distinguisher(q, n, k, trials, seed)
+        assert rep == reference_distinguisher_report(strategy, q, n, k, trials, seed)
         if n == 20:
             assert rep["one_hit_rate"] > 0
+
+    @pytest.mark.parametrize("n, k, trials, seed", [
+        (10, 2, 300, 4),
+        (40, 3, 200, 1),
+        (40, 1, 200, 2),
+        (1000, 6, 100, 3),
+        (30, 12, 4, 5),
+        (28, 14, 2, 6),
+    ], ids=["n10-k2", "n40-k3", "k1", "n1000-k6", "k12", "k14"])
+    def test_cube_sum_matches_loop(self, n, k, trials, seed):
+        # The screened, block-streamed walk gives the same loop's report.
+        q = (1 << (k + 1)) - 1
+        rep = run_distinguisher(CUBE, q, n, k, trials, seed)
+        assert rep == reference_distinguisher_report(CUBE, q, n, k, trials, seed)
 
     @pytest.mark.parametrize("strategy, q", [
         ("uniform-random-queries", 400),
@@ -335,20 +253,6 @@ class TestDistinguisher:
         assert [name for name, _ in calls] == per_trial * trials
         hits = [out for name, out in calls if name == "_hard_hits"]
         assert rep["one_hit_rate"] == sum(map(bool, hits)) / trials
-
-    @pytest.mark.parametrize("n, k, trials, seed", [
-        (10, 2, 300, 4),
-        (40, 3, 200, 1),
-        (40, 1, 200, 2),
-        (1000, 6, 100, 3),
-        (30, 12, 4, 5),
-        (28, 14, 2, 6),
-    ], ids=["n10-k2", "n40-k3", "k1", "n1000-k6", "k12", "k14"])
-    def test_cube_sum_matches_loop(self, n, k, trials, seed):
-        # The screened, block-streamed walk gives the plain loop's report.
-        q = (1 << (k + 1)) - 1
-        rep = run_distinguisher("cube-sum-at-x_star", q, n, k, trials, seed)
-        assert rep == loop_cube_sum(n, k, trials, seed)
 
     def test_uniform_draws_are_streamed(self):
         # The q draws of a trial are screened as they are made, not held
@@ -386,25 +290,9 @@ class TestDistinguisher:
             assert err.value.fieldname == "k" and "<= 24" in str(err.value)
         assert walks == [24]
 
-    def test_zero_queries_no_information(self):
-        trials = 2000
-        rep = run_distinguisher("uniform-random-queries", 0, 40, 4, trials, 1)
-        assert rep["one_hit_rate"] == 0.0
-        assert rep["advantage"] <= 3 * math.sqrt(1 / (4 * trials))
-
-    def test_cube_sum_distinguishes(self):
-        rep = run_distinguisher("cube-sum-at-x_star", 127, 600, 6, 400, 3)
-        assert rep["advantage"] >= 0.35
-
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             run_distinguisher("psychic", 10, 20, 2, 10, 0)
-
-    def test_report_shape(self):
-        rep = run_distinguisher("uniform-random-queries", 5, 20, 2, 50, 9)
-        assert set(rep) == {
-            "strategy", "n", "k", "q", "trials", "advantage", "one_hit_rate", "seed",
-        }
 
 
 class TestMajAmbiguity:
