@@ -17,6 +17,12 @@ from collections import namedtuple
 
 MAX_TABLE_VARS = 24  # dense 2^k-bit tables; 2 MiB at the cap
 MAX_N = 1 << 16  # coordinates of a point; the experiments use at most 1,000
+# Largest n whose junta (k <= 8) is evaluated from a full 2^n-byte table of
+# values rather than a dict per chunk.  At n=16 the table is 64 KiB, built
+# in about 0.2 ms, and a k=4 cube correction saves about 2 µs with it, so
+# a few hundred corrections repay the build.  Each further coordinate
+# doubles the table and its build while a correction saves no more.
+FULL_TABLE_MAX_N = 16
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _ASCII_BITS = bytes.maketrans(b"\0\1", b"01")
 
@@ -109,14 +115,31 @@ class JuntaSpec(namedtuple("JuntaSpec", "n core embedding")):
     def bits_fn(self):
         """Evaluator on raw n-bit integers (the hot oracle path).
 
-        The lookup state is built once, here: the relevant coordinates are
-        split into chunks of up to 8, and each chunk gets a dict from
+        The lookup state is built once, here.  With k <= 8 and
+        n <= FULL_TABLE_MAX_N it is every value: a 2^n-byte table whose
+        byte j is the value at point j, and the evaluator is the table's
+        bound __getitem__, so mapping it over a batch makes no Python
+        call per point.  Otherwise the relevant coordinates are split
+        into chunks of up to 8, and each chunk gets a dict from
         bits & chunk_mask to that chunk's share of the core-table index.
         A point then costs one AND and one dict lookup per chunk; with a
         single chunk (k <= 8) the dict holds the 0/1 value itself, and
         otherwise the index selects a bit of the table held as bytes.
         """
         table = self.core
+        if self.k <= 8 and self.n <= FULL_TABLE_MAX_N:
+            # Core-table indices of points 0 .. 2^c - 1, doubled once per
+            # coordinate c; the upper copy has coordinate c set, so it
+            # carries core variable i's bit when c = embedding[i].
+            var_of = {c: i for i, c in enumerate(self.embedding)}
+            idx = b"\0"
+            for c in range(1, self.n + 1):
+                i = var_of.get(c)
+                idx += idx if i is None else idx.translate(
+                    bytes(b | 1 << i for b in range(256)))
+            return idx.translate(
+                bytes((table >> j) & 1 for j in range(256))).__getitem__
+
         chunks = []
         for lo in range(0, self.k, 8):
             mask, shares = 0, {0: 0}

@@ -8,8 +8,10 @@ one.  The two whole-report references rebuild a report from the
 documented seed streams, so a test compares outputs, not internals.
 Each fast path, its reference, and the one test that compares them:
 
-- `JuntaSpec.bits_fn`: `reference_bits_fn`,
-  `test_boolfn::TestEvalJunta::test_matches_mask_loop_reference`;
+- `JuntaSpec.bits_fn`, both its full 2^n-byte table of values (k <= 8,
+  n <= 16) and its chunk dicts: `reference_bits_fn`,
+  `test_boolfn::TestEvalJunta::test_matches_mask_loop_reference`, whose
+  every-point rows sit on each side of n = 16;
 - `boolfn._mobius`: `reference_anf_coeffs`,
   `test_boolfn::TestAnf::test_matches_brute_force_random`;
 - `IidFlips.corrupt`: `reference_flips_point`,

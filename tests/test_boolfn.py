@@ -4,6 +4,7 @@ import pytest
 
 from localcorrect.acceptance import _random_low_degree_table
 from localcorrect.boolfn import (
+    FULL_TABLE_MAX_N,
     MAX_TABLE_VARS,
     JuntaSpec,
     _low_mask,
@@ -66,12 +67,18 @@ class TestHexPoint:
 
 
 class TestEvalJunta:
-    @pytest.mark.parametrize("k, every_point_n", [pytest.param(3, 10, id="3-n10-every-point")] + [
-        pytest.param(k, None, id=str(k)) for k in (1, 4, 8, 9, 16, 17, 24)])
+    @pytest.mark.parametrize("k, every_point_n", [
+        pytest.param(3, 10, id="3-n10-every-point"),
+        pytest.param(1, 1, id="1-n1-every-point"),
+        pytest.param(8, FULL_TABLE_MAX_N, id="8-n16-every-point-table"),
+        pytest.param(8, FULL_TABLE_MAX_N + 1, id="8-n17-every-point-dict"),
+    ] + [pytest.param(k, None, id=str(k)) for k in (1, 4, 8, 9, 16, 17, 24)])
     def test_matches_mask_loop_reference(self, k, every_point_n):
-        # bits_fn's per-chunk dicts against the plain per-mask loop, on
+        # bits_fn's full table of values (k <= 8, n <= FULL_TABLE_MAX_N)
+        # and its per-chunk dicts against the plain per-mask loop, on
         # random cores and embeddings that hold coordinates 1 and n: at
-        # every point of n=10, or at sampled points of a random n up to 200.
+        # every point of n=1, 10, 16 and 17, or at sampled points of a
+        # random n up to 200.
         rng = random.Random(1000 + k)
         for _ in range(3):
             n = every_point_n or rng.randint(max(k, 2), 200)

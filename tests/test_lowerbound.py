@@ -290,18 +290,8 @@ class TestDistinguisher:
             assert err.value.fieldname == "k" and "<= 24" in str(err.value)
         assert walks == [24]
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            run_distinguisher("psychic", 10, 20, 2, 10, 0)
-
 
 class TestMajAmbiguity:
-    def test_n6(self):
-        rep = maj_ambiguity_check(6)
-        assert rep["disagreements_on_balanced_layer_only"]
-        assert rep["truncated_all_identical"]
-        assert rep["layer_fraction"] == "5/16"
-
     def test_n16_report(self):
         # The largest n that `ambiguity` accepts.
         rep = maj_ambiguity_check(16)
