@@ -20,8 +20,7 @@ from fractions import Fraction
 from itertools import chain
 
 from . import cli
-from .analysis import fraction_low_influence, influence_exact
-from .boolfn import _mobius, truth_table
+from .boolfn import _mobius, fraction_low_influence, influence_exact, truth_table
 from .correctors import build_masked_input, pair_rounds, subcube_blocks
 from .harness import build_base, derive_seed, find_corrupted_point
 from .lowerbound import (

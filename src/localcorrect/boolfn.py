@@ -1,10 +1,10 @@
 """Core Boolean function representations: truth tables, juntas, and the
-hex form of a point.
+hex form of a point; a table's variable influences, and random juntas.
 
 Conventions fixed bit-exactly (reports and tests depend on them):
   - Coordinates are 1-based everywhere in the public API; a point or a set
     of coordinates is an n-bit int mask whose bit i-1 stands for
-    coordinate i.
+    coordinate i; parse_hex_point bounds a point read from text below 2^n.
   - A truth table on k variables is a plain 2^k-bit int, with k kept
     beside it; the bit at index j is the value at the assignment where
     variable i equals bit (i-1) of j (variable 1 = least significant bit).
@@ -13,7 +13,9 @@ Conventions fixed bit-exactly (reports and tests depend on them):
 from __future__ import annotations
 
 import functools
+import random
 from collections import namedtuple
+from fractions import Fraction
 
 MAX_TABLE_VARS = 24  # dense 2^k-bit tables; 2 MiB at the cap
 MAX_N = 1 << 16  # coordinates of a point; the experiments use at most 1,000
@@ -83,6 +85,46 @@ def truth_table(k: int, rule) -> int:
     called once per j, in ascending order.  The bits are parsed from one
     digit string, linear in 2^k (a sum of shifted bits is quadratic)."""
     return int(bytes(map(rule, range(1 << k)))[::-1].translate(_ASCII_BITS), 2)
+
+
+INFLUENCE_THRESHOLD = Fraction(1, 50)  # compared exactly, never as a float
+
+
+class InfluenceReport(namedtuple("InfluenceReport", "min_influence passes_threshold")):
+    """The exact minimum influence of a core function (a Fraction), and
+    whether it reaches INFLUENCE_THRESHOLD."""
+
+    __slots__ = ()
+
+
+def influence_exact(table: int, k: int, i: int) -> Fraction:
+    """|{x : f(x) != f(x + e_i)}| / 2^k for the k-variable table, exact."""
+    if not 1 <= i <= k:
+        raise IndexError("variable index %d out of [1, %d]" % (i, k))
+    step = 1 << (i - 1)
+    # Disagreeing inputs come in pairs {x, x+e_i}; count pairs on the
+    # half of the indices where variable i is 0, then double.
+    diff = (table ^ (table >> step)) & _low_mask(k, i - 1)
+    return Fraction(2 * diff.bit_count(), 1 << k)
+
+
+def min_influence_report(table: int, k: int) -> InfluenceReport:
+    lo = min(influence_exact(table, k, i) for i in range(1, k + 1))
+    return InfluenceReport(lo, lo >= INFLUENCE_THRESHOLD)
+
+
+def fraction_low_influence(k: int, samples: int, seed: int) -> float:
+    """Fraction of uniform random cores whose minimum influence is < 1/50."""
+    if not 1 <= k <= 16:
+        raise ConfigError("k", "must lie in [1, 16]; larger k is too costly to sample")
+    if samples < 1:
+        raise ConfigError("samples", "must be >= 1")
+    check_seed(seed)
+    rng = random.Random(seed)
+    low = 0
+    for _ in range(samples):
+        low += not min_influence_report(rng.getrandbits(1 << k), k).passes_threshold
+    return low / samples
 
 
 class JuntaSpec(namedtuple("JuntaSpec", "n core embedding")):
@@ -170,3 +212,12 @@ class JuntaSpec(namedtuple("JuntaSpec", "n core embedding")):
             return (table_bytes[idx >> 3] >> (idx & 7)) & 1
 
         return fn
+
+
+def sample_random_junta(k: int, n: int, seed: int) -> JuntaSpec:
+    """Uniform core table (all 2^2^k equally likely) and uniform embedding."""
+    if k > n:
+        raise ValueError("k=%d exceeds n=%d" % (k, n))
+    rng = random.Random(seed)
+    core = rng.getrandbits(1 << k)
+    return JuntaSpec(n, core, rng.sample(range(1, n + 1), k))

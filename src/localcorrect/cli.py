@@ -12,8 +12,7 @@ import argparse
 import os
 import sys
 
-from .analysis import fraction_low_influence
-from .boolfn import ConfigError
+from .boolfn import ConfigError, fraction_low_influence
 from .harness import (ALGOS, REPORT_ENCODER, X_MODES, ExperimentConfig, emit_report,
                       run_correction_experiment)
 from .lowerbound import maj_ambiguity_check, run_distinguisher

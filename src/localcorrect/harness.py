@@ -12,8 +12,8 @@ import math
 import random
 from collections import namedtuple
 
-from .analysis import min_influence_report, sample_random_junta
-from .boolfn import MAX_N, MAX_TABLE_VARS, ConfigError, check_seed, hex_point, parse_hex_point
+from .boolfn import (MAX_N, MAX_TABLE_VARS, ConfigError, check_seed, hex_point,
+                     min_influence_report, parse_hex_point, sample_random_junta)
 from .correctors import cube_sum_correct, influence_correct, symmetric_correct
 from .oracle import ExplicitFlips, NoisyOracle, parse_corruption
 

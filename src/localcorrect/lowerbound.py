@@ -85,8 +85,8 @@ def uniform_one_hit_prob(n: int, k: int, q: int) -> Fraction:
 def _hard_hits(n: int, rel: int, points) -> list:
     # The points where the instance with relevance mask rel is 1.  The
     # mask is tested first: a uniform point almost always misses it, so
-    # the box test rarely runs.  Read as a module global, once per trial,
-    # so tracers can time it.
+    # the box test rarely runs.  Read as a module global, once per trial:
+    # no tracer wraps it yet; ROADMAP item 1 plans to time it per trial.
     half, t = n >> 1, default_threshold(n)
     low = (1 << half) - 1
     return [b for b in points if b & rel == rel

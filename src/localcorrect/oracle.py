@@ -8,15 +8,17 @@ through NoisyOracle.query and NoisyOracle.query_many, which count.
 Each corruption model has two forms of one rule: `corrupt(n, bits, value)`
 for one point, read by the iid x search only (a flip set's x is picked
 from the set itself), and `corrupt_many(n, points, values)` for a whole
-batch, which query_many calls.  The batch form makes no Python call per
-point, so a query costs the base lookup plus, under iid, one keyed-hash
-copy, update and digest run from C.  The iid batch joins its
-digests into one string and screens it on each digest's top byte: only
-points whose byte could fall below the threshold (1 in 256 for eps <=
-2^-8) are decoded and compared exactly.  Explicit flips screen each
-batch with one set intersection, and a batch that meets no flipped point
-keeps its base values untouched; "none" is the empty flip set, which
-every batch misses.
+batch, which query_many calls.  `ExplicitFlips.corrupt` is kept only for
+perfbench's tracer, which patches it by name (ROADMAP items 12 and 13).
+The batch form makes no Python call per point, so a query costs the base
+lookup plus, under iid, one keyed-hash copy, update and digest run from
+C.  The iid batch joins its digests into one string and screens it on
+each digest's top byte: only points whose byte could fall below the
+threshold (1 in 256 for eps <= 2^-8) are decoded and compared exactly.
+Explicit flips screen each batch with one set intersection, and a batch
+that meets no flipped point keeps its base values untouched; "none" is
+the empty flip set, which every batch misses.  A flip set is only its
+points: each is bounded below 2^n where it enters the program.
 """
 
 from __future__ import annotations
@@ -44,18 +46,12 @@ MAX_EPS_BITS = 64 * MAX_EPS_EXPONENT
 MAX_FLIP_FILE_CHARS = 1 << 24
 
 
-class ExplicitFlips(namedtuple("ExplicitFlips", "n flips")):
+class ExplicitFlips(namedtuple("ExplicitFlips", "flips")):
     """g differs from the base exactly on this finite set of points
     (flips is a frozenset of raw point integers); no corruption is the
     empty set."""
 
     __slots__ = ()
-
-    def __new__(cls, n: int, flips: frozenset):
-        for b in flips:
-            if not 0 <= b < 1 << n:
-                raise ValueError("flip point does not fit n=%d" % n)
-        return tuple.__new__(cls, (n, flips))
 
     def corrupt(self, n: int, bits: int, value: int) -> int:
         return value ^ (bits in self.flips)
@@ -193,13 +189,13 @@ def parse_corruption(spec: str, n: int):
     """Parse a CLI corruption descriptor.
 
     Grammar: "none" | "flips:<file>" | "iid:<eps>:<seed>"; "none" is the
-    empty flip set, ExplicitFlips(n, frozenset()).  Flip files hold one
+    empty flip set, ExplicitFlips(frozenset()).  Flip files hold one
     hex point per line as `parse_hex_point` reads it, LSB = coordinate 1;
     surrounding whitespace and blank lines are ignored.  A flip file must
     be a regular file of at most MAX_FLIP_FILE_CHARS characters.
     """
     if spec == "none":
-        return ExplicitFlips(n, frozenset())
+        return ExplicitFlips(frozenset())
     kind, _, rest = spec.partition(":")
     if kind == "iid":
         eps_text, _, seed_text = rest.rpartition(":")
@@ -217,7 +213,7 @@ def parse_corruption(spec: str, n: int):
             raise ValueError("flip file over %d characters" % MAX_FLIP_FILE_CHARS)
         lines = [line.strip() for line in text.split("\n")]
         flips = frozenset(parse_hex_point(line, n) for line in lines if line)
-        return ExplicitFlips(n, flips)
+        return ExplicitFlips(flips)
     raise ValueError("unknown corruption descriptor %r" % spec)
 
 
@@ -227,4 +223,4 @@ def random_flip_set(n: int, count: int, seed: int) -> ExplicitFlips:
     (a range's length must fit a C ssize_t)."""
     if count > 1 << n:
         raise ValueError("cannot pick %d distinct points in Z_2^%d" % (count, n))
-    return ExplicitFlips(n, frozenset(random.Random(seed).sample(range(1 << n), count)))
+    return ExplicitFlips(frozenset(random.Random(seed).sample(range(1 << n), count)))

@@ -40,8 +40,7 @@ import json
 import math
 import random
 
-from localcorrect.analysis import sample_random_junta
-from localcorrect.boolfn import hex_point
+from localcorrect.boolfn import hex_point, sample_random_junta
 from localcorrect.correctors import pair_rounds
 from localcorrect.harness import MAX_SCAN, derive_seed, sample_influential_junta
 from localcorrect.lowerbound import default_threshold, sample_hard_instance

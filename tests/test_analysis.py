@@ -1,10 +1,13 @@
+"""Variable influence, exact and sampled, and random juntas, as boolfn
+computes them on a core table."""
+
 import random
 from fractions import Fraction
 
 import pytest
 
 from localcorrect.acceptance import _influence_brute
-from localcorrect.analysis import (
+from localcorrect.boolfn import (
     INFLUENCE_THRESHOLD,
     fraction_low_influence,
     influence_exact,

@@ -6,8 +6,7 @@ from itertools import chain
 import pytest
 
 from localcorrect.acceptance import _random_low_degree_table, subcube_parity
-from localcorrect.analysis import sample_random_junta
-from localcorrect.boolfn import JuntaSpec
+from localcorrect.boolfn import JuntaSpec, sample_random_junta
 from localcorrect.correctors import (
     InfluenceCorrectorParams,
     build_masked_input,
@@ -155,11 +154,11 @@ class TestCubeSum:
             elif corruption == "flips":
                 # A random third of the walk's own points, so flips are met.
                 walk = cube_walk(n, x, k, seed)
-                model = ExplicitFlips(n, frozenset(rng.sample(walk, len(walk) // 3)))
+                model = ExplicitFlips(frozenset(rng.sample(walk, len(walk) // 3)))
             else:
                 # Random points off the walk, so every block is screened out.
                 off = {rng.getrandbits(n) for _ in range(1000)}
-                model = ExplicitFlips(n, frozenset(off.difference(cube_walk(n, x, k, seed))))
+                model = ExplicitFlips(frozenset(off.difference(cube_walk(n, x, k, seed))))
             res = cube_sum_correct(NoisyOracle(n, spec.bits_fn(), model), x, k, seed)
             got = res.value, res.queries_used
             want = unstreamed_cube_sum(NoisyOracle(n, spec.bits_fn(), model), x, k, seed)

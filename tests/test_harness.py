@@ -3,7 +3,7 @@ import random
 import pytest
 
 from localcorrect import harness
-from localcorrect.analysis import min_influence_report, sample_random_junta
+from localcorrect.boolfn import min_influence_report, sample_random_junta
 from localcorrect.harness import (
     ALGOS,
     X_MODES,

@@ -229,9 +229,11 @@ class TestDistinguisher:
         ("cube-sum-at-x_star", 15),
     ])
     def test_hooks_reached_through_module_once_per_trial(self, strategy, q, monkeypatch):
-        # Tracers wrap these module globals: each trial must look up
-        # sample_hard_instance and _hard_hits at run time, once each, and
-        # a cube-sum trial subcube_blocks too.
+        # Each trial looks up sample_hard_instance and _hard_hits at run
+        # time, once each, and a cube-sum trial subcube_blocks too.
+        # perfbench's tracer wraps sample_hard_instance through that
+        # lookup, and ROADMAP item 1 plans to time _hard_hits per trial
+        # through it; subcube_blocks is counted here only, one walk a trial.
         calls = []
 
         def counted(name):

@@ -57,7 +57,7 @@ CORRUPTIONS = {
 class TestQuery:
     def test_explicit_flip_definition(self):
         x0 = 0b1010
-        o = NoisyOracle(4, lambda bits: 0, ExplicitFlips(4, frozenset([x0])))
+        o = NoisyOracle(4, lambda bits: 0, ExplicitFlips(frozenset([x0])))
         assert o.query(x0) == 1
         for bits in range(16):
             if bits != x0:
@@ -88,8 +88,8 @@ def batch_models(n, points):
     the threshold is 2^56, so every candidate flips; just above it the
     candidate bytes are 0 and 1; at 1/2 and 255/256 most points are
     candidates."""
-    yield ExplicitFlips(n, frozenset(points[::3]))
-    yield ExplicitFlips(n, frozenset())
+    yield ExplicitFlips(frozenset(points[::3]))
+    yield ExplicitFlips(frozenset())
     for eps in (Fraction(0), Fraction(1, 1 << 12), Fraction(1, 1 << 8),
                 Fraction(1, 1 << 8) + Fraction(1, 1 << 64), Fraction(1, 3),
                 Fraction(1, 2), Fraction(255, 256), 1 - Fraction(1, 1 << 64)):
@@ -263,7 +263,7 @@ class TestIidFlips:
 
 class TestParseCorruption:
     def test_none(self):
-        assert parse_corruption("none", 8) == ExplicitFlips(8, frozenset())
+        assert parse_corruption("none", 8) == ExplicitFlips(frozenset())
 
     def test_iid_forms(self):
         c = parse_corruption("iid:1/64:7", 16)

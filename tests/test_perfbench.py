@@ -13,8 +13,10 @@ change to perfbench/ may move:
   - min_influence_report(...): result.passes_threshold;
   - emit_report(records, summary, path): args[2], the report path;
   - run_distinguisher(strategy, q, n, k, trials, seed): args[0], args[4];
-  - find_corrupted_point: one IidFlips.corrupt or ExplicitFlips.corrupt
-    call per draw, counted as x_search_draws;
+  - find_corrupted_point: under iid, one IidFlips.corrupt call per
+    draw, counted as x_search_draws; under explicit flips it picks x
+    from the set and makes no draw, so the wrapped
+    ExplicitFlips.corrupt is never called;
   - the harness globals cube_sum_correct, influence_correct,
     find_corrupted_point, derive_seed, sample_random_junta and
     min_influence_report; the cli globals run_correction_experiment,
