@@ -161,12 +161,14 @@ class JuntaSpec(namedtuple("JuntaSpec", "n core embedding")):
         n <= FULL_TABLE_MAX_N it is every value: a 2^n-byte table whose
         byte j is the value at point j, and the evaluator is the table's
         bound __getitem__, so mapping it over a batch makes no Python
-        call per point.  Otherwise the relevant coordinates are split
-        into chunks of up to 8, and each chunk gets a dict from
-        bits & chunk_mask to that chunk's share of the core-table index.
-        A point then costs one AND and one dict lookup per chunk; with a
-        single chunk (k <= 8) the dict holds the 0/1 value itself, and
-        otherwise the index selects a bit of the table held as bytes.
+        call per point; NoisyOracle reads the table back through its
+        __self__ to tabulate g under a flip set.  Otherwise the relevant
+        coordinates are split into chunks of up to 8, and each chunk gets
+        a dict from bits & chunk_mask to that chunk's share of the
+        core-table index.  A point then costs one AND and one dict lookup
+        per chunk; with a single chunk (k <= 8) the dict holds the 0/1
+        value itself, and otherwise the index selects a bit of the table
+        held as bytes.
         """
         table = self.core
         if self.k <= 8 and self.n <= FULL_TABLE_MAX_N:

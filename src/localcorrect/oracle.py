@@ -19,6 +19,16 @@ Explicit flips screen each batch with one set intersection, and a batch
 that meets no flipped point keeps its base values untouched; "none" is
 the empty flip set, which every batch misses.  A flip set is only its
 points: each is bounded below 2^n where it enters the program.
+
+A flip set over a base that is JuntaSpec.bits_fn's 2^n-byte table
+(k <= 8, n <= FULL_TABLE_MAX_N) skips both steps: NoisyOracle tabulates
+g once, as a list of the table's values with each flipped entry toggled
+(at n=16, 512 KiB built in about 0.3 ms), and a query is one lookup
+mapped from C.  iid is never tabulated: at n=16 that would hash all 2^16
+points at set-up, 55-80 ms, where a k=4 cube correction hashes 31, so it
+would repay only after about 2,100 corrections.  Any wrapper around the
+table's lookup hides it, so perfbench's traced run takes the screened
+path.
 """
 
 from __future__ import annotations
@@ -136,6 +146,11 @@ class NoisyOracle:
     fixed function, so one oracle may serve many trials in turn; each
     reads its own queries as a difference of query_count.  The counter is
     not locked, so concurrent trials need their own oracles.
+
+    When base_bits is the bound lookup of a 2^n-byte table (what
+    JuntaSpec.bits_fn returns at k <= 8, n <= FULL_TABLE_MAX_N) and
+    corruption an ExplicitFlips, g is tabulated here, once; base_bits and
+    corruption keep the values given, as the plain rule of g.
     """
 
     def __init__(self, n: int, base_bits, corruption):
@@ -143,6 +158,16 @@ class NoisyOracle:
         self.base_bits = base_bits
         self.corruption = corruption
         self.query_count = 0
+        self._g = None
+        table = getattr(base_bits, "__self__", None)
+        if (type(corruption) is ExplicitFlips and type(table) is bytes
+                and len(table) == 1 << n):
+            # A list, not a bytes copy: mapped over a batch, its
+            # __getitem__ costs about half as much a point.
+            g = list(table)
+            for p in corruption.flips:
+                g[p] ^= 1
+            self._g = g.__getitem__
 
     def query(self, x: int) -> int:
         """g at one n-bit int; counts one query."""
@@ -152,11 +177,13 @@ class NoisyOracle:
         """g at each raw n-bit int of the sized points, in order;
         counts len(points).
 
-        The one place g is evaluated and queries are counted.  The base is
-        mapped over the batch, then the corruption model's corrupt_many
-        takes the whole batch at once.
+        The one place g is evaluated and queries are counted.  A tabulated
+        g is mapped over the batch; otherwise the base is, then the
+        corruption model's corrupt_many takes the whole batch at once.
         """
         self.query_count += len(points)
+        if self._g is not None:
+            return list(map(self._g, points))
         return self.corruption.corrupt_many(
             self.n, points, list(map(self.base_bits, points)))
 

@@ -16,7 +16,7 @@ from callcount import all_counts
 # versions compile the same source to other calls: 3.12, for one, inlines
 # the list comprehensions (PEP 709) that 3.11 runs as calls.
 PINS = {
-    "cube-k4-flips": [(5, 38), (5, 38), (5, 38)],
+    "cube-k4-flips": [(4, 37), (4, 37), (4, 37)],
     "influence-k8-iid": [(38529, 77339), (38528, 77339), (38528, 77349)],
     "lowerbound-blindness": [(14, 142), (14, 140), (14, 138)],
 }

@@ -73,13 +73,41 @@ class TestQuery:
         pts += sorted(flips)
         # Under flips, a batch that meets no flipped point and one made only
         # of flipped points, repeated as dependent subcube directions repeat
-        # points, reach both branches of the batch screen.
+        # points.  At n=12 g is tabulated; the screen's two branches are
+        # reached by test_flip_sets_on_both_sides_of_the_table.
         missed = [b for b in pts if b not in flips]
         only_flipped = rng.choices(sorted(flips), k=600)
         for batch in ([], pts[:1], pts[:800], pts, range(1 << 12), missed, only_flipped):
             before = o.query_count
             assert o.query_many(batch) == per_point_query_many(o, batch)
             assert o.query_count - before == len(batch)
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_flip_sets_on_both_sides_of_the_table(self, n, monkeypatch):
+        # A k <= 8 junta at n=16 is a 2^n-byte table, so g is tabulated
+        # once and no batch reaches corrupt_many; at n=17 the base is the
+        # dict closure and every batch is screened by the flip set.
+        screened = []
+        real = ExplicitFlips.corrupt_many
+
+        def counted(self, n, points, values):
+            screened.append(len(points))
+            return real(self, n, points, values)
+
+        monkeypatch.setattr(ExplicitFlips, "corrupt_many", counted)
+        rng = random.Random(n)
+        spec = JuntaSpec(n, rng.getrandbits(256), rng.sample(range(1, n + 1), 8))
+        flips = random_flip_set(n, 256, n)
+        repeated = rng.choices(sorted(flips.flips), k=300) + list(range(300))
+        rng.shuffle(repeated)
+        everywhere = range(1 << n)
+        for corruption in (ExplicitFlips(frozenset()), flips):
+            o = NoisyOracle(n, spec.bits_fn(), corruption)
+            for batch in (everywhere, repeated):
+                before = o.query_count
+                assert o.query_many(batch) == per_point_query_many(o, batch)
+                assert o.query_count - before == len(batch)
+        assert screened == ([] if n == 16 else [1 << n, 600] * 2)
 
 def batch_models(n, points):
     """One instance of each model at n, with both outcomes reachable.
