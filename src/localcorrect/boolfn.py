@@ -168,7 +168,10 @@ class JuntaSpec(namedtuple("JuntaSpec", "n core embedding")):
         core-table index.  A point then costs one AND and one dict lookup
         per chunk; with a single chunk (k <= 8) the dict holds the 0/1
         value itself, and otherwise the index selects a bit of the table
-        held as bytes.
+        held as bytes.  The single-chunk evaluator also carries bytes_fn,
+        a batch form that reads the joined encodings NoisyOracle shares
+        with the iid hash (see _bytes_fn); per-point callers, and any
+        wrapper around the evaluator, use the dict.
         """
         table = self.core
         if self.k <= 8 and self.n <= FULL_TABLE_MAX_N:
@@ -201,6 +204,7 @@ class JuntaSpec(namedtuple("JuntaSpec", "n core embedding")):
             def fn(bits: int) -> int:
                 return values[bits & mask]
 
+            fn.bytes_fn = self._bytes_fn()
             return fn
 
         # k > 8: index a byte string, since shifting a 2^k-bit int per
@@ -214,6 +218,32 @@ class JuntaSpec(namedtuple("JuntaSpec", "n core embedding")):
             return (table_bytes[idx >> 3] >> (idx & 7)) & 1
 
         return fn
+
+    def _bytes_fn(self):
+        """bits_fn's batch form at k <= 8: the values of the points whose
+        (n + 7) // 8-byte little-endian encodings are joined in buf.
+
+        Each byte j of an encoding that holds relevant coordinates gets a
+        256-entry table of that byte's share of the core index.  Its
+        column buf[j::size] goes through that table with one translate,
+        the shares are ORed as ints, and one more translate maps each
+        index byte to its 0/1 value: no Python call per point."""
+        size = (self.n + 7) // 8
+        held = {}
+        for i, c in enumerate(self.embedding):
+            held.setdefault((c - 1) >> 3, []).append((i, (c - 1) & 7))
+        shares = [(j, bytes(sum(((b >> bit) & 1) << i for i, bit in pairs)
+                            for b in range(256)))
+                  for j, pairs in held.items()]
+        value_of = bytes((self.core >> idx) & 1 for idx in range(256))
+
+        def bytes_fn(buf: bytes) -> list:
+            idx = 0
+            for j, share in shares:
+                idx |= int.from_bytes(buf[j::size].translate(share), "little")
+            return list(idx.to_bytes(len(buf) // size, "little").translate(value_of))
+
+        return bytes_fn
 
 
 def sample_random_junta(k: int, n: int, seed: int) -> JuntaSpec:

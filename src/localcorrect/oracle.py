@@ -29,6 +29,18 @@ points at set-up, 55-80 ms, where a k=4 cube correction hashes 31, so it
 would repay only after about 2,100 corrections.  Any wrapper around the
 table's lookup hides it, so perfbench's traced run takes the screened
 path.
+
+Every other batch is encoded at most once: each point becomes the
+(n + 7) // 8-byte little-endian string that the iid digests depend on.
+When the base carries a batch form (the bytes_fn attribute of
+JuntaSpec.bits_fn's k <= 8 evaluator above FULL_TABLE_MAX_N),
+query_many encodes the batch and hands the same strings to both: the
+base reads them joined, with one translate of a byte column per byte
+that holds relevant coordinates and one more for the values, and
+IidFlips hashes them without encoding them again.  Under iid over any
+other base, the hash encodes the batch itself.  A base the oracle does
+not recognise (a test's lambda, perfbench's traced wrapper) is mapped
+point by point.
 """
 
 from __future__ import annotations
@@ -106,9 +118,11 @@ class IidFlips(namedtuple("IidFlips", "eps seed")):
         h.update(bits.to_bytes((n + 7) // 8, "little"))
         return value ^ (int.from_bytes(h.digest(), "little") < self._threshold)
 
-    def corrupt_many(self, n: int, points, values) -> list:
+    def corrupt_many(self, n: int, points, values, encoded=None) -> list:
         """corrupt's rule over a batch, hashed through C-level maps and
-        decided from one joined digest string.
+        decided from one joined digest string.  encoded, if given, holds
+        the points' (n + 7) // 8-byte little-endian strings, which the
+        caller has already built; otherwise they are built here.
 
         A digest's top byte (index 7, little-endian) screens the batch:
         h < T implies h >> 56 <= (T - 1) >> 56, so every flipped point is
@@ -117,12 +131,11 @@ class IidFlips(namedtuple("IidFlips", "eps seed")):
         batch with no flip keeps its values list.  One hasher copy is alive
         per point, so the caller bounds the batch: the correctors send at
         most 2^12 points at a time."""
-        size, blake2b = (n + 7) // 8, hashlib.blake2b
+        blake2b = hashlib.blake2b
         hs = list(starmap(self._hasher.copy, repeat((), len(points))))
-        # Both to_bytes arguments are given: Python 3.10 has no default
-        # length or byte order.
-        deque(map(blake2b.update, hs,
-                  map(int.to_bytes, points, repeat(size), repeat("little"))), 0)
+        if encoded is None:
+            encoded = _encode(n, points)
+        deque(map(blake2b.update, hs, encoded), 0)
         digests = b"".join(map(blake2b.digest, hs))
         threshold = self._threshold
         top = (threshold - 1) >> 56
@@ -138,6 +151,13 @@ class IidFlips(namedtuple("IidFlips", "eps seed")):
         return out
 
 
+def _encode(n: int, points):
+    """Each point as the (n + 7) // 8-byte little-endian string that the
+    iid hash reads, mapped from C.  Both to_bytes arguments are given:
+    Python 3.10 has no default length or byte order."""
+    return map(int.to_bytes, points, repeat((n + 7) // 8), repeat("little"))
+
+
 class NoisyOracle:
     """Base function plus corruption, with a per-instance query counter.
 
@@ -150,7 +170,9 @@ class NoisyOracle:
     When base_bits is the bound lookup of a 2^n-byte table (what
     JuntaSpec.bits_fn returns at k <= 8, n <= FULL_TABLE_MAX_N) and
     corruption an ExplicitFlips, g is tabulated here, once; base_bits and
-    corruption keep the values given, as the plain rule of g.
+    corruption keep the values given, as the plain rule of g.  When
+    base_bits carries a bytes_fn batch form (k <= 8 above that n), each
+    batch is encoded once, read by bytes_fn, and hashed by an IidFlips.
     """
 
     def __init__(self, n: int, base_bits, corruption):
@@ -168,6 +190,7 @@ class NoisyOracle:
             for p in corruption.flips:
                 g[p] ^= 1
             self._g = g.__getitem__
+        self._bytes_fn = getattr(base_bits, "bytes_fn", None)
 
     def query(self, x: int) -> int:
         """g at one n-bit int; counts one query."""
@@ -178,14 +201,22 @@ class NoisyOracle:
         counts len(points).
 
         The one place g is evaluated and queries are counted.  A tabulated
-        g is mapped over the batch; otherwise the base is, then the
-        corruption model's corrupt_many takes the whole batch at once.
+        g is mapped over the batch.  Otherwise the base's batch form reads
+        the joined encodings, or the base is mapped over the points, and
+        the corruption model's corrupt_many takes the whole batch at once,
+        with the encodings when it is an IidFlips.
         """
         self.query_count += len(points)
         if self._g is not None:
             return list(map(self._g, points))
-        return self.corruption.corrupt_many(
-            self.n, points, list(map(self.base_bits, points)))
+        n, corruption, bytes_fn = self.n, self.corruption, self._bytes_fn
+        if bytes_fn is None:
+            return corruption.corrupt_many(n, points, list(map(self.base_bits, points)))
+        encoded = list(_encode(n, points))
+        values = bytes_fn(b"".join(encoded))
+        if type(corruption) is IidFlips:
+            return corruption.corrupt_many(n, points, values, encoded)
+        return corruption.corrupt_many(n, points, values)
 
 
 def _parse_eps(text: str) -> Fraction:
@@ -235,7 +266,13 @@ def parse_corruption(spec: str, n: int):
         with open(rest, encoding="utf-8", opener=_open_nonblocking) as fh:
             if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 raise ValueError("flip file %r is not a regular file" % rest)
-            text = fh.read(MAX_FLIP_FILE_CHARS + 1)
+            # Read in bounded chunks: one read of the cap would have the
+            # buffered reader allocate the whole cap (16 MiB) up front.
+            parts, left = [], MAX_FLIP_FILE_CHARS + 1
+            while left and (part := fh.read(min(left, 1 << 16))):
+                parts.append(part)
+                left -= len(part)
+            text = "".join(parts)
         if len(text) > MAX_FLIP_FILE_CHARS:
             raise ValueError("flip file over %d characters" % MAX_FLIP_FILE_CHARS)
         lines = [line.strip() for line in text.split("\n")]

@@ -9,16 +9,20 @@ documented seed streams, so a test compares outputs, not internals.
 Each fast path, its reference, and the one test that compares them:
 
 - `JuntaSpec.bits_fn`, both its full 2^n-byte table of values (k <= 8,
-  n <= 16) and its chunk dicts: `reference_bits_fn`,
+  n <= 16) and its chunk dicts, and the batch form `bytes_fn` that the
+  k <= 8 evaluator carries above n = 16: `reference_bits_fn`,
   `test_boolfn::TestEvalJunta::test_matches_mask_loop_reference`, whose
-  every-point rows sit on each side of n = 16;
+  every-point rows sit on each side of n = 16, and whose byte-layouts
+  rows (n = 17 to 1000) read whole batches, an empty one and a
+  one-point one through `bytes_fn`;
 - `boolfn._mobius`: `reference_anf_coeffs`,
   `test_boolfn::TestAnf::test_matches_brute_force_random`;
 - `IidFlips.corrupt`: `reference_flips_point`,
   `test_oracle::TestIidFlips::test_matches_fraction_reference`;
 - `corrupt_many`: `reference_flips_point` and flip-set membership,
   `test_oracle::TestCorruptMany::test_matches_per_point_rule`;
-- `NoisyOracle.query_many`: the base plus `reference_flipped`,
+- `NoisyOracle.query_many`, on a table base at n = 12 and on a batch
+  form base at n = 40: the base plus `reference_flipped`,
   `test_oracle::TestQuery::test_query_many_matches_per_point_rule`;
 - `subcube_blocks`: `reference_walk`,
   `test_correctors::TestCubeSum::test_blocks_follow_the_old_walk`;

@@ -66,27 +66,42 @@ class TestHexPoint:
                 parse_hex_point(text, 8)
 
 
+def byte_layouts(n, k):
+    """Embeddings that place k coordinates, as the encoding's bytes hold
+    them, packed into one middle byte, spread from coordinate 1 to n
+    (over eight bytes once n > 64), and in the top byte and those below."""
+    middle = 8 * ((n + 7) // 16)
+    spread = ([1 + i * (n - 1) // (k - 1) for i in range(k)] if k > 1
+              else [n // 2])
+    return [range(middle + 1, middle + k + 1), spread, range(n - k + 1, n + 1)]
+
+
 class TestEvalJunta:
-    @pytest.mark.parametrize("k, every_point_n", [
-        pytest.param(3, 10, id="3-n10-every-point"),
-        pytest.param(1, 1, id="1-n1-every-point"),
-        pytest.param(8, FULL_TABLE_MAX_N, id="8-n16-every-point-table"),
-        pytest.param(8, FULL_TABLE_MAX_N + 1, id="8-n17-every-point-dict"),
-    ] + [pytest.param(k, None, id=str(k)) for k in (1, 4, 8, 9, 16, 17, 24)])
-    def test_matches_mask_loop_reference(self, k, every_point_n):
-        # bits_fn's full table of values (k <= 8, n <= FULL_TABLE_MAX_N)
-        # and its per-chunk dicts against the plain per-mask loop, on
-        # random cores and embeddings that hold coordinates 1 and n: at
-        # every point of n=1, 10, 16 and 17, or at sampled points of a
-        # random n up to 200.
+    @pytest.mark.parametrize("k, every_point_n, layouts_n", [
+        pytest.param(3, 10, None, id="3-n10-every-point"),
+        pytest.param(1, 1, None, id="1-n1-every-point"),
+        pytest.param(8, FULL_TABLE_MAX_N, None, id="8-n16-every-point-table"),
+        pytest.param(8, FULL_TABLE_MAX_N + 1, None, id="8-n17-every-point-dict"),
+    ] + [pytest.param(k, None, None, id=str(k)) for k in (1, 4, 8, 9, 16, 17, 24)]
+      + [pytest.param(k, None, n, id="%d-n%d-byte-layouts" % (k, n))
+         for k in (1, 8) for n in (17, 127, 129, 1000)])
+    def test_matches_mask_loop_reference(self, k, every_point_n, layouts_n):
+        # bits_fn's full table of values (k <= 8, n <= FULL_TABLE_MAX_N),
+        # its per-chunk dicts, and at k <= 8 above the table the batch
+        # form that reads joined encodings, against the plain per-mask
+        # loop, on random non-constant cores: at every point of n=1, 10, 16 and 17, on
+        # random embeddings that hold coordinates 1 and n at a random n up
+        # to 200, or on byte_layouts' embeddings at n = 17 to 1000.  The
+        # batch form also reads an empty batch and a one-point batch.
         rng = random.Random(1000 + k)
-        for _ in range(3):
-            n = every_point_n or rng.randint(max(k, 2), 200)
-            core = rng.getrandbits(1 << k)
-            ends = [1, n][:k]
-            middle = rng.sample(range(2, n), k - len(ends))
-            emb = ends + middle
-            rng.shuffle(emb)
+        for emb in byte_layouts(layouts_n, k) if layouts_n else [None] * 3:
+            n = layouts_n or every_point_n or rng.randint(max(k, 2), 200)
+            core = rng.randrange(1, (1 << (1 << k)) - 1)  # not constant
+            if emb is None:
+                ends = [1, n][:k]
+                middle = rng.sample(range(2, n), k - len(ends))
+                emb = ends + middle
+                rng.shuffle(emb)
             spec = JuntaSpec(n, core, tuple(emb))
             fast, ref = spec.bits_fn(), reference_bits_fn(spec)
             if every_point_n:
@@ -98,6 +113,12 @@ class TestEvalJunta:
                 points += [rng.getrandbits(n) & on_junta for _ in range(100)]
             for bits in points:
                 assert fast(bits) == ref(bits)
+            batch_fn = getattr(fast, "bytes_fn", None)
+            assert (batch_fn is not None) == (k <= 8 and n > FULL_TABLE_MAX_N)
+            if batch_fn is not None:
+                for batch in ([], points[:1], points):
+                    joined = b"".join(b.to_bytes((n + 7) // 8, "little") for b in batch)
+                    assert batch_fn(joined) == [ref(b) for b in batch]
 
 
 class TestAnf:

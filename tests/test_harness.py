@@ -3,7 +3,7 @@ import random
 import pytest
 
 from localcorrect import harness
-from localcorrect.boolfn import min_influence_report, sample_random_junta
+from localcorrect.boolfn import hex_point, min_influence_report, sample_random_junta
 from localcorrect.harness import (
     ALGOS,
     X_MODES,
@@ -122,26 +122,31 @@ class TestEmitReport:
         assert len(path.read_text().splitlines()) == 1
 
 
-# (k, n, trials) of each algo's grid row, small enough that the plain
-# reference, one Python call per query, stays fast.
-GRID_SHAPES = {"cube": (3, 12, 12), "influence": (2, 12, 2), "symmetric": (12, 12, 12)}
+# (k, n, trials) of each algo's grid rows, small enough that the plain
+# reference, one Python call per query, stays fast.  At n=12 a k <= 8
+# junta is the 2^n-byte table; the n=20 rows reach the base's batch form
+# above it, the flip-set screen, and the iid hash over a base that is not
+# a table.
+GRID_SHAPES = {"cube": [(3, 12, 12), (3, 20, 4)],
+               "influence": [(2, 12, 2), (2, 20, 1)],
+               "symmetric": [(12, 12, 12)]}
 
 
-def grid_configs(algo, flip_path):
-    """algo under no corruption, a flip file and iid, in every x mode that
-    the corruption allows, with repeat_t unset and 3."""
-    k, n, trials = GRID_SHAPES[algo]
+def grid_configs(algo, flip_paths):
+    """algo under no corruption, a flip file (flip_paths[n]) and iid, in
+    every x mode that the corruption allows, with repeat_t unset and 3."""
     seed = 0
-    for corruption in ("none", "flips:%s" % flip_path, "iid:1/16:3"):
-        for x_mode in X_MODES:
-            if x_mode == "adversarial-flipped" and corruption == "none":
-                continue
-            for repeat_t in (None, 3):
-                seed += 1
-                yield ExperimentConfig(
-                    algo=algo, k=k, n=n, corruption=corruption, trials=trials,
-                    master_seed=seed, x_mode=x_mode, repeat_t=repeat_t,
-                    x_hex="a5c" if x_mode == "fixed-hex" else None)
+    for k, n, trials in GRID_SHAPES[algo]:
+        for corruption in ("none", "flips:%s" % flip_paths[n], "iid:1/16:3"):
+            for x_mode in X_MODES:
+                if x_mode == "adversarial-flipped" and corruption == "none":
+                    continue
+                for repeat_t in (None, 3):
+                    seed += 1
+                    yield ExperimentConfig(
+                        algo=algo, k=k, n=n, corruption=corruption, trials=trials,
+                        master_seed=seed, x_mode=x_mode, repeat_t=repeat_t,
+                        x_hex="a5c" if x_mode == "fixed-hex" else None)
 
 
 class TestReferenceGrid:
@@ -149,12 +154,14 @@ class TestReferenceGrid:
     def test_report_matches_reference(self, algo, tmp_path):
         # The report's bytes against the plain reference's, config by
         # config: every value, query count, record and summary line.
-        flip_path = tmp_path / "flips.txt"
-        flips = random_flip_set(12, 256, 21)
-        flip_path.write_text("".join("%03x\n" % b for b in sorted(flips.flips)))
+        flip_paths = {}
+        for n in {n for _, n, _ in GRID_SHAPES[algo]}:
+            flips = random_flip_set(n, 256, 21)
+            flip_paths[n] = tmp_path / ("flips%d.txt" % n)
+            flip_paths[n].write_text("".join(hex_point(b, n) + "\n" for b in sorted(flips.flips)))
         out = tmp_path / "r.jsonl"
         successes = set()
-        for cfg in grid_configs(algo, flip_path):
+        for cfg in grid_configs(algo, flip_paths):
             records, summary = run_correction_experiment(cfg)
             emit_report(records, summary, str(out))
             assert out.read_text() == reference_correct_report(cfg), cfg

@@ -165,7 +165,7 @@ def test_readme_layout_names_each_module_once():
 # The fast paths, and the report template, that the plain references in
 # tests/reference.py are compared against, and so must not reach.
 FAST_PATHS = {
-    "bits_fn", "_mobius", "corrupt", "corrupt_many", "query", "query_many",
+    "bits_fn", "bytes_fn", "_mobius", "corrupt", "corrupt_many", "query", "query_many",
     "subcube_blocks", "identify_influencing_parts", "build_masked_input",
     "find_corrupted_point", "run_correction_experiment", "emit_report",
     "_RECORD_LINE", "REPORT_ENCODER", "_hard_hits", "run_distinguisher",

@@ -81,6 +81,18 @@ class TestQuery:
             before = o.query_count
             assert o.query_many(batch) == per_point_query_many(o, batch)
             assert o.query_count - before == len(batch)
+        # At n=40 a k=8 base reads each batch from the points' encodings,
+        # the strings that iid hashes, over four of its five bytes.
+        wide = JuntaSpec(40, rng.getrandbits(256), (1, 3, 6, 9, 12, 20, 33, 40))
+        corruption = random_flip_set(40, 300, 4) if model == "flips" else CORRUPTIONS[model]
+        o = NoisyOracle(40, wide.bits_fn(), corruption)
+        assert hasattr(o.base_bits, "bytes_fn")
+        pts = [rng.getrandbits(40) for _ in range(LONG_BATCH)]
+        pts += sorted(getattr(corruption, "flips", ()))
+        for batch in ([], pts[:1], pts, range(1 << 12)):
+            before = o.query_count
+            assert o.query_many(batch) == per_point_query_many(o, batch)
+            assert o.query_count - before == len(batch)
 
     @pytest.mark.parametrize("n", [16, 17])
     def test_flip_sets_on_both_sides_of_the_table(self, n, monkeypatch):
@@ -348,6 +360,22 @@ class TestParseCorruption:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_flips_file_is_read_in_bounded_chunks(self, tmp_path):
+        # A read of the whole cap at once has the buffered reader allocate
+        # MAX_FLIP_FILE_CHARS + 1 bytes (16 MiB) before it reads a 1.3 KB
+        # file; parsing a 256-point file at n=16 stays under 1 MiB.
+        flips = random_flip_set(16, 256, 16)
+        path = tmp_path / "flips.txt"
+        path.write_text("".join(hex_point(p, 16) + "\n" for p in sorted(flips.flips)))
+        tracemalloc.start()
+        try:
+            parsed = parse_corruption("flips:%s" % path, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == flips
         assert peak < 1 << 20
 
 
