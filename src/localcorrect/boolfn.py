@@ -1,10 +1,13 @@
 """Core Boolean function representations: truth tables, juntas, and the
-hex form of a point; a table's variable influences, and random juntas.
+hex and byte forms of a point; a table's variable influences, and random
+juntas.
 
 Conventions fixed bit-exactly (reports and tests depend on them):
   - Coordinates are 1-based everywhere in the public API; a point or a set
     of coordinates is an n-bit int mask whose bit i-1 stands for
     coordinate i; parse_hex_point bounds a point read from text below 2^n.
+  - A point's bytes are its (n + 7) // 8-byte little-endian string, so
+    byte j holds coordinates 8j + 1 to 8j + 8 (encode_points).
   - A truth table on k variables is a plain 2^k-bit int, with k kept
     beside it; the bit at index j is the value at the assignment where
     variable i equals bit (i-1) of j (variable 1 = least significant bit).
@@ -16,6 +19,7 @@ import functools
 import random
 from collections import namedtuple
 from fractions import Fraction
+from itertools import repeat
 
 MAX_TABLE_VARS = 24  # dense 2^k-bit tables; 2 MiB at the cap
 MAX_N = 1 << 16  # coordinates of a point; the experiments use at most 1,000
@@ -58,6 +62,13 @@ def parse_hex_point(s: str, n: int) -> int:
     if bits >> n:
         raise ValueError("bits out of range for n=%d" % n)
     return bits
+
+
+def encode_points(n: int, points):
+    """Each n-bit point's bytes, mapped from C: what the iid hash digests
+    and, joined, what bits_fn's batch form reads.  Both to_bytes
+    arguments are given: Python 3.10 has no default length or order."""
+    return map(int.to_bytes, points, repeat((n + 7) // 8), repeat("little"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -169,9 +180,10 @@ class JuntaSpec(namedtuple("JuntaSpec", "n core embedding")):
         per chunk; with a single chunk (k <= 8) the dict holds the 0/1
         value itself, and otherwise the index selects a bit of the table
         held as bytes.  The single-chunk evaluator also carries bytes_fn,
-        a batch form that reads the joined encodings NoisyOracle shares
-        with the iid hash (see _bytes_fn); per-point callers, and any
-        wrapper around the evaluator, use the dict.
+        a batch form that reads a batch's joined encode_points strings
+        (see _bytes_fn); NoisyOracle uses it under iid, whose hash
+        digests the same strings.  Per-point callers, any other
+        corruption, and any wrapper around the evaluator use the dict.
         """
         table = self.core
         if self.k <= 8 and self.n <= FULL_TABLE_MAX_N:
@@ -220,10 +232,10 @@ class JuntaSpec(namedtuple("JuntaSpec", "n core embedding")):
         return fn
 
     def _bytes_fn(self):
-        """bits_fn's batch form at k <= 8: the values of the points whose
-        (n + 7) // 8-byte little-endian encodings are joined in buf.
+        """bits_fn's batch form at k <= 8: the values of a batch of points
+        whose encode_points strings are joined in buf.
 
-        Each byte j of an encoding that holds relevant coordinates gets a
+        Each byte j of a point that holds relevant coordinates gets a
         256-entry table of that byte's share of the core index.  Its
         column buf[j::size] goes through that table with one translate,
         the shares are ORed as ints, and one more translate maps each

@@ -30,17 +30,15 @@ would repay only after about 2,100 corrections.  Any wrapper around the
 table's lookup hides it, so perfbench's traced run takes the screened
 path.
 
-Every other batch is encoded at most once: each point becomes the
-(n + 7) // 8-byte little-endian string that the iid digests depend on.
-When the base carries a batch form (the bytes_fn attribute of
-JuntaSpec.bits_fn's k <= 8 evaluator above FULL_TABLE_MAX_N),
-query_many encodes the batch and hands the same strings to both: the
-base reads them joined, with one translate of a byte column per byte
-that holds relevant coordinates and one more for the values, and
-IidFlips hashes them without encoding them again.  Under iid over any
-other base, the hash encodes the batch itself.  A base the oracle does
-not recognise (a test's lambda, perfbench's traced wrapper) is mapped
-point by point.
+Every other batch is mapped through the base point by point, except
+under iid over a base with a batch form (the bytes_fn attribute of
+JuntaSpec.bits_fn's k <= 8 evaluator above FULL_TABLE_MAX_N).  There
+query_many encodes the batch once (boolfn.encode_points) and hands the
+same strings to both: the base reads them joined, one translate of a
+byte column per byte that holds relevant coordinates and one more for
+the values, and IidFlips hashes them.  Under none or flips nothing else
+needs the strings, so the base is mapped, as is a base the oracle does
+not recognise (a test's lambda, perfbench's traced wrapper).
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from fractions import Fraction
 from itertools import repeat, starmap
 from operator import xor
 
-from .boolfn import parse_hex_point
+from .boolfn import encode_points, parse_hex_point
 
 # Largest exponent magnitude an iid eps may be written with.  Every eps
 # in (0, 2^-64] already gives the smallest non-zero flip threshold, so a
@@ -115,14 +113,16 @@ class IidFlips(namedtuple("IidFlips", "eps seed")):
 
     def corrupt(self, n: int, bits: int, value: int) -> int:
         h = self._hasher.copy()
+        # encode_points' string, without its map's 0.4 µs: this runs
+        # about 1/eps times in find_corrupted_point.
         h.update(bits.to_bytes((n + 7) // 8, "little"))
         return value ^ (int.from_bytes(h.digest(), "little") < self._threshold)
 
     def corrupt_many(self, n: int, points, values, encoded=None) -> list:
         """corrupt's rule over a batch, hashed through C-level maps and
         decided from one joined digest string.  encoded, if given, holds
-        the points' (n + 7) // 8-byte little-endian strings, which the
-        caller has already built; otherwise they are built here.
+        the points' encode_points strings, which the caller has already
+        built; otherwise they are built here.
 
         A digest's top byte (index 7, little-endian) screens the batch:
         h < T implies h >> 56 <= (T - 1) >> 56, so every flipped point is
@@ -134,7 +134,7 @@ class IidFlips(namedtuple("IidFlips", "eps seed")):
         blake2b = hashlib.blake2b
         hs = list(starmap(self._hasher.copy, repeat((), len(points))))
         if encoded is None:
-            encoded = _encode(n, points)
+            encoded = encode_points(n, points)
         deque(map(blake2b.update, hs, encoded), 0)
         digests = b"".join(map(blake2b.digest, hs))
         threshold = self._threshold
@@ -151,13 +151,6 @@ class IidFlips(namedtuple("IidFlips", "eps seed")):
         return out
 
 
-def _encode(n: int, points):
-    """Each point as the (n + 7) // 8-byte little-endian string that the
-    iid hash reads, mapped from C.  Both to_bytes arguments are given:
-    Python 3.10 has no default length or byte order."""
-    return map(int.to_bytes, points, repeat((n + 7) // 8), repeat("little"))
-
-
 class NoisyOracle:
     """Base function plus corruption, with a per-instance query counter.
 
@@ -171,8 +164,9 @@ class NoisyOracle:
     JuntaSpec.bits_fn returns at k <= 8, n <= FULL_TABLE_MAX_N) and
     corruption an ExplicitFlips, g is tabulated here, once; base_bits and
     corruption keep the values given, as the plain rule of g.  When
-    base_bits carries a bytes_fn batch form (k <= 8 above that n), each
-    batch is encoded once, read by bytes_fn, and hashed by an IidFlips.
+    base_bits carries a bytes_fn batch form (k <= 8 above that n) and
+    corruption is an IidFlips, each batch is encoded once, read by
+    bytes_fn, and hashed by the IidFlips.
     """
 
     def __init__(self, n: int, base_bits, corruption):
@@ -190,7 +184,8 @@ class NoisyOracle:
             for p in corruption.flips:
                 g[p] ^= 1
             self._g = g.__getitem__
-        self._bytes_fn = getattr(base_bits, "bytes_fn", None)
+        self._bytes_fn = (getattr(base_bits, "bytes_fn", None)
+                          if type(corruption) is IidFlips else None)
 
     def query(self, x: int) -> int:
         """g at one n-bit int; counts one query."""
@@ -201,22 +196,20 @@ class NoisyOracle:
         counts len(points).
 
         The one place g is evaluated and queries are counted.  A tabulated
-        g is mapped over the batch.  Otherwise the base's batch form reads
-        the joined encodings, or the base is mapped over the points, and
-        the corruption model's corrupt_many takes the whole batch at once,
-        with the encodings when it is an IidFlips.
+        g is mapped over the batch.  Under iid over a base with a batch
+        form, the batch is encoded once, and the base and the hash read
+        the same strings.  Otherwise the base is mapped over the points.
+        Then the corruption model's corrupt_many takes the whole batch.
         """
         self.query_count += len(points)
         if self._g is not None:
             return list(map(self._g, points))
-        n, corruption, bytes_fn = self.n, self.corruption, self._bytes_fn
-        if bytes_fn is None:
-            return corruption.corrupt_many(n, points, list(map(self.base_bits, points)))
-        encoded = list(_encode(n, points))
-        values = bytes_fn(b"".join(encoded))
-        if type(corruption) is IidFlips:
-            return corruption.corrupt_many(n, points, values, encoded)
-        return corruption.corrupt_many(n, points, values)
+        n, corruption = self.n, self.corruption
+        if self._bytes_fn is not None:
+            encoded = list(encode_points(n, points))
+            return corruption.corrupt_many(
+                n, points, self._bytes_fn(b"".join(encoded)), encoded)
+        return corruption.corrupt_many(n, points, list(map(self.base_bits, points)))
 
 
 def _parse_eps(text: str) -> Fraction:

@@ -22,7 +22,8 @@ Each fast path, its reference, and the one test that compares them:
 - `corrupt_many`: `reference_flips_point` and flip-set membership,
   `test_oracle::TestCorruptMany::test_matches_per_point_rule`;
 - `NoisyOracle.query_many`, on a table base at n = 12 and on a batch
-  form base at n = 40: the base plus `reference_flipped`,
+  form base at n = 40, read as bytes under iid and mapped under none
+  and flips: the base plus `reference_flipped`,
   `test_oracle::TestQuery::test_query_many_matches_per_point_rule`;
 - `subcube_blocks`: `reference_walk`,
   `test_correctors::TestCubeSum::test_blocks_follow_the_old_walk`;

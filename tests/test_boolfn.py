@@ -9,6 +9,7 @@ from localcorrect.boolfn import (
     JuntaSpec,
     _low_mask,
     _mobius,
+    encode_points,
     hex_point,
     parse_hex_point,
     truth_table,
@@ -88,15 +89,21 @@ class TestEvalJunta:
     def test_matches_mask_loop_reference(self, k, every_point_n, layouts_n):
         # bits_fn's full table of values (k <= 8, n <= FULL_TABLE_MAX_N),
         # its per-chunk dicts, and at k <= 8 above the table the batch
-        # form that reads joined encodings, against the plain per-mask
-        # loop, on random non-constant cores: at every point of n=1, 10, 16 and 17, on
-        # random embeddings that hold coordinates 1 and n at a random n up
-        # to 200, or on byte_layouts' embeddings at n = 17 to 1000.  The
+        # form that reads joined encode_points strings, against the plain
+        # per-mask loop.  Random cores at every point of n=1, 10, 16 and
+        # 17, or on random embeddings that hold coordinates 1 and n at a
+        # random n up to 200.  On byte_layouts' embeddings at n = 17 to
+        # 1000, a random non-constant core and both constant ones.  The
         # batch form also reads an empty batch and a one-point batch.
         rng = random.Random(1000 + k)
-        for emb in byte_layouts(layouts_n, k) if layouts_n else [None] * 3:
+        ones = (1 << (1 << k)) - 1
+        cases = ([(emb, core) for emb in byte_layouts(layouts_n, k)
+                  for core in (rng.randrange(1, ones), 0, ones)]
+                 if layouts_n else [(None, None)] * 3)
+        for emb, core in cases:
             n = layouts_n or every_point_n or rng.randint(max(k, 2), 200)
-            core = rng.randrange(1, (1 << (1 << k)) - 1)  # not constant
+            if core is None:
+                core = rng.getrandbits(1 << k)
             if emb is None:
                 ends = [1, n][:k]
                 middle = rng.sample(range(2, n), k - len(ends))
@@ -117,7 +124,7 @@ class TestEvalJunta:
             assert (batch_fn is not None) == (k <= 8 and n > FULL_TABLE_MAX_N)
             if batch_fn is not None:
                 for batch in ([], points[:1], points):
-                    joined = b"".join(b.to_bytes((n + 7) // 8, "little") for b in batch)
+                    joined = b"".join(encode_points(n, batch))
                     assert batch_fn(joined) == [ref(b) for b in batch]
 
 

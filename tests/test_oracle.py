@@ -81,12 +81,14 @@ class TestQuery:
             before = o.query_count
             assert o.query_many(batch) == per_point_query_many(o, batch)
             assert o.query_count - before == len(batch)
-        # At n=40 a k=8 base reads each batch from the points' encodings,
-        # the strings that iid hashes, over four of its five bytes.
+        # At n=40 a k=8 base carries a batch form over four of the five
+        # bytes of a point.  Under iid it reads each batch from the strings
+        # the hash digests; under none and flips the base is mapped.
         wide = JuntaSpec(40, rng.getrandbits(256), (1, 3, 6, 9, 12, 20, 33, 40))
         corruption = random_flip_set(40, 300, 4) if model == "flips" else CORRUPTIONS[model]
         o = NoisyOracle(40, wide.bits_fn(), corruption)
         assert hasattr(o.base_bits, "bytes_fn")
+        assert (o._bytes_fn is not None) == (model == "iid")
         pts = [rng.getrandbits(40) for _ in range(LONG_BATCH)]
         pts += sorted(getattr(corruption, "flips", ()))
         for batch in ([], pts[:1], pts, range(1 << 12)):
