@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import struct
 from collections import namedtuple
 from itertools import repeat
 from operator import ne
@@ -116,6 +117,21 @@ def identify_influencing_parts(
     For each part, r query pairs (x, x') with x uniform and x' equal to x
     except the part's coordinates re-randomized; a part is marked iff any
     pair disagrees.  Exactly 2*s*r queries, no early exit.
+
+    A pair takes two getrandbits(n) draws, x and then b, and x' is x
+    with the part's coordinates taken from b.  A part's 2r draws come
+    from one getrandbits(2*w*r) call, w = 32*ceil(n/32), and are the
+    same stream: MT19937 fills a draw 32-bit word by word, least
+    significant first, and getrandbits(n) takes ceil(n/32) words and
+    keeps the top n mod 32 bits of its last one (all 32 when 32 divides
+    n), shifted down.  So w-bit chunk j of the long draw holds the words
+    of the j-th short draw, and shifting each chunk's top word makes it
+    that draw.  x' is built first, with big-int masks laid out as the
+    unshifted top word holds the bits.  Then the top words, gathered
+    through a 32-bit view of the draw's bytes, are shifted as one int,
+    and one struct unpack cuts the points' encode_points strings from the
+    chunks' bytes, with no Python step per point.  The strings go to the
+    oracle in two batches, the r x's and then the r x''s.
     """
     rng = random.Random(seed)
     s, r, k = params.s, params.r, params.k
@@ -124,18 +140,28 @@ def identify_influencing_parts(
         part_masks[rng.randrange(s)] |= 1 << c
     full = (1 << n) - 1
 
-    rand = rng.getrandbits
+    words = -(-n // 32)
+    w, size, shift = 32 * words, (n + 7) // 8, -n % 32
+    layout = "<" + "%ds%dx" % (size, 4 * words - size) * (2 * r)
+    # The bits each top word keeps once shifted down, 2r words in a row.
+    kept = int.from_bytes(((1 << (32 - shift)) - 1).to_bytes(4, "little") * (2 * r), "little")
     hits = [0] * s
     for p in range(s):
-        pm = part_masks[p]
-        keep = full ^ pm
-        xs, ys = [], []
-        for _ in range(r):
-            xb = rand(n)
-            xs.append(xb)
-            ys.append((xb & keep) | (rand(n) & pm))
-        gx, gy = o.query_many(xs), o.query_many(ys)
-        hits[p] = sum(map(ne, gx, gy))
+        # The coordinates where x' = x, as the unshifted chunk holds them,
+        # in every odd chunk: there b becomes x' = b ^ ((b ^ x) & keep).
+        keep = full ^ part_masks[p]
+        keep = keep & ((1 << (w - 32)) - 1) | keep >> (w - 32) << (w - 32 + shift)
+        keep = int.from_bytes((bytes(4 * words) + keep.to_bytes(4 * words, "little")) * r,
+                              "little")
+        draw = rng.getrandbits(2 * w * r)
+        buf = bytearray((draw ^ ((draw ^ draw << w) & keep)).to_bytes(w * r // 4, "little"))
+        # The top words, viewed in place as 4-byte items ("I" is 4 bytes
+        # wherever CPython runs; the bytes are copied, not read as ints).
+        tops = memoryview(buf).cast("I")[words - 1::words]
+        tops[:] = memoryview(((int.from_bytes(tops, "little") >> shift) & kept)
+                             .to_bytes(8 * r, "little")).cast("I")
+        pts = struct.unpack(layout, buf)
+        hits[p] = sum(map(ne, o.query_many(pts[::2]), o.query_many(pts[1::2])))
     marked = [p for p in range(s) if hits[p]]
 
     if len(marked) <= k:

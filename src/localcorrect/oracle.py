@@ -39,6 +39,12 @@ byte column per byte that holds relevant coordinates and one more for
 the values, and IidFlips hashes them.  Under none or flips nothing else
 needs the strings, so the base is mapped, as is a base the oracle does
 not recognise (a test's lambda, perfbench's traced wrapper).
+
+A batch comes in one of two forms: the points as ints, or as their
+encode_points strings, which the influence corrector's marking reads
+straight from its random draw.  Strings go unchanged to the base's
+batch form and the iid hash; every other oracle decodes them to ints
+once, with one int.from_bytes mapped from C, and takes the int path.
 """
 
 from __future__ import annotations
@@ -122,7 +128,7 @@ class IidFlips(namedtuple("IidFlips", "eps seed")):
         """corrupt's rule over a batch, hashed through C-level maps and
         decided from one joined digest string.  encoded, if given, holds
         the points' encode_points strings, which the caller has already
-        built; otherwise they are built here.
+        built, and points is not read; otherwise they are built here.
 
         A digest's top byte (index 7, little-endian) screens the batch:
         h < T implies h >> 56 <= (T - 1) >> 56, so every flipped point is
@@ -132,7 +138,7 @@ class IidFlips(namedtuple("IidFlips", "eps seed")):
         per point, so the caller bounds the batch: the correctors send at
         most 2^12 points at a time."""
         blake2b = hashlib.blake2b
-        hs = list(starmap(self._hasher.copy, repeat((), len(points))))
+        hs = list(starmap(self._hasher.copy, repeat((), len(values))))
         if encoded is None:
             encoded = encode_points(n, points)
         deque(map(blake2b.update, hs, encoded), 0)
@@ -167,6 +173,10 @@ class NoisyOracle:
     base_bits carries a bytes_fn batch form (k <= 8 above that n) and
     corruption is an IidFlips, each batch is encoded once, read by
     bytes_fn, and hashed by the IidFlips.
+
+    query_many takes a batch as ints or as their encode_points strings;
+    the strings skip the encoding where the bytes are read, and are
+    decoded to ints everywhere else.
     """
 
     def __init__(self, n: int, base_bits, corruption):
@@ -192,23 +202,28 @@ class NoisyOracle:
         return self.query_many((x,))[0]
 
     def query_many(self, points) -> list:
-        """g at each raw n-bit int of the sized points, in order;
-        counts len(points).
+        """g at each point of the sized batch, in order; counts
+        len(points).  The points are raw n-bit ints, or all of them their
+        encode_points strings (bytes).
 
-        The one place g is evaluated and queries are counted.  A tabulated
-        g is mapped over the batch.  Under iid over a base with a batch
-        form, the batch is encoded once, and the base and the hash read
-        the same strings.  Otherwise the base is mapped over the points.
-        Then the corruption model's corrupt_many takes the whole batch.
+        The one place g is evaluated and queries are counted.  Under iid
+        over a base with a batch form, an int batch is encoded once, and
+        the base and the hash read the same strings.  Every other oracle
+        decodes a batch of strings to ints once.  A tabulated g is mapped
+        over the batch; otherwise the base is, and then the corruption
+        model's corrupt_many takes the whole batch.
         """
         self.query_count += len(points)
+        n, corruption, bytes_fn = self.n, self.corruption, self._bytes_fn
+        encoded = points and type(points[0]) is bytes
+        if bytes_fn is not None:
+            if not encoded:
+                points = list(encode_points(n, points))
+            return corruption.corrupt_many(n, points, bytes_fn(b"".join(points)), points)
+        if encoded:
+            points = list(map(int.from_bytes, points, repeat("little")))
         if self._g is not None:
             return list(map(self._g, points))
-        n, corruption = self.n, self.corruption
-        if self._bytes_fn is not None:
-            encoded = list(encode_points(n, points))
-            return corruption.corrupt_many(
-                n, points, self._bytes_fn(b"".join(encoded)), encoded)
         return corruption.corrupt_many(n, points, list(map(self.base_bits, points)))
 
 

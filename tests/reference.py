@@ -27,6 +27,9 @@ Each fast path, its reference, and the one test that compares them:
   `test_oracle::TestQuery::test_query_many_matches_per_point_rule`;
 - `subcube_blocks`: `reference_walk`,
   `test_correctors::TestCubeSum::test_blocks_follow_the_old_walk`;
+- `identify_influencing_parts`, whose pairs come from one long draw per
+  part and reach the oracle as bytes: `reference_parts`,
+  `test_correctors::TestIdentifyParts::test_matches_plain_pairs`;
 - `find_corrupted_point`: `reference_x_search`,
   `test_harness::TestRunExperiment::test_x_search_matches_value_based_loop`;
 - `lowerbound._hard_hits`: `reference_hard_value`,
@@ -141,32 +144,41 @@ def reference_cube_sum(g, n, x, k, seed):
     return acc
 
 
+def reference_parts(g, n, k, rng):
+    """The mask S of the k parts chosen from 3k seeded parts of [n], each
+    marked by r plain query pairs: a = getrandbits(n), b =
+    getrandbits(n), then g at a and at a with the part's coordinates
+    taken from b, one query per point in that order."""
+    s, r = 3 * k, pair_rounds(k)
+    part = [rng.randrange(s) for _ in range(n)]
+    hits = []
+    for p in range(s):
+        members = sum(1 << c for c in range(n) if part[c] == p)
+        count = 0
+        for _ in range(r):
+            a, b = rng.getrandbits(n), rng.getrandbits(n)
+            count += g(a) != g(a ^ ((a ^ b) & members))
+        hits.append(count)
+    marked = [p for p in range(s) if hits[p]]
+    if len(marked) <= k:
+        unmarked = [p for p in range(s) if not hits[p]]
+        chosen = marked + rng.sample(unmarked, k - len(marked))
+    else:
+        rng.shuffle(marked)
+        chosen = sorted(marked, key=lambda p: hits[p], reverse=True)[:k]
+    return sum(1 << c for c in range(n) if part[c] in chosen)
+
+
 def reference_influence(g, n, x, k, seed):
     """Mark the parts holding influencing variables with one query per
     point, freeze x on the k chosen parts and ask g once elsewhere."""
     rng = random.Random(seed)
     parts_rng = random.Random(rng.getrandbits(64))
     mask_rng = random.Random(rng.getrandbits(64))
-    s, r = 3 * k, pair_rounds(k)
-    part = [parts_rng.randrange(s) for _ in range(n)]
-    hits = []
-    for p in range(s):
-        members = sum(1 << c for c in range(n) if part[c] == p)
-        count = 0
-        for _ in range(r):
-            a, b = parts_rng.getrandbits(n), parts_rng.getrandbits(n)
-            count += g(a) != g(a ^ ((a ^ b) & members))
-        hits.append(count)
-    marked = [p for p in range(s) if hits[p]]
-    if len(marked) <= k:
-        unmarked = [p for p in range(s) if not hits[p]]
-        chosen = marked + parts_rng.sample(unmarked, k - len(marked))
-    else:
-        parts_rng.shuffle(marked)
-        chosen = sorted(marked, key=lambda p: hits[p], reverse=True)[:k]
+    S = reference_parts(g, n, k, parts_rng)
     y = x
     for c in range(n):
-        if part[c] not in chosen and mask_rng.randrange(4) < 3:
+        if not S >> c & 1 and mask_rng.randrange(4) < 3:
             y ^= 1 << c
     return g(y)
 

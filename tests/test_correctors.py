@@ -2,9 +2,11 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import chain
+from types import SimpleNamespace
 
 import pytest
 
+from localcorrect import correctors
 from localcorrect.acceptance import _random_low_degree_table, subcube_parity
 from localcorrect.boolfn import JuntaSpec, sample_random_junta
 from localcorrect.correctors import (
@@ -26,7 +28,7 @@ from localcorrect.oracle import (
 )
 
 from families import and_all, parity
-from reference import reference_walk
+from reference import reference_parts, reference_walk
 
 
 def cube_walk(n, x, k, seed):
@@ -208,6 +210,55 @@ class TestIdentifyParts:
             o = NoisyOracle(spec.n, spec.bits_fn(), parse_corruption("none", spec.n))
             S = identify_influencing_parts(o, 48, params, seed)
             assert relevance_mask(spec) & ~S == 0
+
+    @pytest.mark.parametrize("n", [1, 7, 16, 17, 31, 32, 33, 63, 64, 65, 100, 128, 129])
+    def test_matches_plain_pairs(self, n, monkeypatch):
+        # A part's pairs come from one long draw, cut into w-bit chunks
+        # whose top word is shifted as getrandbits(n) shifts it: one word
+        # (n <= 32), whole words (32 divides n) and a tail above 32 all
+        # meet here.  A plain function base takes the oracle's decode
+        # path.  Every other row's base is the parity of all n
+        # coordinates, so more than k parts are marked once n > 2; the
+        # rest AND two coordinates, so unmarked parts are sampled.
+        k, seed = 2, 0xD7A + n
+        params = InfluenceCorrectorParams(k)
+        last = 2 * params.s * params.r
+        parity = n in (1, 16, 31, 33, 64, 100, 129)
+
+        def recording(rng_of, points, states):
+            """A base that records its points, and the rng's state at
+            the last marking query."""
+            def g(bits):
+                points.append(bits)
+                if len(points) == last:
+                    states.append(rng_of().getstate())
+                return bits.bit_count() & 1 if parity else bits & 1 & bits >> (n - 1)
+            return g
+
+        rng = random.Random(seed)
+        want, want_states = [], []
+        want_S = reference_parts(recording(lambda: rng, want, want_states), n, k, rng)
+        # Each pair was asked as x, x'; a part's batches ask its x's, then
+        # its x''s.
+        want = [p for i in range(0, last, 2 * params.r)
+                for p in want[i:i + 2 * params.r:2] + want[i + 1:i + 2 * params.r:2]]
+
+        rngs = []
+
+        def recorded_rng(seed):
+            rngs.append(random.Random(seed))
+            return rngs[-1]
+
+        monkeypatch.setattr(correctors, "random", SimpleNamespace(Random=recorded_rng))
+        got, got_states = [], []
+        o = NoisyOracle(n, recording(lambda: rngs[0], got, got_states),
+                        parse_corruption("none", n))
+        S = identify_influencing_parts(o, n, params, seed)
+        assert o.query_count == last
+        assert got == want
+        assert got_states == want_states
+        assert S == want_S
+        assert rngs[0].getstate() == rng.getstate()
 
     def test_and2_marks_both_parts(self):
         # per-pair disagreement probability is 1/4 for a part holding one

@@ -10,7 +10,12 @@ import pytest
 
 from localcorrect import oracle
 from localcorrect.boolfn import MAX_TABLE_VARS, JuntaSpec, hex_point
-from localcorrect.correctors import cube_sum_correct, pair_rounds
+from localcorrect.correctors import (
+    InfluenceCorrectorParams,
+    cube_sum_correct,
+    identify_influencing_parts,
+    pair_rounds,
+)
 from localcorrect.oracle import (
     ExplicitFlips,
     IidFlips,
@@ -95,6 +100,34 @@ class TestQuery:
             before = o.query_count
             assert o.query_many(batch) == per_point_query_many(o, batch)
             assert o.query_count - before == len(batch)
+
+    @pytest.mark.parametrize("kind", ["table-flips", "bytes-iid", "dict-none", "dict-flips",
+                                      "k10-iid", "lambda-iid"])
+    def test_batch_of_strings_matches_ints(self, kind):
+        # The marking sends its points as their (n + 7) // 8-byte strings.
+        # The bytes-iid oracle reads them as they are; every other one
+        # decodes them to ints first, so each kind must give the values
+        # and the count that the ints give.
+        n = 12 if kind == "table-flips" else 40
+        rng = random.Random(kind)
+        k = 10 if kind == "k10-iid" else 8
+        base = JuntaSpec(n, rng.getrandbits(1 << k), rng.sample(range(1, n + 1), k)).bits_fn()
+        if kind == "lambda-iid":
+            def base(bits):
+                return bits.bit_count() & 1
+        corruption = {"none": ExplicitFlips(frozenset()),
+                      "flips": random_flip_set(n, 300, 8),
+                      "iid": IidFlips(Fraction(1, 8), 9)}[kind.partition("-")[2]]
+        o = NoisyOracle(n, base, corruption)
+        assert (o._g is not None) == (kind == "table-flips")
+        assert (o._bytes_fn is not None) == (kind == "bytes-iid")
+        pts = [rng.getrandbits(n) for _ in range(800)]
+        pts += sorted(getattr(corruption, "flips", ()))
+        for batch in ([], pts[:1], pts):
+            strings = tuple(b.to_bytes((n + 7) // 8, "little") for b in batch)
+            before = o.query_count
+            assert o.query_many(strings) == o.query_many(batch) == per_point_query_many(o, batch)
+            assert o.query_count - before == 2 * len(batch)
 
     @pytest.mark.parametrize("n", [16, 17])
     def test_flip_sets_on_both_sides_of_the_table(self, n, monkeypatch):
@@ -192,6 +225,9 @@ class TestCorruptMany:
         result = cube_sum_correct(o, 5, 13, 7)
         assert result.queries_used == sum(sizes) == (1 << 14) - 1
         assert max(sizes) == 1 << 12
+        sizes.clear()
+        identify_influencing_parts(o, 16, InfluenceCorrectorParams(1), 7)
+        assert sizes == [pair_rounds(1)] * 6
         assert pair_rounds(MAX_TABLE_VARS) < 1 << 12
 
 
