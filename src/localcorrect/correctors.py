@@ -161,6 +161,8 @@ def identify_influencing_parts(
         tops[:] = memoryview(((int.from_bytes(tops, "little") >> shift) & kept)
                              .to_bytes(8 * r, "little")).cast("I")
         pts = struct.unpack(layout, buf)
+        # Freed before the queries, whose hasher copies set the peak.
+        del draw, keep, buf, tops
         hits[p] = sum(map(ne, o.query_many(pts[::2]), o.query_many(pts[1::2])))
     marked = [p for p in range(s) if hits[p]]
 

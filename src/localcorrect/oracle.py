@@ -128,7 +128,7 @@ class IidFlips(namedtuple("IidFlips", "eps seed")):
         """corrupt's rule over a batch, hashed through C-level maps and
         decided from one joined digest string.  encoded, if given, holds
         the points' encode_points strings, which the caller has already
-        built, and points is not read; otherwise they are built here.
+        built; otherwise they are built here.
 
         A digest's top byte (index 7, little-endian) screens the batch:
         h < T implies h >> 56 <= (T - 1) >> 56, so every flipped point is
@@ -138,7 +138,7 @@ class IidFlips(namedtuple("IidFlips", "eps seed")):
         per point, so the caller bounds the batch: the correctors send at
         most 2^12 points at a time."""
         blake2b = hashlib.blake2b
-        hs = list(starmap(self._hasher.copy, repeat((), len(values))))
+        hs = list(starmap(self._hasher.copy, repeat((), len(points))))
         if encoded is None:
             encoded = encode_points(n, points)
         deque(map(blake2b.update, hs, encoded), 0)
