@@ -78,9 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_correct(args) -> int:
     # Every destination of the correct parser but out and run is a field.
     cfg = ExperimentConfig(**{f: getattr(args, f) for f in ExperimentConfig._fields})
-    records, summary = run_correction_experiment(cfg)
-    emit_report(records, summary, args.out)
-    print(REPORT_ENCODER.encode({"summary": summary}))
+    print(emit_report(*run_correction_experiment(cfg), args.out))
     return 0
 
 

@@ -143,7 +143,8 @@ def find_corrupted_point(n: int, corruption, seed: int) -> int:
 
 def run_correction_experiment(cfg: ExperimentConfig):
     """Run cfg.trials independent trials, each a majority of
-    cfg.repeat_t or 1 corrector runs; returns (records, summary)."""
+    cfg.repeat_t or 1 corrector runs; returns (lines, summary), where a
+    trial's record is its report line, formatted once as it finishes."""
     corruption, fixed_x = cfg.validate()
     base_fn, correct, redraws = build_base(
         cfg.algo, cfg.k, cfg.n, derive_seed(cfg.master_seed, _BASE_STREAM))
@@ -158,7 +159,8 @@ def run_correction_experiment(cfg: ExperimentConfig):
     # its counter is read as a difference.
     oracle = NoisyOracle(cfg.n, base_fn, corruption)
     runs = cfg.repeat_t or 1
-    records = []
+    lines = []
+    successes = 0
     for t in range(cfg.trials):
         seed = derive_seed(cfg.master_seed, t)
         rng = random.Random(seed)
@@ -168,17 +170,12 @@ def run_correction_experiment(cfg: ExperimentConfig):
         before = oracle.query_count
         votes = sum(correct(oracle, x, rng.getrandbits(64)).value for _ in range(runs))
         value = int(2 * votes > runs)
-        records.append({
-            "trial": t,
-            "x": x_hex,
-            "returned": value,
-            "truth": truth,
-            "success": value == truth,
-            "queries": oracle.query_count - before,
-            "seed": seed,
-        })
+        success = value == truth
+        successes += success
+        lines.append(_RECORD_LINE % (oracle.query_count - before, value, seed,
+                                     "true" if success else "false", t, truth, x_hex))
 
-    rate = sum(r["success"] for r in records) / cfg.trials
+    rate = successes / cfg.trials
     summary = {
         "trials": cfg.trials,
         "success_rate": rate,
@@ -194,14 +191,14 @@ def run_correction_experiment(cfg: ExperimentConfig):
     }
     if redraws is not None:
         summary["junta_redraws"] = redraws
-    return records, summary
+    return lines, summary
 
 
-def emit_report(records, summary, path: str) -> None:
-    """JSON lines: one record per line, then the summary object."""
-    lines = [_RECORD_LINE % (r["queries"], r["returned"], r["seed"],
-                             "true" if r["success"] else "false",
-                             r["trial"], r["truth"], r["x"]) for r in records]
-    lines.append(REPORT_ENCODER.encode({"summary": summary}) + "\n")
+def emit_report(records, summary, path: str) -> str:
+    """Write the JSON-lines report: the record lines as given, then the
+    summary object's line, which is returned without its newline."""
+    line = REPORT_ENCODER.encode({"summary": summary})
     with open(path, "w") as fh:
-        fh.write("".join(lines))
+        fh.writelines(records)
+        fh.write(line + "\n")
+    return line

@@ -1,4 +1,6 @@
+import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -72,9 +74,9 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "NoisyOracle", counted)
         cfg = ExperimentConfig(algo="cube", k=2, n=8, corruption="iid:1/32:3",
                                trials=30, master_seed=3, repeat_t=3)
-        records, summary = run_correction_experiment(cfg)
+        lines, summary = run_correction_experiment(cfg)
         assert len(built) == 1
-        assert {r["queries"] for r in records} == {3 * 7}
+        assert {json.loads(line)["queries"] for line in lines} == {3 * 7}
         assert summary["mean_queries"] == 21.0
 
     def test_adversarial_without_corruption_rejected(self, monkeypatch):
@@ -118,8 +120,21 @@ class TestRunExperiment:
 class TestEmitReport:
     def test_empty_records_single_line(self, tmp_path):
         path = tmp_path / "r.jsonl"
-        emit_report([], {"trials": 0}, str(path))
-        assert len(path.read_text().splitlines()) == 1
+        line = emit_report([], {"trials": 0}, str(path))
+        assert path.read_text() == line + "\n"
+
+    def test_run_holds_one_line_per_trial(self, tmp_path):
+        # A trial's record is its report line, about 180 bytes at this
+        # shape; a dict per trial beside it held about 800.
+        trials = 3000
+        cfg = ExperimentConfig(algo="cube", k=2, n=8, trials=trials, master_seed=5)
+        tracemalloc.start()
+        try:
+            emit_report(*run_correction_experiment(cfg), str(tmp_path / "r.jsonl"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / trials < 400
 
 
 # (k, n, trials) of each algo's grid rows, small enough that the plain
@@ -162,9 +177,9 @@ class TestReferenceGrid:
         out = tmp_path / "r.jsonl"
         successes = set()
         for cfg in grid_configs(algo, flip_paths):
-            records, summary = run_correction_experiment(cfg)
-            emit_report(records, summary, str(out))
+            lines, summary = run_correction_experiment(cfg)
+            emit_report(lines, summary, str(out))
             assert out.read_text() == reference_correct_report(cfg), cfg
-            successes.update(r["success"] for r in records)
+            successes.update(json.loads(line)["success"] for line in lines)
         # Both outcomes are written, so both spellings of a record are checked.
         assert successes == ({True} if algo == "symmetric" else {True, False})
