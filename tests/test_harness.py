@@ -124,8 +124,8 @@ class TestEmitReport:
         assert path.read_text() == line + "\n"
 
     def test_run_holds_one_line_per_trial(self, tmp_path):
-        # A trial's record is its report line, about 180 bytes at this
-        # shape; a dict per trial beside it held about 800.
+        # A run holds one report line per trial, about 180 bytes at this
+        # shape; a dict of the record's seven fields beside it adds 620.
         trials = 3000
         cfg = ExperimentConfig(algo="cube", k=2, n=8, trials=trials, master_seed=5)
         tracemalloc.start()
