@@ -118,19 +118,12 @@ def identify_influencing_parts(
     except the part's coordinates re-randomized; a part is marked iff any
     pair disagrees.  Exactly 2*s*r queries, no early exit.
 
-    A pair takes two getrandbits(n) draws, x and then b, and x' is x
-    with the part's coordinates taken from b.  A part's 2r draws come
-    from one getrandbits(2*w*r) call, w = 32*ceil(n/32), and are the
-    same stream: MT19937 fills a draw 32-bit word by word, least
-    significant first, and getrandbits(n) takes ceil(n/32) words and
-    keeps the top n mod 32 bits of its last one (all 32 when 32 divides
-    n), shifted down.  So w-bit chunk j of the long draw holds the words
-    of the j-th short draw, and shifting each chunk's top word makes it
-    that draw.  x' is built first, with big-int masks laid out as the
-    unshifted top word holds the bits.  Then the top words, gathered
-    through a 32-bit view of the draw's bytes, are shifted as one int,
-    and one struct unpack cuts the points' encode_points strings from the
-    chunks' bytes, with no Python step per point.  The strings go to the
+    A part's 2r points come from one getrandbits(2*w*r) draw, cut into
+    w-bit chunks, w = 8*ceil(n/8): chunk 2j is the j-th x and chunk 2j+1
+    the j-th b, each masked to its low n bits, and x' is b with x's bits
+    outside the part.  x' is built in the draw with big-int masks, and
+    one struct unpack cuts the points' encode_points strings from the
+    draw's bytes, with no Python step per point.  The strings go to the
     oracle in two batches, the r x's and then the r x''s.
     """
     rng = random.Random(seed)
@@ -140,29 +133,21 @@ def identify_influencing_parts(
         part_masks[rng.randrange(s)] |= 1 << c
     full = (1 << n) - 1
 
-    words = -(-n // 32)
-    w, size, shift = 32 * words, (n + 7) // 8, -n % 32
-    layout = "<" + "%ds%dx" % (size, 4 * words - size) * (2 * r)
-    # The bits each top word keeps once shifted down, 2r words in a row.
-    kept = int.from_bytes(((1 << (32 - shift)) - 1).to_bytes(4, "little") * (2 * r), "little")
+    size = (n + 7) // 8
+    w, layout = 8 * size, "%ds" % size * (2 * r)
+    # The low n bits of every chunk.
+    low = int.from_bytes(full.to_bytes(size, "little") * (2 * r), "little")
     hits = [0] * s
     for p in range(s):
-        # The coordinates where x' = x, as the unshifted chunk holds them,
-        # in every odd chunk: there b becomes x' = b ^ ((b ^ x) & keep).
-        keep = full ^ part_masks[p]
-        keep = keep & ((1 << (w - 32)) - 1) | keep >> (w - 32) << (w - 32 + shift)
-        keep = int.from_bytes((bytes(4 * words) + keep.to_bytes(4 * words, "little")) * r,
+        # The coordinates where x' = x, in every odd chunk: there b
+        # becomes x' = b ^ ((b ^ x) & keep).
+        keep = int.from_bytes((bytes(size) + (full ^ part_masks[p]).to_bytes(size, "little")) * r,
                               "little")
-        draw = rng.getrandbits(2 * w * r)
-        buf = bytearray((draw ^ ((draw ^ draw << w) & keep)).to_bytes(w * r // 4, "little"))
-        # The top words, viewed in place as 4-byte items ("I" is 4 bytes
-        # wherever CPython runs; the bytes are copied, not read as ints).
-        tops = memoryview(buf).cast("I")[words - 1::words]
-        tops[:] = memoryview(((int.from_bytes(tops, "little") >> shift) & kept)
-                             .to_bytes(8 * r, "little")).cast("I")
-        pts = struct.unpack(layout, buf)
+        draw = rng.getrandbits(2 * w * r) & low
+        draw ^= (draw ^ draw << w) & keep
+        pts = struct.unpack(layout, draw.to_bytes(2 * size * r, "little"))
         # Freed before the queries, whose hasher copies set the peak.
-        del draw, keep, buf, tops
+        del draw, keep
         hits[p] = sum(map(ne, o.query_many(pts[::2]), o.query_many(pts[1::2])))
     marked = [p for p in range(s) if hits[p]]
 

@@ -50,7 +50,7 @@ import random
 
 from localcorrect.boolfn import hex_point, sample_random_junta
 from localcorrect.correctors import pair_rounds
-from localcorrect.harness import MAX_SCAN, derive_seed, sample_influential_junta
+from localcorrect.harness import derive_seed, sample_influential_junta
 from localcorrect.lowerbound import default_threshold, sample_hard_instance
 from localcorrect.oracle import IidFlips
 
@@ -58,6 +58,8 @@ from localcorrect.oracle import IidFlips
 # uses index t.  Written out, not imported, so that a moved stream fails.
 BASE_STREAM = 1 << 48
 X_STREAM = (1 << 48) + 1
+# The x search's draw cap, written out for the same reason.
+MAX_SCAN = 500_000
 
 
 def reference_bits_fn(spec):
@@ -146,17 +148,21 @@ def reference_cube_sum(g, n, x, k, seed):
 
 def reference_parts(g, n, k, rng):
     """The mask S of the k parts chosen from 3k seeded parts of [n], each
-    marked by r plain query pairs: a = getrandbits(n), b =
-    getrandbits(n), then g at a and at a with the part's coordinates
-    taken from b, one query per point in that order."""
+    marked by r plain query pairs cut from one draw per part: pair j's
+    a and b are the draw's chunks 2j and 2j+1 of w = 8*ceil(n/8) bits,
+    each shifted down and masked to n bits, then g is asked at a and at
+    a with the part's coordinates taken from b, one query per point in
+    that order."""
     s, r = 3 * k, pair_rounds(k)
+    w, full = 8 * ((n + 7) // 8), (1 << n) - 1
     part = [rng.randrange(s) for _ in range(n)]
     hits = []
     for p in range(s):
         members = sum(1 << c for c in range(n) if part[c] == p)
+        draw = rng.getrandbits(2 * w * r)
         count = 0
-        for _ in range(r):
-            a, b = rng.getrandbits(n), rng.getrandbits(n)
+        for j in range(r):
+            a, b = draw >> (2 * j * w) & full, draw >> ((2 * j + 1) * w) & full
             count += g(a) != g(a ^ ((a ^ b) & members))
         hits.append(count)
     marked = [p for p in range(s) if hits[p]]

@@ -213,11 +213,11 @@ class TestIdentifyParts:
 
     @pytest.mark.parametrize("n", [1, 7, 16, 17, 31, 32, 33, 63, 64, 65, 100, 128, 129])
     def test_matches_plain_pairs(self, n, monkeypatch):
-        # A part's pairs come from one long draw, cut into w-bit chunks
-        # whose top word is shifted as getrandbits(n) shifts it: one word
-        # (n <= 32), whole words (32 divides n) and a tail above 32 all
-        # meet here.  A plain function base takes the oracle's decode
-        # path.  Every other row's base is the parity of all n
+        # A part's pairs come from one long draw, cut into w-bit chunks,
+        # w = 8*ceil(n/8), each masked to its low n bits: whole bytes
+        # (8 divides n) and a partial last byte, at one and at several
+        # bytes, all meet here.  A plain function base takes the oracle's
+        # decode path.  Every other row's base is the parity of all n
         # coordinates, so more than k parts are marked once n > 2; the
         # rest AND two coordinates, so unmarked parts are sampled.
         k, seed = 2, 0xD7A + n

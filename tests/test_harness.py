@@ -103,6 +103,16 @@ class TestRunExperiment:
             assert find_corrupted_point(n, corruption, seed) == (
                 reference_x_search(n, corruption, seed))
 
+    def test_x_search_scans_past_5000_draws(self):
+        # The first flipped draw is draw 8,483 of the search, so any cap
+        # on the scan short of that refuses this x.
+        n, seed = 16, 3
+        corruption = parse_corruption("iid:2^-12:3", n)
+        x = find_corrupted_point(n, corruption, seed)
+        assert x == reference_x_search(n, corruption, seed) == 0x253B
+        rng = random.Random(seed)
+        assert [rng.getrandbits(n) for _ in range(8483)].index(x) == 8482
+
     def test_amplification_monotone(self):
         # single-run success ~0.89 under 7*eps union bound; majority of 5
         # should not do worse (0.01 statistical slack)

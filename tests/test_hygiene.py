@@ -2,7 +2,8 @@
 imports at module level, no broad exception handler that swallows what it
 catches, no public name or method that only the tests read; what the
 command line's start-up imports; that README's module map is whole; and
-that the tests' plain references reach no fast path of the package."""
+that the tests' plain references reach no fast path of the package; and
+that each listed mutant's text is where it says."""
 
 import ast
 import pathlib
@@ -11,6 +12,8 @@ import subprocess
 import sys
 
 import pytest
+
+from mutants import MUTANTS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "localcorrect"
@@ -184,3 +187,12 @@ def test_references_reach_no_fast_path():
         elif isinstance(node, ast.Attribute):
             reached.add(node.attr)
     assert not reached & FAST_PATHS, sorted(reached & FAST_PATHS)
+
+
+def test_mutant_texts_occur_once():
+    """Each listed mutant's text occurs once in its file, and its killer's
+    test function exists, so `tests/mutants.py` mutates what it names."""
+    for m in MUTANTS:
+        assert (ROOT / m.path).read_text().count(m.old) == 1, m.name
+        path, *names = m.killer.split("[")[0].split("::")
+        assert "def %s(" % names[-1] in (ROOT / path).read_text(), m.killer

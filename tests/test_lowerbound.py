@@ -4,6 +4,7 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -135,6 +136,9 @@ class TestSingleQueryProb:
     def test_zero_below_k(self):
         for m in range(3):
             assert single_query_one_prob(20, 3, m) == 0
+        # At m = k exactly one instance of the C(n/2, k) holds the query.
+        for n, k in ((20, 3), (40, 5), (100, 10)):
+            assert single_query_one_prob(n, k, k) == Fraction(1, comb(n // 2, k))
 
     def test_monotone_and_one_at_half(self):
         for n, k in ((20, 3), (40, 5), (100, 10)):
@@ -200,7 +204,11 @@ class TestDistinguisher:
         (30, 20, 2, 300, 4),
         (200, 40, 20, 100, 5),
         (1000, 400, 20, 40, 6),
-    ], ids=["n40-k4", "q0", "n2-k1", "dense-k1", "dense-k2", "k-half", "n400-k20"])
+        # Some hits have exactly k-1 ones in the second half, one short
+        # of the guess.
+        (20, 12, 2, 200, 1),
+    ], ids=["n40-k4", "q0", "n2-k1", "dense-k1", "dense-k2", "k-half", "n400-k20",
+            "k-minus-one"])
     @pytest.mark.parametrize("strategy", [UNIFORM])
     def test_matches_loop(self, strategy, q, n, k, trials, seed):
         # The bulk draws and the relevance screen give the plain loop's
