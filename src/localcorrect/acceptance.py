@@ -10,19 +10,18 @@ from __future__ import annotations
 import contextlib
 import filecmp
 import io
-import multiprocessing
 import os
 import random
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 
 from . import cli
 from .boolfn import _mobius, fraction_low_influence, influence_exact, truth_table
 from .correctors import build_masked_input, pair_rounds, subcube_blocks
-from .harness import build_base, derive_seed, find_corrupted_point
+from .harness import build_base, derive_seed, find_corrupted_point, query_budget, run_chunks
 from .lowerbound import (
     maj_ambiguity_check,
     run_distinguisher,
@@ -66,17 +65,17 @@ def criterion_1():
 
 
 def _successes(algo: str, k: int, n: int, base_seed: int, corruption,
-               x_seed, trial_seed: int, trials: int):
+               x_seed, trial_seed: int, a: int, b: int):
     """Correct x (0, or the corrupted point found from x_seed) once per trial
-    t under derive_seed(trial_seed, t); returns (successes, None), or (None,
-    message) at the first query count off budget.  A worker can run it."""
+    t in [a, b) under derive_seed(trial_seed, t); returns (successes, None),
+    or (None, message) at the first query count off budget."""
     base, correct, _ = build_base(algo, k, n, base_seed)
     x = 0 if x_seed is None else find_corrupted_point(n, corruption, x_seed)
     truth = base(x)
     oracle = NoisyOracle(n, base, corruption)
-    budget = (1 << (k + 1)) - 1 if algo == "cube" else 6 * k * pair_rounds(k) + 1
+    budget = query_budget(algo, k)
     ok = 0
-    for t in range(trials):
+    for t in range(a, b):
         res = correct(oracle, x, derive_seed(trial_seed, t))
         if res.queries_used != budget:
             return None, "query count %d != %d" % (res.queries_used, budget)
@@ -84,15 +83,26 @@ def _successes(algo: str, k: int, n: int, base_seed: int, corruption,
     return ok, None
 
 
+def _rate(algo: str, k: int, n: int, base_seed: int, corruption, x_seed,
+          trial_seed: int, trials: int):
+    """_successes over range(trials) in run_chunks' trial chunks; returns
+    (success rate, None), or (None, the lowest off-budget trial's message)."""
+    chunks = run_chunks(trials, trials * query_budget(algo, k),
+                        partial(_successes, algo, k, n, base_seed, corruption,
+                                x_seed, trial_seed))
+    for _, wrong in chunks:
+        if wrong:
+            return None, wrong
+    return sum(ok for ok, _ in chunks) / trials, None
+
+
 def criterion_2():
     """Cube-sum corrector at k=4, n=16 with exactly 256 explicit flips
     (eps = 2^-8), x itself a flipped point: success >= 0.85 over 10^4 trials."""
-    trials = 10000
-    ok, wrong = _successes("cube", 4, 16, 0xC2, random_flip_set(16, 256, 0xC2F),
-                           0xC2A, 0xC2, trials)
+    rate, wrong = _rate("cube", 4, 16, 0xC2, random_flip_set(16, 256, 0xC2F),
+                        0xC2A, 0xC2, 10000)
     if wrong:
         return False, wrong
-    rate = ok / trials
     return rate >= 0.85, "success rate %.4f (floor 0.85, theory ~0.879)" % rate
 
 
@@ -103,26 +113,17 @@ _CRITERION_3_MODES = (("all-zeros", None, 0xC3), ("corrupted", 0xC3A, 0xC4))
 def criterion_3():
     """Influence corrector at k=8, n=128 under iid eps=2^-12: success
     >= 0.70 at x=0 and at a corrupted x; exactly 6*8*800+1 queries/trial.
-    The two x modes run in up to two spawned worker processes."""
-    trials = 1000
+    Each x mode's trials run in run_chunks' chunks, one per CPU."""
     r = pair_rounds(8)
     if r != 800:
         return False, "r=%d != 800 for k=8" % r
     corruption = IidFlips(Fraction(1, 4096), 0xC3F)
-    # spawn, named: fork in a threaded process warns on 3.12+, and the
-    # default start method changes in 3.14.
-    with ProcessPoolExecutor(max_workers=min(2, os.cpu_count() or 1),
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
-        futures = [pool.submit(_successes, "influence", 8, 128, 0xC3, corruption,
-                               x_seed, trial_seed, trials)
-                   for _, x_seed, trial_seed in _CRITERION_3_MODES]
-        outcomes = [f.result() for f in futures]
     details = []
     passed = True
-    for (mode, _, _), (ok, wrong) in zip(_CRITERION_3_MODES, outcomes):
+    for mode, x_seed, trial_seed in _CRITERION_3_MODES:
+        rate, wrong = _rate("influence", 8, 128, 0xC3, corruption, x_seed, trial_seed, 1000)
         if wrong:
             return False, wrong
-        rate = ok / trials
         passed = passed and rate >= 0.70
         details.append("%s %.3f" % (mode, rate))
     return passed, "success rates (floor 0.70): " + ", ".join(details)

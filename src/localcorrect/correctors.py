@@ -135,15 +135,18 @@ def identify_influencing_parts(
 
     size = (n + 7) // 8
     w, layout = 8 * size, "%ds" % size * (2 * r)
-    # The low n bits of every chunk.
-    low = int.from_bytes(full.to_bytes(size, "little") * (2 * r), "little")
+    # The low n bits of every chunk, built and applied only where 8 does
+    # not divide n: elsewhere a chunk holds no other bits.
+    low = n % 8 and int.from_bytes(full.to_bytes(size, "little") * (2 * r), "little")
     hits = [0] * s
     for p in range(s):
         # The coordinates where x' = x, in every odd chunk: there b
         # becomes x' = b ^ ((b ^ x) & keep).
         keep = int.from_bytes((bytes(size) + (full ^ part_masks[p]).to_bytes(size, "little")) * r,
                               "little")
-        draw = rng.getrandbits(2 * w * r) & low
+        draw = rng.getrandbits(2 * w * r)
+        if low:
+            draw &= low
         draw ^= (draw ^ draw << w) & keep
         pts = struct.unpack(layout, draw.to_bytes(2 * size * r, "little"))
         # Freed before the queries, whose hasher copies set the peak.

@@ -8,13 +8,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import marshal
 import math
+import os
 import random
+import sys
 from collections import namedtuple
+from functools import partial
+from itertools import chain
 
 from .boolfn import (MAX_N, MAX_TABLE_VARS, ConfigError, check_seed, hex_point,
                      min_influence_report, parse_hex_point, sample_random_junta)
-from .correctors import cube_sum_correct, influence_correct, symmetric_correct
+from .correctors import cube_sum_correct, influence_correct, pair_rounds, symmetric_correct
 from .oracle import ExplicitFlips, NoisyOracle, parse_corruption
 
 ALGOS = ("cube", "influence", "symmetric")
@@ -26,6 +31,13 @@ _X_STREAM = (1 << 48) + 1
 
 # Draws find_corrupted_point makes before giving up.
 MAX_SCAN = 500000
+
+# Fewest queries an experiment must make for run_chunks to fork.  A fork
+# and its waitpid take about 2 ms at 19 MB of RSS, and each child builds
+# its own base and x.  On a 2-core box two chunks lost to one up to about
+# 6,300 queries and won from about 12,400 (cube experiments at n = 16 and
+# n = 128, medians of 21 runs), so forking starts at 2^14, above both.
+FORK_MIN_QUERIES = 1 << 14
 
 # The one encoder of report lines, shared so that none is built per record.
 REPORT_ENCODER = json.JSONEncoder(sort_keys=True)
@@ -141,11 +153,126 @@ def find_corrupted_point(n: int, corruption, seed: int) -> int:
     raise ConfigError("x_mode", "the corruption flips no point")
 
 
+def query_budget(algo: str, k: int) -> int:
+    """The exact queries of one corrector run: 2^(k+1)-1 for cube,
+    6*k*r+1 for influence, none for symmetric."""
+    if algo == "cube":
+        return (1 << (k + 1)) - 1
+    return 6 * k * pair_rounds(k) + 1 if algo == "influence" else 0
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_chunks(trials: int, queries: int, run):
+    """run(a, b) on contiguous chunks [a, b) of range(trials), one per CPU
+    this process may run on; returns their results in trial order.
+
+    Chunk 0 runs here, each other chunk in a forked child that sends its
+    result back as marshal bytes over a pipe, so a result holds only
+    marshal types.  One chunk runs alone where os.fork is missing or the
+    experiment makes fewer than FORK_MIN_QUERIES queries.  A child's
+    ConfigError is raised here again, and any other fault of a child is
+    an internal one.  Every child is reaped before this returns or
+    raises; if this process raises first, the children are killed.
+    """
+    count = 1
+    if hasattr(os, "fork") and queries >= FORK_MIN_QUERIES:
+        count = min(trials, _cpu_count())
+    size, extra = divmod(trials, count)
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    pids, ends, sent, codes = [], [], [], []
+    try:
+        for a, b in zip(bounds[1:], bounds[2:]):
+            r, w = os.pipe()
+            ends.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(run, a, b, w)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        results = [run(0, bounds[1])]
+        for r in ends:
+            with open(r, "rb", closefd=False) as fh:
+                sent.append(fh.read())
+    finally:
+        if len(sent) < len(pids):
+            for pid in pids:
+                os.kill(pid, 9)  # SIGKILL; importing signal costs about 1 ms
+        for r in ends:
+            os.close(r)
+        for pid in pids:
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for a, b, data, code in zip(bounds[1:], bounds[2:], sent, codes):
+        if code == 2:
+            raise ConfigError(*marshal.loads(data).split(": ", 1))
+        if code:
+            raise RuntimeError("the child running trials %d-%d exited with %d"
+                               % (a, b - 1, code))
+        results.append(marshal.loads(data))
+    return results
+
+
+def _run_child(run, a, b, w):
+    """The forked child of chunk [a, b): it writes run(a, b), or a
+    ConfigError's text, to the pipe end w as marshal bytes and exits 0,
+    or 2 on a ConfigError, or 1 on any other fault.  It never returns
+    into its caller's frames."""
+    code = 1
+    try:
+        try:
+            result, status = run(a, b), 0
+        except ConfigError as exc:
+            result, status = str(exc), 2
+        with open(w, "wb") as fh:
+            fh.write(marshal.dumps(result))
+        code = status
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+        raise
+    finally:
+        os._exit(code)
+
+
 def run_correction_experiment(cfg: ExperimentConfig):
     """Run cfg.trials independent trials, each a majority of
-    cfg.repeat_t or 1 corrector runs; returns (lines, summary), where a
-    trial's record is its report line, formatted once as it finishes."""
+    cfg.repeat_t or 1 corrector runs, in run_chunks' trial chunks;
+    returns (lines, summary), where a trial's record is its report line,
+    formatted once as it finishes."""
     corruption, fixed_x = cfg.validate()
+    runs = cfg.repeat_t or 1
+    lines, successes, queries, redraws = zip(*run_chunks(
+        cfg.trials, cfg.trials * runs * query_budget(cfg.algo, cfg.k),
+        partial(_run_trials, cfg, corruption, fixed_x, runs)))
+    rate = sum(successes) / cfg.trials
+    summary = {
+        "trials": cfg.trials,
+        "success_rate": rate,
+        "mean_queries": sum(queries) / cfg.trials,
+        "ci_halfwidth": 1.96 * math.sqrt(rate * (1 - rate) / cfg.trials),
+        "algo": cfg.algo,
+        "k": cfg.k,
+        "n": cfg.n,
+        "corruption": cfg.corruption,
+        "x_mode": cfg.x_mode,
+        "seed": cfg.master_seed,
+        "repeat_t": cfg.repeat_t,
+    }
+    if redraws[0] is not None:
+        summary["junta_redraws"] = redraws[0]
+    return list(chain.from_iterable(lines)), summary
+
+
+def _run_trials(cfg: ExperimentConfig, corruption, fixed_x, runs: int, a: int, b: int):
+    """Trials [a, b) of cfg, each a majority of runs corrector runs, on a
+    base, x and oracle built in this process from cfg; returns (lines,
+    successes, queries, junta redraws)."""
     base_fn, correct, redraws = build_base(
         cfg.algo, cfg.k, cfg.n, derive_seed(cfg.master_seed, _BASE_STREAM))
 
@@ -155,13 +282,12 @@ def run_correction_experiment(cfg: ExperimentConfig):
     if fixed_x is not None:
         x, x_hex, truth = fixed_x, hex_point(fixed_x, cfg.n), base_fn(fixed_x)
 
-    # g is one fixed function, so one oracle serves every trial and vote;
-    # its counter is read as a difference.
+    # g is one fixed function, so one oracle serves every trial and vote
+    # of the chunk; its counter is read as a difference.
     oracle = NoisyOracle(cfg.n, base_fn, corruption)
-    runs = cfg.repeat_t or 1
     lines = []
     successes = 0
-    for t in range(cfg.trials):
+    for t in range(a, b):
         seed = derive_seed(cfg.master_seed, t)
         rng = random.Random(seed)
         if fixed_x is None:
@@ -174,24 +300,7 @@ def run_correction_experiment(cfg: ExperimentConfig):
         successes += success
         lines.append(_RECORD_LINE % (oracle.query_count - before, value, seed,
                                      "true" if success else "false", t, truth, x_hex))
-
-    rate = successes / cfg.trials
-    summary = {
-        "trials": cfg.trials,
-        "success_rate": rate,
-        "mean_queries": oracle.query_count / cfg.trials,
-        "ci_halfwidth": 1.96 * math.sqrt(rate * (1 - rate) / cfg.trials),
-        "algo": cfg.algo,
-        "k": cfg.k,
-        "n": cfg.n,
-        "corruption": cfg.corruption,
-        "x_mode": cfg.x_mode,
-        "seed": cfg.master_seed,
-        "repeat_t": cfg.repeat_t,
-    }
-    if redraws is not None:
-        summary["junta_redraws"] = redraws
-    return lines, summary
+    return lines, successes, oracle.query_count, redraws
 
 
 def emit_report(records, summary, path: str) -> str:

@@ -164,7 +164,8 @@ class NoisyOracle:
     ExplicitFlips (empty for an uncorrupted g) or an IidFlips.  g is a
     fixed function, so one oracle may serve many trials in turn; each
     reads its own queries as a difference of query_count.  The counter is
-    not locked, so concurrent trials need their own oracles.
+    not locked, so concurrent trials need their own oracles: each process
+    of harness.run_chunks builds its own, and counts its chunk's queries.
 
     When base_bits is the bound lookup of a 2^n-byte table (what
     JuntaSpec.bits_fn returns at k <= 8, n <= FULL_TABLE_MAX_N) and

@@ -43,8 +43,7 @@ MUTANTS = [
            "tests/test_lowerbound.py::TestDistinguisher::"
            "test_matches_loop[uniform-random-queries-k-minus-one]"),
     Mutant("marking chunks keep the bits above n",
-           "src/localcorrect/correctors.py", "draw = rng.getrandbits(2 * w * r) & low",
-           "draw = rng.getrandbits(2 * w * r)",
+           "src/localcorrect/correctors.py", "draw &= low", "pass",
            "tests/test_correctors.py::TestIdentifyParts::test_matches_plain_pairs[7]"),
     Mutant("over-mark ties keep their part order",
            "src/localcorrect/correctors.py", "rng.shuffle(order)", "pass",
@@ -68,6 +67,14 @@ MUTANTS = [
     Mutant("n = k refused",
            "src/localcorrect/harness.py", "if self.n < self.k:", "if self.n <= self.k:",
            "tests/test_cli.py::TestCorrect::test_pinned_report_bytes[symmetric-repeat-5]"),
+    Mutant("forked chunks merged ahead of chunk 0",
+           "src/localcorrect/harness.py", "results.append(marshal.loads(data))",
+           "results.insert(0, marshal.loads(data))",
+           "tests/test_harness.py::TestChunks::test_report_matches_one_chunk[3-over-2]"),
+    Mutant("chunk 0 ends a trial early",
+           "src/localcorrect/harness.py", "results = [run(0, bounds[1])]",
+           "results = [run(0, bounds[1] - 1)]",
+           "tests/test_harness.py::TestChunks::test_chunk_bounds"),
     Mutant("confidence half-width at z = 2",
            "src/localcorrect/harness.py", '"ci_halfwidth": 1.96 *', '"ci_halfwidth": 2.0 *',
            "tests/test_cli.py::TestCorrect::test_pinned_report_bytes[cube-iid]"),

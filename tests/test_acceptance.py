@@ -53,7 +53,7 @@ def test_criterion_3_modes_keep_their_x_and_seeds(monkeypatch):
     corruption = IidFlips(Fraction(1, 4096), 0xC3F)
     for _, x_seed, trial_seed in acceptance._CRITERION_3_MODES:
         assert acceptance._successes("influence", 8, 128, 0xC3, corruption,
-                                     x_seed, trial_seed, 2) == (2, None)
+                                     x_seed, trial_seed, 0, 2) == (2, None)
     corrupted = find_corrupted_point(128, corruption, 0xC3A)
     assert corrupted != 0
     assert calls == [(0, derive_seed(0xC3, 0)), (0, derive_seed(0xC3, 1)),
@@ -71,6 +71,25 @@ def test_successes_stops_at_first_count_off_budget(monkeypatch):
         return CorrectionResult(res.value, res.queries_used + (len(runs) == 2))
 
     monkeypatch.setattr(harness, "cube_sum_correct", overspent)
-    got = acceptance._successes("cube", 3, 8, 1, parse_corruption("none", 8), None, 2, 5)
+    got = acceptance._successes("cube", 3, 8, 1, parse_corruption("none", 8), None, 2, 0, 5)
     assert got == (None, "query count 16 != 15")
     assert len(runs) == 2
+
+
+@pytest.mark.parametrize("off", [[1, 4], [4], []], ids=["both-chunks", "child", "none"])
+def test_rate_reports_the_lowest_off_budget_trial(off, monkeypatch):
+    # Trial t spends t queries too many where t is in off.  Over two
+    # chunks, [0, 3) here and [3, 5) in a child, the message is the lowest
+    # such trial's, wherever it ran.
+    real = harness.cube_sum_correct
+    extra = {derive_seed(2, t): t for t in off}
+
+    def overspent(oracle, x, k, seed):
+        res = real(oracle, x, k, seed)
+        return CorrectionResult(res.value, res.queries_used + extra.get(seed, 0))
+
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "FORK_MIN_QUERIES", 0)
+    monkeypatch.setattr(harness, "cube_sum_correct", overspent)
+    got = acceptance._rate("cube", 3, 8, 1, parse_corruption("none", 8), None, 2, 5)
+    assert got == ((None, "query count %d != 15" % (15 + off[0])) if off else (1.0, None))

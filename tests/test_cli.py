@@ -40,6 +40,8 @@ class TestCorrect:
             calls.append(args)
             return real(*args)
 
+        # One chunk, so every trial would run in this process.
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
         monkeypatch.setattr(harness, "cube_sum_correct", counted)
         rc, _, err = run(
             ["correct", "--algo", "cube", "--k", "2", "--n", "8",
@@ -65,6 +67,7 @@ class TestCorrect:
         def broken(*args):
             raise ValueError("internal")
 
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
         monkeypatch.setattr(harness, "cube_sum_correct", broken)
         with pytest.raises(ValueError, match="internal"):
             cli.main(["correct", "--algo", "cube", "--k", "2", "--n", "8",

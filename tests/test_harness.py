@@ -1,10 +1,11 @@
 import json
+import os
 import random
 import tracemalloc
 
 import pytest
 
-from localcorrect import harness
+from localcorrect import cli, harness
 from localcorrect.boolfn import hex_point, min_influence_report, sample_random_junta
 from localcorrect.harness import (
     ALGOS,
@@ -71,6 +72,8 @@ class TestRunExperiment:
             built.append(args)
             return real(*args)
 
+        # One chunk, so one process builds the oracle.
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
         monkeypatch.setattr(harness, "NoisyOracle", counted)
         cfg = ExperimentConfig(algo="cube", k=2, n=8, corruption="iid:1/32:3",
                                trials=30, master_seed=3, repeat_t=3)
@@ -193,3 +196,106 @@ class TestReferenceGrid:
             successes.update(json.loads(line)["success"] for line in lines)
         # Both outcomes are written, so both spellings of a record are checked.
         assert successes == ({True} if algo == "symmetric" else {True, False})
+
+
+def force_chunks(monkeypatch, count):
+    """Let every experiment fork, into count chunks where it has as many
+    trials."""
+    monkeypatch.setattr(harness, "_cpu_count", lambda: count)
+    monkeypatch.setattr(harness, "FORK_MIN_QUERIES", 0)
+
+
+def chunk_configs():
+    """Each algo in every x mode, with repeat_t unset and 3; the test sets
+    the trial count."""
+    for algo, k, n in (("cube", 2, 8), ("influence", 2, 12), ("symmetric", 9, 9)):
+        for x_mode in X_MODES:
+            for repeat_t in (None, 3):
+                yield ExperimentConfig(
+                    algo=algo, k=k, n=n, corruption="iid:1/16:3", master_seed=7,
+                    x_mode=x_mode, repeat_t=repeat_t,
+                    x_hex="5" if x_mode == "fixed-hex" else None)
+
+
+class TestChunks:
+    @pytest.mark.parametrize("trials, chunks", [(3, 2), (5, 4), (4, 4), (2, 3)],
+                             ids=["3-over-2", "5-over-4", "4-over-4", "2-over-3"])
+    def test_report_matches_one_chunk(self, trials, chunks, tmp_path, monkeypatch):
+        # The chunks cut the trials at other points than the one chunk
+        # does, and each process builds its own base, x and oracle, yet
+        # the report's bytes are the same.
+        out = tmp_path / "r.jsonl"
+        for cfg in chunk_configs():
+            cfg = cfg._replace(trials=trials)
+            reports = []
+            for count in (1, chunks):
+                force_chunks(monkeypatch, count)
+                emit_report(*run_correction_experiment(cfg), str(out))
+                reports.append(out.read_bytes())
+            assert reports[0] == reports[1], cfg
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_chunk_bounds(self, monkeypatch):
+        # Contiguous chunks in trial order, the first ones a trial longer.
+        force_chunks(monkeypatch, 4)
+        assert harness.run_chunks(10, 1, lambda a, b: [a, b]) == [[0, 3], [3, 6], [6, 8],
+                                                                   [8, 10]]
+        assert harness.run_chunks(2, 1, lambda a, b: (a, b)) == [(0, 1), (1, 2)]
+
+    def test_no_fork_below_the_threshold(self, monkeypatch):
+        forks = []
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1))
+        cfg = ExperimentConfig(algo="cube", k=2, n=8, trials=50, master_seed=1)
+        assert cfg.trials * 7 < harness.FORK_MIN_QUERIES
+        lines, _ = run_correction_experiment(cfg)
+        assert len(lines) == 50 and forks == []
+
+    def test_fault_in_a_child_is_internal(self, tmp_path, monkeypatch, capfd):
+        # The corrector raises only in the forked child: the child prints
+        # its traceback and exits 1, and the parent raises an internal
+        # fault, which the command line lets propagate (exit 1).
+        parent = os.getpid()
+        real = harness.cube_sum_correct
+
+        def broken(*args):
+            if os.getpid() != parent:
+                raise ValueError("internal")
+            return real(*args)
+
+        force_chunks(monkeypatch, 2)
+        monkeypatch.setattr(harness, "cube_sum_correct", broken)
+        with pytest.raises(RuntimeError, match="trials 3-4 exited with 1"):
+            cli.main(["correct", "--algo", "cube", "--k", "2", "--n", "8",
+                      "--trials", "5", "--seed", "1", "--out", str(tmp_path / "r")])
+        assert "ValueError: internal" in capfd.readouterr().err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("where", ["every-process", "child-only"])
+    def test_x_search_config_error_exits_2(self, where, tmp_path, monkeypatch, capsys):
+        # The search, capped at 10 draws, gives up in each process, or
+        # only in the child, whose ConfigError is raised again in the
+        # parent: exit 2 either way.  Uncapped, it finds x at draw 67.
+        parent = os.getpid()
+        real = harness.find_corrupted_point
+
+        def short_search(n, corruption, seed):
+            if where == "child-only" and os.getpid() == parent:
+                return real(n, corruption, seed)
+            monkeypatch.setattr(harness, "MAX_SCAN", 10)
+            return real(n, corruption, seed)
+
+        force_chunks(monkeypatch, 2)
+        monkeypatch.setattr(harness, "find_corrupted_point", short_search)
+        out = tmp_path / "r"
+        rc = cli.main(["correct", "--algo", "cube", "--k", "2", "--n", "8",
+                       "--corruption", "iid:1/64:3", "--x-mode", "adversarial-flipped",
+                       "--trials", "5", "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: x_mode: no corrupted point found in 10 draws\n")
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
