@@ -32,12 +32,14 @@ _X_STREAM = (1 << 48) + 1
 # Draws find_corrupted_point makes before giving up.
 MAX_SCAN = 500000
 
-# Fewest queries an experiment must make for run_chunks to fork.  A fork
-# and its waitpid take about 2 ms at 19 MB of RSS, and each child builds
-# its own base and x.  On a 2-core box two chunks lost to one up to about
-# 6,300 queries and won from about 12,400 (cube experiments at n = 16 and
-# n = 128, medians of 21 runs), so forking starts at 2^14, above both.
-FORK_MIN_QUERIES = 1 << 14
+# Fewest queries each chunk of run_chunks must make.  A fork and its
+# waitpid take about 2 ms at 19 MB of RSS, the forks run one after another
+# before chunk 0 starts, and each child builds its own base and x.  On a
+# 2-core box two chunks lost to one up to about 6,300 queries and won from
+# about 12,400 (cube experiments at n = 16 and n = 128, medians of 21
+# runs): break-even near 3,100-6,200 queries a chunk.  So a chunk gets at
+# least 2^13, and a many-core box forks no more children than that allows.
+FORK_MIN_QUERIES = 1 << 13
 
 # The one encoder of report lines, shared so that none is built per record.
 REPORT_ENCODER = json.JSONEncoder(sort_keys=True)
@@ -174,15 +176,16 @@ def run_chunks(trials: int, queries: int, run):
 
     Chunk 0 runs here, each other chunk in a forked child that sends its
     result back as marshal bytes over a pipe, so a result holds only
-    marshal types.  One chunk runs alone where os.fork is missing or the
-    experiment makes fewer than FORK_MIN_QUERIES queries.  A child's
-    ConfigError is raised here again, and any other fault of a child is
-    an internal one.  Every child is reaped before this returns or
-    raises; if this process raises first, the children are killed.
+    marshal types.  There are at most queries // FORK_MIN_QUERIES chunks,
+    so one chunk runs alone below twice that threshold, and where os.fork
+    is missing.  A child's ConfigError is raised here again, and any
+    other fault of a child is an internal one.  Every child is reaped
+    before this returns or raises; if this process raises first, the
+    children are killed.
     """
     count = 1
-    if hasattr(os, "fork") and queries >= FORK_MIN_QUERIES:
-        count = min(trials, _cpu_count())
+    if hasattr(os, "fork"):
+        count = max(1, min(trials, _cpu_count(), queries // FORK_MIN_QUERIES))
     size, extra = divmod(trials, count)
     bounds = [i * size + min(i, extra) for i in range(count + 1)]
     pids, ends, sent, codes = [], [], [], []

@@ -10,8 +10,14 @@ zeros, second half ones): D0 instances answer 0 there, D1 instances
 answer 1, yet queries almost never reveal which.
 
 Both distinguishers run one trial loop; a strategy only supplies its
-points: uniform draws mapped from `getrandbits`, or the correctors'
-subcube walk from x_star, streamed in blocks.
+points.  Each trial makes three draws from the master stream: its label,
+its instance seed and its point seed.  Its points come from a
+random.Random of that point seed: q uniform draws mapped from
+`getrandbits`, or the k+1 directions of the correctors' subcube walk from
+x_star, streamed in blocks.  So the trials run in harness.run_chunks'
+contiguous chunks, one per CPU: a chunk replays the three master draws of
+each trial before it, which is exact and costs under 1 us a trial, and
+the report's bytes do not depend on the CPU count.
 Every point goes through `_hard_hits`, the one point rule.  It builds the
 half mask and the threshold once per trial, and a point answers 1 only if
 it covers the relevance mask, which a uniform point misses with
@@ -23,11 +29,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import chain, repeat
 from math import comb
 
 from .boolfn import MAX_N, MAX_TABLE_VARS, ConfigError, _low_mask, check_seed, truth_table
 from .correctors import subcube_blocks
+from .harness import run_chunks
 
 STRATEGIES = ("uniform-random-queries", "cube-sum-at-x_star")
 
@@ -124,28 +132,8 @@ def run_distinguisher(
     elif q < 0:
         raise ConfigError("queries", "must be >= 0")
     check_seed(seed)
-    rng = random.Random(seed)
-    x_star = ((1 << n // 2) - 1) << n // 2  # first half zeros, second half ones
-    correct = hit_trials = 0
-    for _ in range(trials):
-        label = rng.getrandbits(1)
-        rel = sample_hard_instance(n, k, label, rng.getrandbits(64))
-        if cube:
-            # The subcube corrector at x_star, run against g directly:
-            # the hit parity is the recovered bit (D1 answers 1 at x_star).
-            walk = random.Random(rng.getrandbits(64))
-            dirs = list(map(walk.getrandbits, repeat(n, k + 1)))
-            pts = chain.from_iterable(subcube_blocks(x_star, dirs))
-        else:
-            # The same q calls in the same order as a loop, made from C
-            # and streamed, so no list of q points is held.
-            pts = map(rng.getrandbits, repeat(n, q))
-        hits = _hard_hits(n, rel, pts)
-        # Uniform guesses D1 iff some 1 has a relevant-half pattern
-        # consistent with D1: at least k ones in the second half.
-        guess = len(hits) & 1 if cube else any((b >> n // 2).bit_count() >= k for b in hits)
-        correct += guess == label
-        hit_trials += bool(hits)
+    correct, hit_trials = map(sum, zip(*run_chunks(
+        trials, trials * q, partial(_run_trials, cube, q, n, k, seed))))
     return {
         "strategy": strategy,
         "n": n,
@@ -156,6 +144,40 @@ def run_distinguisher(
         "one_hit_rate": hit_trials / trials,
         "seed": seed,
     }
+
+
+def _run_trials(cube: bool, q: int, n: int, k: int, seed: int, start: int, stop: int):
+    """Trials [start, stop) of a distinguisher experiment; returns (correct
+    guesses, trials with a hit).  The trials before start are replayed
+    first: their three master-stream draws are made and dropped, their
+    work is not."""
+    rng = random.Random(seed)
+    for _ in range(start):
+        rng.getrandbits(1)
+        rng.getrandbits(64)
+        rng.getrandbits(64)
+    x_star = ((1 << n // 2) - 1) << n // 2  # first half zeros, second half ones
+    correct = hit_trials = 0
+    for _ in range(start, stop):
+        label = rng.getrandbits(1)
+        rel = sample_hard_instance(n, k, label, rng.getrandbits(64))
+        points = random.Random(rng.getrandbits(64))
+        if cube:
+            # The subcube corrector at x_star, run against g directly:
+            # the hit parity is the recovered bit (D1 answers 1 at x_star).
+            dirs = list(map(points.getrandbits, repeat(n, k + 1)))
+            pts = chain.from_iterable(subcube_blocks(x_star, dirs))
+        else:
+            # The same q calls in the same order as a loop, made from C
+            # and streamed, so no list of q points is held.
+            pts = map(points.getrandbits, repeat(n, q))
+        hits = _hard_hits(n, rel, pts)
+        # Uniform guesses D1 iff some 1 has a relevant-half pattern
+        # consistent with D1: at least k ones in the second half.
+        guess = len(hits) & 1 if cube else any((b >> n // 2).bit_count() >= k for b in hits)
+        correct += guess == label
+        hit_trials += bool(hits)
+    return correct, hit_trials
 
 
 def maj_ambiguity_check(n: int) -> dict:

@@ -75,6 +75,10 @@ MUTANTS = [
            "src/localcorrect/harness.py", "results = [run(0, bounds[1])]",
            "results = [run(0, bounds[1] - 1)]",
            "tests/test_harness.py::TestChunks::test_chunk_bounds"),
+    Mutant("distinguisher chunk replays one trial too few",
+           "src/localcorrect/lowerbound.py", "    for _ in range(start):",
+           "    for _ in range(start - 1):",
+           "tests/test_lowerbound.py::TestChunks::test_report_matches_one_chunk[3-over-2]"),
     Mutant("confidence half-width at z = 2",
            "src/localcorrect/harness.py", '"ci_halfwidth": 1.96 *', '"ci_halfwidth": 2.0 *',
            "tests/test_cli.py::TestCorrect::test_pinned_report_bytes[cube-iid]"),

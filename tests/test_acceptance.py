@@ -22,7 +22,7 @@ DETAILS = [
     "all closed forms match",
     "low-influence fraction 0.0000 (must be exactly 0)",
     "all exact comparisons hold",
-    "uniform hit=0.0005 theory=0.000896 adv=0.0105 (caps 0.06/0.05); "
+    "uniform hit=0.0010 theory=0.000896 adv=0.0015 (caps 0.06/0.05); "
     "cube adv=0.5000 (floor 0.35)",
     "layer-only=True identical=True fraction=35/128",
     "byte-identical: correct=True lowerbound=True",
@@ -89,7 +89,7 @@ def test_rate_reports_the_lowest_off_budget_trial(off, monkeypatch):
         return CorrectionResult(res.value, res.queries_used + extra.get(seed, 0))
 
     monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(harness, "FORK_MIN_QUERIES", 0)
+    monkeypatch.setattr(harness, "FORK_MIN_QUERIES", 1)
     monkeypatch.setattr(harness, "cube_sum_correct", overspent)
     got = acceptance._rate("cube", 3, 8, 1, parse_corruption("none", 8), None, 2, 5)
     assert got == ((None, "query count %d != 15" % (15 + off[0])) if off else (1.0, None))

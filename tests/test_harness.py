@@ -199,10 +199,11 @@ class TestReferenceGrid:
 
 
 def force_chunks(monkeypatch, count):
-    """Let every experiment fork, into count chunks where it has as many
-    trials."""
+    """Let every experiment that makes a query per chunk fork, into count
+    chunks where it has as many trials.  A symmetric experiment makes no
+    query, so it runs in one chunk."""
     monkeypatch.setattr(harness, "_cpu_count", lambda: count)
-    monkeypatch.setattr(harness, "FORK_MIN_QUERIES", 0)
+    monkeypatch.setattr(harness, "FORK_MIN_QUERIES", 1)
 
 
 def chunk_configs():
@@ -239,9 +240,11 @@ class TestChunks:
     def test_chunk_bounds(self, monkeypatch):
         # Contiguous chunks in trial order, the first ones a trial longer.
         force_chunks(monkeypatch, 4)
-        assert harness.run_chunks(10, 1, lambda a, b: [a, b]) == [[0, 3], [3, 6], [6, 8],
-                                                                   [8, 10]]
-        assert harness.run_chunks(2, 1, lambda a, b: (a, b)) == [(0, 1), (1, 2)]
+        assert harness.run_chunks(10, 10, lambda a, b: [a, b]) == [[0, 3], [3, 6], [6, 8],
+                                                                    [8, 10]]
+        assert harness.run_chunks(2, 2, lambda a, b: (a, b)) == [(0, 1), (1, 2)]
+        # No more chunks than queries a chunk needs.
+        assert harness.run_chunks(10, 3, lambda a, b: [a, b]) == [[0, 4], [4, 7], [7, 10]]
 
     def test_no_fork_below_the_threshold(self, monkeypatch):
         forks = []
@@ -251,6 +254,26 @@ class TestChunks:
         assert cfg.trials * 7 < harness.FORK_MIN_QUERIES
         lines, _ = run_correction_experiment(cfg)
         assert len(lines) == 50 and forks == []
+
+    def test_many_cpus_fork_per_chunk_queries(self, monkeypatch):
+        # On 64 CPUs a 2^14-query experiment makes two chunks of 2^13
+        # queries, so it forks one child, not 63; one query fewer forks
+        # none.
+        forks = []
+        real = os.fork
+
+        def counted():
+            forks.append(1)
+            return real()
+
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "fork", counted)
+        assert harness.run_chunks(64, 1 << 14, lambda a, b: (a, b)) == [(0, 32), (32, 64)]
+        assert forks == [1]
+        assert harness.run_chunks(64, (1 << 14) - 1, lambda a, b: (a, b)) == [(0, 64)]
+        assert forks == [1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_fault_in_a_child_is_internal(self, tmp_path, monkeypatch, capfd):
         # The corrector raises only in the forked child: the child prints

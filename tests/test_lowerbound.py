@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -9,7 +10,7 @@ from math import comb
 import pytest
 
 from localcorrect import lowerbound
-from localcorrect.boolfn import ConfigError
+from localcorrect.boolfn import MAX_N, ConfigError
 from localcorrect.lowerbound import (
     default_threshold,
     maj_ambiguity_check,
@@ -20,6 +21,7 @@ from localcorrect.lowerbound import (
 )
 
 from reference import reference_distinguisher_report, reference_hard_value, x_star
+from test_harness import force_chunks
 
 UNIFORM, CUBE = lowerbound.STRATEGIES
 
@@ -182,12 +184,12 @@ class TestUniformOneHitProb:
 class TestDistinguisher:
     @pytest.mark.parametrize("args, digest", [
         (("uniform-random-queries", 50, 40, 4, 300, 7),
-         "91ff6734f2fcd206c8678dac7279bcc0bdba9a9b0262ddd020403e19b093d616"),
+         "8dc11e992aa8c4f287bd28e3aae38fec64c6cec587690800a79f4cf4db091f6a"),
         (("cube-sum-at-x_star", 7, 10, 2, 3000, 4),
          "eeb8a4fbf2969c81a51e5c936d0f2169bfe2c5f2738cfb54f0473d0ad2b6c76b"),
         # Criterion 8's two runs, at full scale.
         (("uniform-random-queries", 1000, 400, 20, 2000, 200),
-         "2c512cbf521325149195d142d10a6966c68fe81d05eda40fd0a196419ee46ae5"),
+         "ca86096979e8cb369b943c40b2c6b5d0178e63b32ee5d941ec03456e744e14a2"),
         (("cube-sum-at-x_star", 127, 1000, 6, 1000, 3212),
          "1e9dc95671330c1189af689bb4bb1cb441d4cf677eeb500cab5b2744a9d19c47"),
     ], ids=["uniform", "cube-sum", "criterion-8-uniform", "criterion-8-cube-sum"])
@@ -299,6 +301,84 @@ class TestDistinguisher:
                 run_distinguisher("cube-sum-at-x_star", (1 << (k + 1)) - 1, 100, k, 1, 0)
             assert err.value.fieldname == "k" and "<= 24" in str(err.value)
         assert walks == [24]
+
+
+# (strategy, q, n, k, seed): dense uniform rows, where hits and guesses
+# vary from trial to trial, and small cube-sum walks.
+CHUNK_CONFIGS = [
+    (UNIFORM, 30, 20, 1, 3),
+    (UNIFORM, 50, 40, 4, 7),
+    (UNIFORM, 20, 12, 2, 1),
+    (CUBE, 7, 10, 2, 4),
+    (CUBE, 15, 40, 3, 1),
+]
+
+
+class TestChunks:
+    @pytest.mark.parametrize("trials, chunks", [(3, 2), (5, 4), (2, 3)],
+                             ids=["3-over-2", "5-over-4", "2-over-3"])
+    def test_report_matches_one_chunk(self, trials, chunks, monkeypatch):
+        # Each chunk replays the master draws of the trials before it, so
+        # the chunks cut the trials at other points than the one chunk
+        # does, yet the report is the same.
+        for strategy, q, n, k, seed in CHUNK_CONFIGS:
+            reports = []
+            for count in (1, chunks):
+                force_chunks(monkeypatch, count)
+                reports.append(run_distinguisher(strategy, q, n, k, trials, seed))
+            assert reports[0] == reports[1], (strategy, q, n, k, seed)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_config_errors_raised_before_any_fork(self, monkeypatch):
+        forks = []
+
+        def no_fork():
+            forks.append(1)
+            raise OSError("fork")
+
+        force_chunks(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        for args in [
+            ("no-such-strategy", 50, 40, 4, 3, 7),
+            (UNIFORM, 50, 40, 4, 0, 7),
+            (UNIFORM, 50, 41, 4, 3, 7),
+            (UNIFORM, 50, MAX_N + 2, 4, 3, 7),
+            (UNIFORM, 50, 40, 0, 3, 7),
+            (UNIFORM, 50, 40, 21, 3, 7),
+            (UNIFORM, -1, 40, 4, 3, 7),
+            (UNIFORM, 50, 40, 4, 3, -1),
+            (UNIFORM, 50, 40, 4, 3, 1 << 64),
+            (CUBE, 15, 40, 4, 3, 7),
+            (CUBE, (1 << 26) - 1, 60, 25, 3, 7),
+        ]:
+            with pytest.raises(ConfigError):
+                run_distinguisher(*args)
+        assert forks == []
+        # A good config of the same shape does reach the fork.
+        with pytest.raises(OSError, match="fork"):
+            run_distinguisher(UNIFORM, 50, 40, 4, 3, 7)
+        assert forks == [1]
+
+    def test_fault_in_a_child_is_internal(self, monkeypatch, capfd):
+        # The point rule raises only in the forked child: the child prints
+        # its traceback and exits 1, and the parent raises an internal
+        # fault.
+        parent = os.getpid()
+        real = lowerbound._hard_hits
+
+        def broken(*args):
+            if os.getpid() != parent:
+                raise ValueError("internal")
+            return real(*args)
+
+        force_chunks(monkeypatch, 2)
+        monkeypatch.setattr(lowerbound, "_hard_hits", broken)
+        with pytest.raises(RuntimeError, match="trials 2-2 exited with 1"):
+            run_distinguisher(UNIFORM, 30, 20, 1, 3, 3)
+        assert "ValueError: internal" in capfd.readouterr().err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestMajAmbiguity:
