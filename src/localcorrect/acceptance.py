@@ -64,16 +64,11 @@ def criterion_1():
     return failures == 0, "%d nonzero subcube sums (expected 0)" % failures
 
 
-def _successes(algo: str, k: int, n: int, base_seed: int, corruption,
-               x_seed, trial_seed: int, a: int, b: int):
-    """Correct x (0, or the corrupted point found from x_seed) once per trial
-    t in [a, b) under derive_seed(trial_seed, t); returns (successes, None),
-    or (None, message) at the first query count off budget."""
-    base, correct, _ = build_base(algo, k, n, base_seed)
-    x = 0 if x_seed is None else find_corrupted_point(n, corruption, x_seed)
-    truth = base(x)
-    oracle = NoisyOracle(n, base, corruption)
-    budget = query_budget(algo, k)
+def _successes(oracle, correct, x: int, truth: int, budget: int, trial_seed: int,
+               a: int, b: int):
+    """Correct x on oracle once per trial t in [a, b) under
+    derive_seed(trial_seed, t); returns (successes, None), or (None,
+    message) at the first query count off budget."""
     ok = 0
     for t in range(a, b):
         res = correct(oracle, x, derive_seed(trial_seed, t))
@@ -85,11 +80,16 @@ def _successes(algo: str, k: int, n: int, base_seed: int, corruption,
 
 def _rate(algo: str, k: int, n: int, base_seed: int, corruption, x_seed,
           trial_seed: int, trials: int):
-    """_successes over range(trials) in run_chunks' trial chunks; returns
+    """Correct x (0, or the corrupted point found from x_seed) on the base
+    drawn from base_seed, in _successes over range(trials) in run_chunks'
+    trial chunks, with base, x and oracle built once, here; returns
     (success rate, None), or (None, the lowest off-budget trial's message)."""
-    chunks = run_chunks(trials, trials * query_budget(algo, k),
-                        partial(_successes, algo, k, n, base_seed, corruption,
-                                x_seed, trial_seed))
+    base, correct, _ = build_base(algo, k, n, base_seed)
+    x = 0 if x_seed is None else find_corrupted_point(n, corruption, x_seed)
+    budget = query_budget(algo, k)
+    chunks = run_chunks(trials, trials * budget,
+                        partial(_successes, NoisyOracle(n, base, corruption), correct,
+                                x, base(x), budget, trial_seed))
     for _, wrong in chunks:
         if wrong:
             return None, wrong

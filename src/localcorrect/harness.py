@@ -33,12 +33,12 @@ _X_STREAM = (1 << 48) + 1
 MAX_SCAN = 500000
 
 # Fewest queries each chunk of run_chunks must make.  A fork and its
-# waitpid take about 2 ms at 19 MB of RSS, the forks run one after another
-# before chunk 0 starts, and each child builds its own base and x.  On a
-# 2-core box two chunks lost to one up to about 6,300 queries and won from
-# about 12,400 (cube experiments at n = 16 and n = 128, medians of 21
-# runs): break-even near 3,100-6,200 queries a chunk.  So a chunk gets at
-# least 2^13, and a many-core box forks no more children than that allows.
+# waitpid take about 2 ms at 19 MB of RSS, and the forks run one after
+# another before chunk 0 starts.  On a 2-core box two chunks lost to one
+# up to about 6,300 queries and won from about 12,400 (cube experiments
+# at n = 16 and n = 128, medians of 21 runs): break-even near 3,100-6,200
+# queries a chunk.  So a chunk gets at least 2^13, and a many-core box
+# forks no more children than that allows.
 FORK_MIN_QUERIES = 1 << 13
 
 # The one encoder of report lines, shared so that none is built per record.
@@ -174,14 +174,14 @@ def run_chunks(trials: int, queries: int, run):
     """run(a, b) on contiguous chunks [a, b) of range(trials), one per CPU
     this process may run on; returns their results in trial order.
 
-    Chunk 0 runs here, each other chunk in a forked child that sends its
-    result back as marshal bytes over a pipe, so a result holds only
-    marshal types.  There are at most queries // FORK_MIN_QUERIES chunks,
-    so one chunk runs alone below twice that threshold, and where os.fork
-    is missing.  A child's ConfigError is raised here again, and any
-    other fault of a child is an internal one.  Every child is reaped
-    before this returns or raises; if this process raises first, the
-    children are killed.
+    Chunk 0 runs here, each other chunk in a forked child, which inherits
+    all that this process built before the call and sends its result
+    back as marshal bytes over a pipe, so a result holds only marshal
+    types.  There are at most queries // FORK_MIN_QUERIES chunks, so one
+    chunk runs alone below twice that threshold, and where os.fork is
+    missing.  run should raise no ConfigError: any fault of a child is an
+    internal one.  Every child is reaped before this returns or raises;
+    if this process raises first, the children are killed.
     """
     count = 1
     if hasattr(os, "fork"):
@@ -213,8 +213,6 @@ def run_chunks(trials: int, queries: int, run):
         for pid in pids:
             codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
     for a, b, data, code in zip(bounds[1:], bounds[2:], sent, codes):
-        if code == 2:
-            raise ConfigError(*marshal.loads(data).split(": ", 1))
         if code:
             raise RuntimeError("the child running trials %d-%d exited with %d"
                                % (a, b - 1, code))
@@ -223,19 +221,14 @@ def run_chunks(trials: int, queries: int, run):
 
 
 def _run_child(run, a, b, w):
-    """The forked child of chunk [a, b): it writes run(a, b), or a
-    ConfigError's text, to the pipe end w as marshal bytes and exits 0,
-    or 2 on a ConfigError, or 1 on any other fault.  It never returns
-    into its caller's frames."""
+    """The forked child of chunk [a, b): it writes run(a, b) to the pipe
+    end w as marshal bytes and exits 0, or 1 on any fault.  It never
+    returns into its caller's frames."""
     code = 1
     try:
-        try:
-            result, status = run(a, b), 0
-        except ConfigError as exc:
-            result, status = str(exc), 2
         with open(w, "wb") as fh:
-            fh.write(marshal.dumps(result))
-        code = status
+            fh.write(marshal.dumps(run(a, b)))
+        code = 0
     except BaseException:
         sys.excepthook(*sys.exc_info())
         raise
@@ -245,14 +238,22 @@ def _run_child(run, a, b, w):
 
 def run_correction_experiment(cfg: ExperimentConfig):
     """Run cfg.trials independent trials, each a majority of
-    cfg.repeat_t or 1 corrector runs, in run_chunks' trial chunks;
-    returns (lines, summary), where a trial's record is its report line,
-    formatted once as it finishes."""
+    cfg.repeat_t or 1 corrector runs, in run_chunks' trial chunks, on the
+    one base, x and oracle built here first; returns (lines, summary),
+    where a trial's record is its report line, formatted once as it
+    finishes."""
     corruption, fixed_x = cfg.validate()
+    base_fn, correct, redraws = build_base(
+        cfg.algo, cfg.k, cfg.n, derive_seed(cfg.master_seed, _BASE_STREAM))
+    if cfg.x_mode == "adversarial-flipped":
+        fixed_x = find_corrupted_point(cfg.n, corruption,
+                                       derive_seed(cfg.master_seed, _X_STREAM))
+    # g is one fixed function, so one oracle serves every trial and vote.
+    oracle = NoisyOracle(cfg.n, base_fn, corruption)
     runs = cfg.repeat_t or 1
-    lines, successes, queries, redraws = zip(*run_chunks(
+    lines, successes, queries = zip(*run_chunks(
         cfg.trials, cfg.trials * runs * query_budget(cfg.algo, cfg.k),
-        partial(_run_trials, cfg, corruption, fixed_x, runs)))
+        partial(_run_trials, cfg, oracle, base_fn, correct, fixed_x, runs)))
     rate = sum(successes) / cfg.trials
     summary = {
         "trials": cfg.trials,
@@ -267,27 +268,20 @@ def run_correction_experiment(cfg: ExperimentConfig):
         "seed": cfg.master_seed,
         "repeat_t": cfg.repeat_t,
     }
-    if redraws[0] is not None:
-        summary["junta_redraws"] = redraws[0]
+    if redraws is not None:
+        summary["junta_redraws"] = redraws
     return list(chain.from_iterable(lines)), summary
 
 
-def _run_trials(cfg: ExperimentConfig, corruption, fixed_x, runs: int, a: int, b: int):
-    """Trials [a, b) of cfg, each a majority of runs corrector runs, on a
-    base, x and oracle built in this process from cfg; returns (lines,
-    successes, queries, junta redraws)."""
-    base_fn, correct, redraws = build_base(
-        cfg.algo, cfg.k, cfg.n, derive_seed(cfg.master_seed, _BASE_STREAM))
-
-    if cfg.x_mode == "adversarial-flipped":
-        fixed_x = find_corrupted_point(cfg.n, corruption,
-                                       derive_seed(cfg.master_seed, _X_STREAM))
+def _run_trials(cfg: ExperimentConfig, oracle, base_fn, correct, fixed_x, runs: int,
+                a: int, b: int):
+    """Trials [a, b) of cfg on oracle, each a majority of runs calls of
+    correct at fixed_x, or at a random x where that is None; returns
+    (lines, successes, queries), the queries read as a difference of the
+    oracle's counter."""
     if fixed_x is not None:
         x, x_hex, truth = fixed_x, hex_point(fixed_x, cfg.n), base_fn(fixed_x)
-
-    # g is one fixed function, so one oracle serves every trial and vote
-    # of the chunk; its counter is read as a difference.
-    oracle = NoisyOracle(cfg.n, base_fn, corruption)
+    start = oracle.query_count
     lines = []
     successes = 0
     for t in range(a, b):
@@ -303,7 +297,7 @@ def _run_trials(cfg: ExperimentConfig, corruption, fixed_x, runs: int, a: int, b
         successes += success
         lines.append(_RECORD_LINE % (oracle.query_count - before, value, seed,
                                      "true" if success else "false", t, truth, x_hex))
-    return lines, successes, oracle.query_count, redraws
+    return lines, successes, oracle.query_count - start
 
 
 def emit_report(records, summary, path: str) -> str:

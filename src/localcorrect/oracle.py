@@ -113,10 +113,6 @@ class IidFlips(namedtuple("IidFlips", "eps seed")):
         self._threshold = -(-(eps.numerator << 64) // eps.denominator)
         return self
 
-    def __reduce__(self):
-        # A copy or a pickle rebuilds the keyed hasher from the fields.
-        return IidFlips, tuple(self)
-
     def corrupt(self, n: int, bits: int, value: int) -> int:
         h = self._hasher.copy()
         # encode_points' string, without its map's 0.4 µs: this runs
@@ -164,8 +160,9 @@ class NoisyOracle:
     ExplicitFlips (empty for an uncorrupted g) or an IidFlips.  g is a
     fixed function, so one oracle may serve many trials in turn; each
     reads its own queries as a difference of query_count.  The counter is
-    not locked, so concurrent trials need their own oracles: each process
-    of harness.run_chunks builds its own, and counts its chunk's queries.
+    not locked, so concurrent trials need their own oracles: each forked
+    chunk of harness.run_chunks has its own copy of the one built before
+    the fork, and counts its chunk's queries as a difference too.
 
     When base_bits is the bound lookup of a 2^n-byte table (what
     JuntaSpec.bits_fn returns at k <= 8, n <= FULL_TABLE_MAX_N) and

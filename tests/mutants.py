@@ -75,6 +75,9 @@ MUTANTS = [
            "src/localcorrect/harness.py", "results = [run(0, bounds[1])]",
            "results = [run(0, bounds[1] - 1)]",
            "tests/test_harness.py::TestChunks::test_chunk_bounds"),
+    Mutant("a child's fault reads as success",
+           "src/localcorrect/harness.py", "    code = 1", "    code = 0",
+           "tests/test_harness.py::TestChunks::test_fault_in_a_child_is_internal"),
     Mutant("distinguisher chunk replays one trial too few",
            "src/localcorrect/lowerbound.py", "    for _ in range(start):",
            "    for _ in range(start - 1):",

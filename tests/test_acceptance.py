@@ -11,7 +11,7 @@ import pytest
 from localcorrect import acceptance, harness
 from localcorrect.correctors import CorrectionResult
 from localcorrect.harness import derive_seed, find_corrupted_point
-from localcorrect.oracle import IidFlips, parse_corruption
+from localcorrect.oracle import IidFlips, NoisyOracle, parse_corruption
 
 # Each criterion's detail text, in number order.
 DETAILS = [
@@ -41,7 +41,8 @@ def test_criterion(criterion, detail, capsys):
 def test_criterion_3_modes_keep_their_x_and_seeds(monkeypatch):
     # Both modes read 1.000, so the detail line alone cannot tell them
     # apart: all-zeros corrects x=0 under derive_seed(0xC3, t), corrupted
-    # the 0xC3A corrupted point under derive_seed(0xC4, t).
+    # the 0xC3A corrupted point under derive_seed(0xC4, t).  One chunk,
+    # so that every call is recorded in this process.
     calls = []
     real = harness.influence_correct
 
@@ -49,11 +50,12 @@ def test_criterion_3_modes_keep_their_x_and_seeds(monkeypatch):
         calls.append((x, seed))
         return real(oracle, x, k, seed)
 
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
     monkeypatch.setattr(harness, "influence_correct", recorded)
     corruption = IidFlips(Fraction(1, 4096), 0xC3F)
     for _, x_seed, trial_seed in acceptance._CRITERION_3_MODES:
-        assert acceptance._successes("influence", 8, 128, 0xC3, corruption,
-                                     x_seed, trial_seed, 0, 2) == (2, None)
+        assert acceptance._rate("influence", 8, 128, 0xC3, corruption,
+                                x_seed, trial_seed, 2) == (1.0, None)
     corrupted = find_corrupted_point(128, corruption, 0xC3A)
     assert corrupted != 0
     assert calls == [(0, derive_seed(0xC3, 0)), (0, derive_seed(0xC3, 1)),
@@ -71,7 +73,9 @@ def test_successes_stops_at_first_count_off_budget(monkeypatch):
         return CorrectionResult(res.value, res.queries_used + (len(runs) == 2))
 
     monkeypatch.setattr(harness, "cube_sum_correct", overspent)
-    got = acceptance._successes("cube", 3, 8, 1, parse_corruption("none", 8), None, 2, 0, 5)
+    base, correct, _ = harness.build_base("cube", 3, 8, 1)
+    oracle = NoisyOracle(8, base, parse_corruption("none", 8))
+    got = acceptance._successes(oracle, correct, 0, base(0), 15, 2, 0, 5)
     assert got == (None, "query count 16 != 15")
     assert len(runs) == 2
 

@@ -206,6 +206,20 @@ def force_chunks(monkeypatch, count):
     monkeypatch.setattr(harness, "FORK_MIN_QUERIES", 1)
 
 
+def count_forks(monkeypatch):
+    """Spy on os.fork, which still forks; returns the list that gets one
+    entry per fork made in this process."""
+    forks = []
+    real = os.fork
+
+    def counted():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
 def chunk_configs():
     """Each algo in every x mode, with repeat_t unset and 3; the test sets
     the trial count."""
@@ -223,8 +237,8 @@ class TestChunks:
                              ids=["3-over-2", "5-over-4", "4-over-4", "2-over-3"])
     def test_report_matches_one_chunk(self, trials, chunks, tmp_path, monkeypatch):
         # The chunks cut the trials at other points than the one chunk
-        # does, and each process builds its own base, x and oracle, yet
-        # the report's bytes are the same.
+        # does, and each forked chunk counts queries on its own copy of
+        # the oracle, yet the report's bytes are the same.
         out = tmp_path / "r.jsonl"
         for cfg in chunk_configs():
             cfg = cfg._replace(trials=trials)
@@ -259,15 +273,8 @@ class TestChunks:
         # On 64 CPUs a 2^14-query experiment makes two chunks of 2^13
         # queries, so it forks one child, not 63; one query fewer forks
         # none.
-        forks = []
-        real = os.fork
-
-        def counted():
-            forks.append(1)
-            return real()
-
+        forks = count_forks(monkeypatch)
         monkeypatch.setattr(harness, "_cpu_count", lambda: 64)
-        monkeypatch.setattr(os, "fork", counted)
         assert harness.run_chunks(64, 1 << 14, lambda a, b: (a, b)) == [(0, 32), (32, 64)]
         assert forks == [1]
         assert harness.run_chunks(64, (1 << 14) - 1, lambda a, b: (a, b)) == [(0, 64)]
@@ -296,22 +303,13 @@ class TestChunks:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("where", ["every-process", "child-only"])
-    def test_x_search_config_error_exits_2(self, where, tmp_path, monkeypatch, capsys):
-        # The search, capped at 10 draws, gives up in each process, or
-        # only in the child, whose ConfigError is raised again in the
-        # parent: exit 2 either way.  Uncapped, it finds x at draw 67.
-        parent = os.getpid()
-        real = harness.find_corrupted_point
-
-        def short_search(n, corruption, seed):
-            if where == "child-only" and os.getpid() == parent:
-                return real(n, corruption, seed)
-            monkeypatch.setattr(harness, "MAX_SCAN", 10)
-            return real(n, corruption, seed)
-
+    def test_x_search_gives_up_before_any_fork(self, tmp_path, monkeypatch, capsys):
+        # The search, capped at 10 draws, gives up in this process before
+        # the chunks fork: exit 2, and no report.  Uncapped, it finds x at
+        # draw 67.
+        forks = count_forks(monkeypatch)
         force_chunks(monkeypatch, 2)
-        monkeypatch.setattr(harness, "find_corrupted_point", short_search)
+        monkeypatch.setattr(harness, "MAX_SCAN", 10)
         out = tmp_path / "r"
         rc = cli.main(["correct", "--algo", "cube", "--k", "2", "--n", "8",
                        "--corruption", "iid:1/64:3", "--x-mode", "adversarial-flipped",
@@ -319,6 +317,33 @@ class TestChunks:
         assert rc == 2
         assert capsys.readouterr().err == (
             "config error: x_mode: no corrupted point found in 10 draws\n")
-        assert not out.exists()
+        assert not out.exists() and forks == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_set_up_runs_once_before_the_fork(self, tmp_path, monkeypatch):
+        # The base build and the x search each run once, in this process;
+        # the forked chunk inherits what they built.
+        log = tmp_path / "calls"
+
+        def logged(name):
+            real = getattr(harness, name)
+
+            def call(*args):
+                with open(log, "a") as fh:
+                    fh.write("%s %d\n" % (name, os.getpid()))
+                return real(*args)
+            return call
+
+        forks = count_forks(monkeypatch)
+        force_chunks(monkeypatch, 2)
+        for name in ("build_base", "find_corrupted_point"):
+            monkeypatch.setattr(harness, name, logged(name))
+        cfg = ExperimentConfig(algo="cube", k=2, n=8, corruption="iid:1/16:3", trials=4,
+                               master_seed=7, x_mode="adversarial-flipped")
+        lines, _ = run_correction_experiment(cfg)
+        assert len(lines) == 4 and forks == [1]
+        assert log.read_text().splitlines() == ["build_base %d" % os.getpid(),
+                                                "find_corrupted_point %d" % os.getpid()]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

@@ -145,8 +145,8 @@ def test_imports_are_module_level():
 def test_cli_import_skips_dataclasses():
     """Every run starts with `import localcorrect.cli`.  dataclasses, and
     the inspect it imports, would be more than a third of that cost, so
-    the package defines its records without them.  The worker pool of
-    criterion 3 stays behind `bench` as well."""
+    the package defines its records without them.  Nor is a process pool
+    imported: trial chunks run in forked children."""
     code = ("import sys; sys.path.insert(0, %r); import localcorrect.cli; "
             "print(*sorted({'dataclasses', 'inspect', 'multiprocessing', "
             "'concurrent.futures'} & set(sys.modules)))"

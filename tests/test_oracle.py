@@ -1,7 +1,5 @@
-import copy
 import hashlib
 import math
-import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -312,20 +310,6 @@ class TestIidFlips:
         assert repr(a) == "IidFlips(eps=Fraction(1, 3), seed=5)"
         assert a == b and hash(a) == hash(b)
         assert a != IidFlips(Fraction(1, 3), 6)
-
-    @pytest.mark.parametrize("clone", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy],
-                             ids=["pickle", "deepcopy"])
-    def test_copies_rebuild_the_keyed_hasher(self, clone):
-        # A worker process receives the model by pickle: the copy must
-        # flip exactly the points the original flips.
-        corr = IidFlips(Fraction(1, 4096), 5)
-        twin = clone(corr)
-        assert twin == corr and type(twin) is IidFlips
-        rng = random.Random(8)
-        points = [rng.getrandbits(64) for _ in range(4096)]
-        values = [b & 1 for b in points]
-        assert twin.corrupt_many(64, points, values) == corr.corrupt_many(64, points, values)
-
 
     def test_threshold_is_exact_at_the_hash(self):
         # eps placed just below, at and just above h / 2^64 for one point's h.
