@@ -1,6 +1,9 @@
 import json
 import os
+import pathlib
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -303,21 +306,43 @@ class TestChunks:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_x_search_gives_up_before_any_fork(self, tmp_path, monkeypatch, capsys):
-        # The search, capped at 10 draws, gives up in this process before
-        # the chunks fork: exit 2, and no report.  Uncapped, it finds x at
-        # draw 67.
-        forks = count_forks(monkeypatch)
-        force_chunks(monkeypatch, 2)
-        monkeypatch.setattr(harness, "MAX_SCAN", 10)
+    @pytest.mark.parametrize("where", ["every-process", "child-only"])
+    def test_x_search_config_error_exits_2(self, where, tmp_path, monkeypatch, capsys):
+        # The search, capped at 10 draws, gives up before the chunks fork:
+        # exit 2, no fork and no report.  every-process caps it in this
+        # process, which a forked chunk would inherit; child-only runs the
+        # command in a child process of the test, the one process capped,
+        # whose os.fork raises, and reads the 2 from its exit status.
+        # Uncapped, the search finds x at draw 67.
         out = tmp_path / "r"
-        rc = cli.main(["correct", "--algo", "cube", "--k", "2", "--n", "8",
-                       "--corruption", "iid:1/64:3", "--x-mode", "adversarial-flipped",
-                       "--trials", "5", "--seed", "1", "--out", str(out)])
+        argv = ["correct", "--algo", "cube", "--k", "2", "--n", "8",
+                "--corruption", "iid:1/64:3", "--x-mode", "adversarial-flipped",
+                "--trials", "5", "--seed", "1", "--out", str(out)]
+        if where == "every-process":
+            forks = count_forks(monkeypatch)
+            force_chunks(monkeypatch, 2)
+            monkeypatch.setattr(harness, "MAX_SCAN", 10)
+            rc, err = cli.main(argv), capsys.readouterr().err
+            assert forks == []
+        else:
+            src = pathlib.Path(__file__).resolve().parent.parent / "src"
+            code = ("import os, sys\n"
+                    "sys.path.insert(0, %r)\n"
+                    "from localcorrect import cli, harness\n"
+                    "harness._cpu_count = lambda: 2\n"
+                    "harness.FORK_MIN_QUERIES = 1\n"
+                    "harness.MAX_SCAN = 10\n"
+                    "def fork():\n"
+                    "    raise AssertionError('forked')\n"
+                    "os.fork = fork\n"
+                    "sys.exit(cli.main(sys.argv[1:]))\n" % str(src))
+            proc = subprocess.run([sys.executable, "-I", "-c", code] + argv,
+                                  capture_output=True, text=True, timeout=30)
+            rc, err = proc.returncode, proc.stderr
+            assert harness.MAX_SCAN > 10
         assert rc == 2
-        assert capsys.readouterr().err == (
-            "config error: x_mode: no corrupted point found in 10 draws\n")
-        assert not out.exists() and forks == []
+        assert err == "config error: x_mode: no corrupted point found in 10 draws\n"
+        assert not out.exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
