@@ -64,36 +64,29 @@ def criterion_1():
     return failures == 0, "%d nonzero subcube sums (expected 0)" % failures
 
 
-def _successes(oracle, correct, x: int, truth: int, budget: int, trial_seed: int,
-               a: int, b: int):
-    """Correct x on oracle once per trial t in [a, b) under
-    derive_seed(trial_seed, t); returns (successes, None), or (None,
-    message) at the first query count off budget."""
-    ok = 0
-    for t in range(a, b):
-        res = correct(oracle, x, derive_seed(trial_seed, t))
-        if res.queries_used != budget:
-            return None, "query count %d != %d" % (res.queries_used, budget)
-        ok += res.value == truth
-    return ok, None
+def _trial(oracle, correct, x: int, truth: int, trial_seed: int, t: int):
+    """Correct x on oracle under derive_seed(trial_seed, t); returns
+    (success, queries used)."""
+    res = correct(oracle, x, derive_seed(trial_seed, t))
+    return res.value == truth, res.queries_used
 
 
 def _rate(algo: str, k: int, n: int, base_seed: int, corruption, x_seed,
           trial_seed: int, trials: int):
     """Correct x (0, or the corrupted point found from x_seed) on the base
-    drawn from base_seed, in _successes over range(trials) in run_chunks'
-    trial chunks, with base, x and oracle built once, here; returns
-    (success rate, None), or (None, the lowest off-budget trial's message)."""
+    drawn from base_seed, in one _trial per trial through run_chunks,
+    with base, x and oracle built once, here; returns (success rate,
+    None), or (None, the lowest off-budget trial's message)."""
     base, correct, _ = build_base(algo, k, n, base_seed)
     x = 0 if x_seed is None else find_corrupted_point(n, corruption, x_seed)
     budget = query_budget(algo, k)
-    chunks = run_chunks(trials, trials * budget,
-                        partial(_successes, NoisyOracle(n, base, corruption), correct,
-                                x, base(x), budget, trial_seed))
-    for _, wrong in chunks:
-        if wrong:
-            return None, wrong
-    return sum(ok for ok, _ in chunks) / trials, None
+    results = run_chunks(trials, trials * budget,
+                         partial(_trial, NoisyOracle(n, base, corruption), correct,
+                                 x, base(x), trial_seed))
+    for _, queries in results:
+        if queries != budget:
+            return None, "query count %d != %d" % (queries, budget)
+    return sum(ok for ok, _ in results) / trials, None
 
 
 def criterion_2():

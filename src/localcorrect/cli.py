@@ -3,7 +3,9 @@
 Subcommands: correct, lowerbound, influence, ambiguity, bench.
 Exit codes: 0 success; 2 bad input (a ConfigError, which names the
 field, or argparse's usage error); 1 an I/O failure, an internal fault,
-which propagates with its traceback, or a failed `bench` criterion.
+which propagates with its traceback, or a failed `bench` criterion; 130
+an interrupt.  A report file that the run created is removed on every
+exit but success.
 """
 
 from __future__ import annotations
@@ -116,23 +118,31 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = getattr(args, "out", None)
     # Opening a dangling symlink creates the file it names, so that file
-    # is the one checked and, on a bad config, removed; the link is kept.
+    # is the one checked and, on any exit but success, removed; the link
+    # is kept.
     real_out = None if out is None else os.path.realpath(out)
     new_out = real_out is not None and not os.path.lexists(real_out)
+    made = code = None
     try:
         if out is not None:
             # An unwritable --out fails before any trial; "a" keeps an
             # existing report intact when the config turns out to be bad.
             open(out, "a").close()
-        return args.run(args)
+            made = new_out
+        code = args.run(args)
     except ConfigError as exc:
-        if new_out:
-            os.remove(real_out)
         print("config error: %s" % exc, file=sys.stderr)
-        return 2
+        code = 2
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 1
+        code = 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        code = 130
+    finally:
+        if made and code != 0:
+            os.remove(real_out)
+    return code
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ import random
 import sys
 from collections import namedtuple
 from functools import partial
-from itertools import chain
 
 from .boolfn import (MAX_N, MAX_TABLE_VARS, ConfigError, check_seed, hex_point,
                      min_influence_report, parse_hex_point, sample_random_junta)
@@ -170,18 +169,20 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def run_chunks(trials: int, queries: int, run):
-    """run(a, b) on contiguous chunks [a, b) of range(trials), one per CPU
-    this process may run on; returns their results in trial order.
+def run_chunks(trials: int, queries: int, trial):
+    """[trial(t) for t in range(trials)], computed in contiguous chunks
+    [a, b) of the trials, one per CPU this process may run on.
 
-    Chunk 0 runs here, each other chunk in a forked child, which inherits
-    all that this process built before the call and sends its result
-    back as marshal bytes over a pipe, so a result holds only marshal
-    types.  There are at most queries // FORK_MIN_QUERIES chunks, so one
-    chunk runs alone below twice that threshold, and where os.fork is
-    missing.  run should raise no ConfigError: any fault of a child is an
-    internal one.  Every child is reaped before this returns or raises;
-    if this process raises first, the children are killed.
+    trial(t) must depend only on t and on what was built before the call,
+    so the results do not depend on where the chunks are cut.  Chunk 0
+    runs here, each other chunk in a forked child, which inherits all
+    that this process built and sends its results back as marshal bytes
+    over a pipe, so a result holds only marshal types.  There are at most
+    queries // FORK_MIN_QUERIES chunks, so one chunk runs alone below
+    twice that threshold, and where os.fork is missing.  trial should
+    raise no ConfigError: any fault of a child is an internal one.  Every
+    child is reaped before this returns or raises; if this process raises
+    first, the children are killed.
     """
     count = 1
     if hasattr(os, "fork"):
@@ -196,11 +197,11 @@ def run_chunks(trials: int, queries: int, run):
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _run_child(run, a, b, w)
+                    _run_child(trial, a, b, w)
             finally:
                 os.close(w)
             pids.append(pid)
-        results = [run(0, bounds[1])]
+        results = list(map(trial, range(bounds[1])))
         for r in ends:
             with open(r, "rb", closefd=False) as fh:
                 sent.append(fh.read())
@@ -216,20 +217,21 @@ def run_chunks(trials: int, queries: int, run):
         if code:
             raise RuntimeError("the child running trials %d-%d exited with %d"
                                % (a, b - 1, code))
-        results.append(marshal.loads(data))
+        results += marshal.loads(data)
     return results
 
 
-def _run_child(run, a, b, w):
-    """The forked child of chunk [a, b): it writes run(a, b) to the pipe
-    end w as marshal bytes and exits 0, or 1 on any fault.  It never
-    returns into its caller's frames."""
+def _run_child(trial, a, b, w):
+    """The forked child of chunk [a, b): it writes its trials' results to
+    the pipe end w as marshal bytes and exits 0, or 1 on any fault, with
+    the fault's traceback unless it is an interrupt.  It never returns
+    into its caller's frames."""
     code = 1
     try:
         with open(w, "wb") as fh:
-            fh.write(marshal.dumps(run(a, b)))
+            fh.write(marshal.dumps(list(map(trial, range(a, b)))))
         code = 0
-    except BaseException:
+    except Exception:
         sys.excepthook(*sys.exc_info())
         raise
     finally:
@@ -238,22 +240,24 @@ def _run_child(run, a, b, w):
 
 def run_correction_experiment(cfg: ExperimentConfig):
     """Run cfg.trials independent trials, each a majority of
-    cfg.repeat_t or 1 corrector runs, in run_chunks' trial chunks, on the
-    one base, x and oracle built here first; returns (lines, summary),
-    where a trial's record is its report line, formatted once as it
-    finishes."""
+    cfg.repeat_t or 1 corrector runs, through run_chunks, on the one
+    base, x and oracle built here first; returns (lines, summary), where
+    a trial's record is its report line, formatted once as it finishes."""
     corruption, fixed_x = cfg.validate()
     base_fn, correct, redraws = build_base(
         cfg.algo, cfg.k, cfg.n, derive_seed(cfg.master_seed, _BASE_STREAM))
     if cfg.x_mode == "adversarial-flipped":
         fixed_x = find_corrupted_point(cfg.n, corruption,
                                        derive_seed(cfg.master_seed, _X_STREAM))
+    fixed = None
+    if fixed_x is not None:
+        fixed = fixed_x, hex_point(fixed_x, cfg.n), base_fn(fixed_x)
     # g is one fixed function, so one oracle serves every trial and vote.
     oracle = NoisyOracle(cfg.n, base_fn, corruption)
     runs = cfg.repeat_t or 1
     lines, successes, queries = zip(*run_chunks(
         cfg.trials, cfg.trials * runs * query_budget(cfg.algo, cfg.k),
-        partial(_run_trials, cfg, oracle, base_fn, correct, fixed_x, runs)))
+        partial(_run_trial, cfg, oracle, base_fn, correct, fixed, runs)))
     rate = sum(successes) / cfg.trials
     summary = {
         "trials": cfg.trials,
@@ -270,34 +274,28 @@ def run_correction_experiment(cfg: ExperimentConfig):
     }
     if redraws is not None:
         summary["junta_redraws"] = redraws
-    return list(chain.from_iterable(lines)), summary
+    return list(lines), summary
 
 
-def _run_trials(cfg: ExperimentConfig, oracle, base_fn, correct, fixed_x, runs: int,
-                a: int, b: int):
-    """Trials [a, b) of cfg on oracle, each a majority of runs calls of
-    correct at fixed_x, or at a random x where that is None; returns
-    (lines, successes, queries), the queries read as a difference of the
-    oracle's counter."""
-    if fixed_x is not None:
-        x, x_hex, truth = fixed_x, hex_point(fixed_x, cfg.n), base_fn(fixed_x)
-    start = oracle.query_count
-    lines = []
-    successes = 0
-    for t in range(a, b):
-        seed = derive_seed(cfg.master_seed, t)
-        rng = random.Random(seed)
-        if fixed_x is None:
-            x = rng.getrandbits(cfg.n)
-            x_hex, truth = hex_point(x, cfg.n), base_fn(x)
-        before = oracle.query_count
-        votes = sum(correct(oracle, x, rng.getrandbits(64)).value for _ in range(runs))
-        value = int(2 * votes > runs)
-        success = value == truth
-        successes += success
-        lines.append(_RECORD_LINE % (oracle.query_count - before, value, seed,
-                                     "true" if success else "false", t, truth, x_hex))
-    return lines, successes, oracle.query_count - start
+def _run_trial(cfg: ExperimentConfig, oracle, base_fn, correct, fixed, runs: int, t: int):
+    """Trial t of cfg on oracle: a majority of runs calls of correct at
+    the fixed (x, x_hex, truth), or at a random x where that is None;
+    returns (line, success, queries), the queries read as a difference
+    of the oracle's counter."""
+    seed = derive_seed(cfg.master_seed, t)
+    rng = random.Random(seed)
+    if fixed is None:
+        x = rng.getrandbits(cfg.n)
+        x_hex, truth = hex_point(x, cfg.n), base_fn(x)
+    else:
+        x, x_hex, truth = fixed
+    before = oracle.query_count
+    votes = sum(correct(oracle, x, rng.getrandbits(64)).value for _ in range(runs))
+    value = int(2 * votes > runs)
+    success = value == truth
+    queries = oracle.query_count - before
+    return (_RECORD_LINE % (queries, value, seed, "true" if success else "false", t, truth,
+                            x_hex), success, queries)
 
 
 def emit_report(records, summary, path: str) -> str:

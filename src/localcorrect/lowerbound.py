@@ -9,15 +9,13 @@ threshold.  The target input is the balanced point x_star (first half
 zeros, second half ones): D0 instances answer 0 there, D1 instances
 answer 1, yet queries almost never reveal which.
 
-Both distinguishers run one trial loop; a strategy only supplies its
-points.  Each trial makes three draws from the master stream: its label,
-its instance seed and its point seed.  Its points come from a
-random.Random of that point seed: q uniform draws mapped from
+Both distinguishers run one trial rule; a strategy only supplies its
+points.  Trial t draws its label, its instance seed and its points from a
+random.Random of derive_seed(seed, t): q uniform draws mapped from
 `getrandbits`, or the k+1 directions of the correctors' subcube walk from
-x_star, streamed in blocks.  So the trials run in harness.run_chunks'
-contiguous chunks, one per CPU: a chunk replays the three master draws of
-each trial before it, which is exact and costs under 1 us a trial, and
-the report's bytes do not depend on the CPU count.
+x_star, streamed in blocks.  A trial is thus a function of its index, so
+harness.run_chunks spreads the trials over every CPU and the report's
+bytes do not depend on the CPU count.
 Every point goes through `_hard_hits`, the one point rule.  It builds the
 half mask and the threshold once per trial, and a point answers 1 only if
 it covers the relevance mask, which a uniform point misses with
@@ -35,7 +33,7 @@ from math import comb
 
 from .boolfn import MAX_N, MAX_TABLE_VARS, ConfigError, _low_mask, check_seed, truth_table
 from .correctors import subcube_blocks
-from .harness import run_chunks
+from .harness import derive_seed, query_budget, run_chunks
 
 STRATEGIES = ("uniform-random-queries", "cube-sum-at-x_star")
 
@@ -93,8 +91,8 @@ def uniform_one_hit_prob(n: int, k: int, q: int) -> Fraction:
 def _hard_hits(n: int, rel: int, points) -> list:
     # The points where the instance with relevance mask rel is 1.  The
     # mask is tested first: a uniform point almost always misses it, so
-    # the box test rarely runs.  Read as a module global, once per trial:
-    # no tracer wraps it yet; ROADMAP item 1 plans to time it per trial.
+    # the box test rarely runs.  Each trial reads it as a module global,
+    # once, so a test can wrap it.
     half, t = n >> 1, default_threshold(n)
     low = (1 << half) - 1
     return [b for b in points if b & rel == rel
@@ -126,14 +124,15 @@ def run_distinguisher(
         # The walk takes 2^(k+1)-1 steps: correct --algo cube's cap holds.
         if k > MAX_TABLE_VARS:
             raise ConfigError("k", "must be <= %d for %s" % (MAX_TABLE_VARS, strategy))
-        if q != (1 << (k + 1)) - 1:
+        if q != query_budget("cube", k):
             raise ConfigError("queries", "must equal 2^(k+1)-1 = %d for %s"
-                              % ((1 << (k + 1)) - 1, strategy))
+                              % (query_budget("cube", k), strategy))
     elif q < 0:
         raise ConfigError("queries", "must be >= 0")
     check_seed(seed)
+    x_star = ((1 << n // 2) - 1) << n // 2  # first half zeros, second half ones
     correct, hit_trials = map(sum, zip(*run_chunks(
-        trials, trials * q, partial(_run_trials, cube, q, n, k, seed))))
+        trials, trials * q, partial(_run_trial, cube, q, n, k, seed, x_star))))
     return {
         "strategy": strategy,
         "n": n,
@@ -146,38 +145,26 @@ def run_distinguisher(
     }
 
 
-def _run_trials(cube: bool, q: int, n: int, k: int, seed: int, start: int, stop: int):
-    """Trials [start, stop) of a distinguisher experiment; returns (correct
-    guesses, trials with a hit).  The trials before start are replayed
-    first: their three master-stream draws are made and dropped, their
-    work is not."""
-    rng = random.Random(seed)
-    for _ in range(start):
-        rng.getrandbits(1)
-        rng.getrandbits(64)
-        rng.getrandbits(64)
-    x_star = ((1 << n // 2) - 1) << n // 2  # first half zeros, second half ones
-    correct = hit_trials = 0
-    for _ in range(start, stop):
-        label = rng.getrandbits(1)
-        rel = sample_hard_instance(n, k, label, rng.getrandbits(64))
-        points = random.Random(rng.getrandbits(64))
-        if cube:
-            # The subcube corrector at x_star, run against g directly:
-            # the hit parity is the recovered bit (D1 answers 1 at x_star).
-            dirs = list(map(points.getrandbits, repeat(n, k + 1)))
-            pts = chain.from_iterable(subcube_blocks(x_star, dirs))
-        else:
-            # The same q calls in the same order as a loop, made from C
-            # and streamed, so no list of q points is held.
-            pts = map(points.getrandbits, repeat(n, q))
-        hits = _hard_hits(n, rel, pts)
-        # Uniform guesses D1 iff some 1 has a relevant-half pattern
-        # consistent with D1: at least k ones in the second half.
-        guess = len(hits) & 1 if cube else any((b >> n // 2).bit_count() >= k for b in hits)
-        correct += guess == label
-        hit_trials += bool(hits)
-    return correct, hit_trials
+def _run_trial(cube: bool, q: int, n: int, k: int, seed: int, x_star: int, t: int):
+    """Trial t of a distinguisher experiment; returns (guessed the label,
+    some query hit a 1)."""
+    rng = random.Random(derive_seed(seed, t))
+    label = rng.getrandbits(1)
+    rel = sample_hard_instance(n, k, label, rng.getrandbits(64))
+    if cube:
+        # The subcube corrector at x_star, run against g directly:
+        # the hit parity is the recovered bit (D1 answers 1 at x_star).
+        dirs = list(map(rng.getrandbits, repeat(n, k + 1)))
+        pts = chain.from_iterable(subcube_blocks(x_star, dirs))
+    else:
+        # The same q calls in the same order as a loop, made from C
+        # and streamed, so no list of q points is held.
+        pts = map(rng.getrandbits, repeat(n, q))
+    hits = _hard_hits(n, rel, pts)
+    # Uniform guesses D1 iff some 1 has a relevant-half pattern
+    # consistent with D1: at least k ones in the second half.
+    guess = len(hits) & 1 if cube else any((b >> n // 2).bit_count() >= k for b in hits)
+    return guess == label, bool(hits)
 
 
 def maj_ambiguity_check(n: int) -> dict:

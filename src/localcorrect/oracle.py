@@ -161,8 +161,8 @@ class NoisyOracle:
     fixed function, so one oracle may serve many trials in turn; each
     reads its own queries as a difference of query_count.  The counter is
     not locked, so concurrent trials need their own oracles: each forked
-    chunk of harness.run_chunks has its own copy of the one built before
-    the fork, and counts its chunk's queries as a difference too.
+    chunk of harness.run_chunks runs its trials on its own copy of the one
+    built before the fork.
 
     When base_bits is the bound lookup of a 2^n-byte table (what
     JuntaSpec.bits_fn returns at k <= 8, n <= FULL_TABLE_MAX_N) and

@@ -68,20 +68,20 @@ MUTANTS = [
            "src/localcorrect/harness.py", "if self.n < self.k:", "if self.n <= self.k:",
            "tests/test_cli.py::TestCorrect::test_pinned_report_bytes[symmetric-repeat-5]"),
     Mutant("forked chunks merged ahead of chunk 0",
-           "src/localcorrect/harness.py", "results.append(marshal.loads(data))",
-           "results.insert(0, marshal.loads(data))",
+           "src/localcorrect/harness.py", "results += marshal.loads(data)",
+           "results[:0] = marshal.loads(data)",
            "tests/test_harness.py::TestChunks::test_report_matches_one_chunk[3-over-2]"),
     Mutant("chunk 0 ends a trial early",
-           "src/localcorrect/harness.py", "results = [run(0, bounds[1])]",
-           "results = [run(0, bounds[1] - 1)]",
+           "src/localcorrect/harness.py", "map(trial, range(bounds[1]))",
+           "map(trial, range(bounds[1] - 1))",
            "tests/test_harness.py::TestChunks::test_chunk_bounds"),
     Mutant("a child's fault reads as success",
            "src/localcorrect/harness.py", "    code = 1", "    code = 0",
            "tests/test_harness.py::TestChunks::test_fault_in_a_child_is_internal"),
-    Mutant("distinguisher chunk replays one trial too few",
-           "src/localcorrect/lowerbound.py", "    for _ in range(start):",
-           "    for _ in range(start - 1):",
-           "tests/test_lowerbound.py::TestChunks::test_report_matches_one_chunk[3-over-2]"),
+    Mutant("a forked chunk skips its first trial",
+           "src/localcorrect/harness.py", "map(trial, range(a, b))",
+           "map(trial, range(a + 1, b))",
+           "tests/test_harness.py::TestChunks::test_chunk_bounds"),
     Mutant("confidence half-width at z = 2",
            "src/localcorrect/harness.py", '"ci_halfwidth": 1.96 *', '"ci_halfwidth": 2.0 *',
            "tests/test_cli.py::TestCorrect::test_pinned_report_bytes[cube-iid]"),

@@ -266,23 +266,21 @@ def x_star(n):
 
 def reference_distinguisher_report(strategy, q, n, k, trials, seed):
     """The `lowerbound` report from one plain trial loop, every point
-    evaluated by the definition.  Each trial draws its label, its instance
-    seed and its point seed from the master stream, and its points from a
-    Random of the point seed.  Uniform draws q points and guesses D1 iff
-    some 1 has at least k of its second half's coordinates set; cube-sum
-    walks from x_star along k+1 seeded directions and guesses the parity
-    of its 1s."""
+    evaluated by the definition.  Trial t draws its label, its instance
+    seed and then its points from a Random of derive_seed(seed, t).
+    Uniform draws q points and guesses D1 iff some 1 has at least k of
+    its second half's coordinates set; cube-sum walks from x_star along
+    k+1 seeded directions and guesses the parity of its 1s."""
     cube = strategy == "cube-sum-at-x_star"
-    rng = random.Random(seed)
     correct = hit_trials = 0
-    for _ in range(trials):
+    for t in range(trials):
+        rng = random.Random(derive_seed(seed, t))
         label = rng.getrandbits(1)
         rel = sample_hard_instance(n, k, label, rng.getrandbits(64))
-        points = random.Random(rng.getrandbits(64))
         if cube:
-            pts = reference_walk(x_star(n), [points.getrandbits(n) for _ in range(k + 1)])
+            pts = reference_walk(x_star(n), [rng.getrandbits(n) for _ in range(k + 1)])
         else:
-            pts = [points.getrandbits(n) for _ in range(q)]
+            pts = [rng.getrandbits(n) for _ in range(q)]
         hits = [b for b in pts if reference_hard_value(n, rel, b)]
         if cube:
             guess = len(hits) & 1

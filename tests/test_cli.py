@@ -4,8 +4,10 @@ import os
 import pathlib
 import re
 import select
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -72,6 +74,8 @@ class TestCorrect:
         with pytest.raises(ValueError, match="internal"):
             cli.main(["correct", "--algo", "cube", "--k", "2", "--n", "8",
                       "--trials", "5", "--seed", "1", "--out", str(tmp_path / "x")])
+        # The report file that the run made is removed.
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("argv, digest", [
         ("--algo cube --k 3 --n 12 --corruption iid:1/64:5 --trials 200 --seed 42",
@@ -146,7 +150,7 @@ class TestAmbiguity:
 
 @pytest.mark.parametrize("argv, digest", [
     ("lowerbound --strategy cube-sum-at-x_star --n 40 --k 3 --queries 15 --trials 200"
-     " --seed 5", "7f6530c752be12e95a8e5584b19955d836858450a2797ef4b02156a30cbc818f"),
+     " --seed 5", "406e4677612abfead1db27acd3b6502b11dae5dbfe9d80d6295294ee97daba8a"),
     ("influence --k 3 --samples 50 --seed 7",
      "fa89a8a8da033403cd0b4b96bf7c6a48d75dc8628a37a9ee007fed8b6ac923cd"),
     ("ambiguity --n 6", "3aaf3231dde1ddf42bb8e7cab18cddc66592e23f0dad35e6edd292e3cc0f2a21"),
@@ -296,6 +300,52 @@ def test_config_error_keeps_dangling_out_link(tmp_path, capsys):
     assert rc == 2
     assert link.is_symlink() and os.readlink(link) == target.name
     assert not target.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_interrupt_exits_130_without_a_report(tmp_path):
+    # SIGINT reaches a chunked run and its forked chunk, which share a
+    # process group: one line and exit 130, no traceback from either, no
+    # report file and no process left.  Each corrector call logs its
+    # process id and sleeps, and the signal is sent once both chunks run.
+    out, log = tmp_path / "r.jsonl", tmp_path / "pids"
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = "\n".join([
+        "import os, sys, time",
+        "sys.path.insert(0, %r)" % str(src),
+        "from localcorrect import cli, harness",
+        "harness._cpu_count = lambda: 2",
+        "harness.FORK_MIN_QUERIES = 1",
+        "real = harness.cube_sum_correct",
+        "def slow(*args):",
+        "    with open(%r, 'a') as fh:" % str(log),
+        "        fh.write(str(os.getpid()) + '\\n')",
+        "    time.sleep(0.01)",
+        "    return real(*args)",
+        "harness.cube_sum_correct = slow",
+        "sys.exit(cli.main(sys.argv[1:]))"])
+    proc = subprocess.Popen([sys.executable, "-I", "-c", code, "correct", "--algo", "cube",
+                             "--k", "2", "--n", "8", "--trials", "2000", "--seed", "1",
+                             "--out", str(out)],
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 30
+        while len(set(log.read_text().split()) if log.exists() else ()) < 2:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)
+        err = proc.communicate(timeout=30)[1]
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130
+    assert "Traceback" not in err and err == "interrupted\n"
+    assert not out.exists()
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import pathlib
@@ -223,6 +224,19 @@ def count_forks(monkeypatch):
     return forks
 
 
+def chunk_lengths(trials, queries):
+    """The lengths, in trial order, of run_chunks' chunks over a trial
+    that returns its index and its process id; checks that the results
+    come in trial order, chunk 0's from this process and each other
+    chunk's from its own."""
+    got = harness.run_chunks(trials, queries, lambda t: (t, os.getpid()))
+    assert [t for t, _ in got] == list(range(trials))
+    pids = [pid for _, pid in got]
+    lengths = [len(list(run)) for _, run in itertools.groupby(pids)]
+    assert pids[0] == os.getpid() and len(set(pids)) == len(lengths)
+    return lengths
+
+
 def chunk_configs():
     """Each algo in every x mode, with repeat_t unset and 3; the test sets
     the trial count."""
@@ -257,11 +271,10 @@ class TestChunks:
     def test_chunk_bounds(self, monkeypatch):
         # Contiguous chunks in trial order, the first ones a trial longer.
         force_chunks(monkeypatch, 4)
-        assert harness.run_chunks(10, 10, lambda a, b: [a, b]) == [[0, 3], [3, 6], [6, 8],
-                                                                    [8, 10]]
-        assert harness.run_chunks(2, 2, lambda a, b: (a, b)) == [(0, 1), (1, 2)]
+        assert chunk_lengths(10, 10) == [3, 3, 2, 2]
+        assert chunk_lengths(2, 2) == [1, 1]
         # No more chunks than queries a chunk needs.
-        assert harness.run_chunks(10, 3, lambda a, b: [a, b]) == [[0, 4], [4, 7], [7, 10]]
+        assert chunk_lengths(10, 3) == [4, 3, 3]
 
     def test_no_fork_below_the_threshold(self, monkeypatch):
         forks = []
@@ -278,9 +291,9 @@ class TestChunks:
         # none.
         forks = count_forks(monkeypatch)
         monkeypatch.setattr(harness, "_cpu_count", lambda: 64)
-        assert harness.run_chunks(64, 1 << 14, lambda a, b: (a, b)) == [(0, 32), (32, 64)]
+        assert chunk_lengths(64, 1 << 14) == [32, 32]
         assert forks == [1]
-        assert harness.run_chunks(64, (1 << 14) - 1, lambda a, b: (a, b)) == [(0, 64)]
+        assert chunk_lengths(64, (1 << 14) - 1) == [64]
         assert forks == [1]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -288,7 +301,8 @@ class TestChunks:
     def test_fault_in_a_child_is_internal(self, tmp_path, monkeypatch, capfd):
         # The corrector raises only in the forked child: the child prints
         # its traceback and exits 1, and the parent raises an internal
-        # fault, which the command line lets propagate (exit 1).
+        # fault, which the command line lets propagate (exit 1) after
+        # removing the report file it made.
         parent = os.getpid()
         real = harness.cube_sum_correct
 
@@ -303,6 +317,7 @@ class TestChunks:
             cli.main(["correct", "--algo", "cube", "--k", "2", "--n", "8",
                       "--trials", "5", "--seed", "1", "--out", str(tmp_path / "r")])
         assert "ValueError: internal" in capfd.readouterr().err
+        assert not (tmp_path / "r").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

@@ -184,14 +184,14 @@ class TestUniformOneHitProb:
 class TestDistinguisher:
     @pytest.mark.parametrize("args, digest", [
         (("uniform-random-queries", 50, 40, 4, 300, 7),
-         "8dc11e992aa8c4f287bd28e3aae38fec64c6cec587690800a79f4cf4db091f6a"),
+         "38cf515d6f630df72570b160071f8eb4d2ede1858b4ba74e245c97e0db0af301"),
         (("cube-sum-at-x_star", 7, 10, 2, 3000, 4),
-         "eeb8a4fbf2969c81a51e5c936d0f2169bfe2c5f2738cfb54f0473d0ad2b6c76b"),
+         "53e187df05c829fe5f64578f0c28840fa52e24d4a665a80e5b4c8b8831485599"),
         # Criterion 8's two runs, at full scale.
         (("uniform-random-queries", 1000, 400, 20, 2000, 200),
-         "ca86096979e8cb369b943c40b2c6b5d0178e63b32ee5d941ec03456e744e14a2"),
+         "23252c6d79b909d4476c49f06c60ac032830ad9f4d836c209cf6c1a2a504be07"),
         (("cube-sum-at-x_star", 127, 1000, 6, 1000, 3212),
-         "1e9dc95671330c1189af689bb4bb1cb441d4cf677eeb500cab5b2744a9d19c47"),
+         "f30917a3555b7964b940e6c371a17d56aace421973bcfdf6b7523c451005b492"),
     ], ids=["uniform", "cube-sum", "criterion-8-uniform", "criterion-8-cube-sum"])
     def test_pinned_report_bytes(self, args, digest):
         # The sha256 of the --out line, as the CLI writes it.
@@ -241,9 +241,9 @@ class TestDistinguisher:
     def test_hooks_reached_through_module_once_per_trial(self, strategy, q, monkeypatch):
         # Each trial looks up sample_hard_instance and _hard_hits at run
         # time, once each, and a cube-sum trial subcube_blocks too.
-        # perfbench's tracer wraps sample_hard_instance through that
-        # lookup, and ROADMAP item 1 plans to time _hard_hits per trial
-        # through it; subcube_blocks is counted here only, one walk a trial.
+        # perfbench's trial clock wraps sample_hard_instance through that
+        # lookup, and this test _hard_hits; subcube_blocks is counted here
+        # only, one walk a trial.
         calls = []
 
         def counted(name):
@@ -318,9 +318,9 @@ class TestChunks:
     @pytest.mark.parametrize("trials, chunks", [(3, 2), (5, 4), (2, 3)],
                              ids=["3-over-2", "5-over-4", "2-over-3"])
     def test_report_matches_one_chunk(self, trials, chunks, monkeypatch):
-        # Each chunk replays the master draws of the trials before it, so
-        # the chunks cut the trials at other points than the one chunk
-        # does, yet the report is the same.
+        # A trial draws from its own seed, derive_seed(seed, t), so the
+        # chunks cut the trials at other points than the one chunk does,
+        # yet the report is the same.
         for strategy, q, n, k, seed in CHUNK_CONFIGS:
             reports = []
             for count in (1, chunks):
