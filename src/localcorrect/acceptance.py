@@ -65,9 +65,9 @@ def criterion_1():
 
 
 def _trial(oracle, correct, x: int, truth: int, trial_seed: int, t: int):
-    """Correct x on oracle under derive_seed(trial_seed, t); returns
-    (success, queries used)."""
-    res = correct(oracle, x, derive_seed(trial_seed, t))
+    """Correct x on oracle with a random.Random of derive_seed(trial_seed,
+    t); returns (success, queries used)."""
+    res = correct(oracle, x, random.Random(derive_seed(trial_seed, t)))
     return res.value == truth, res.queries_used
 
 

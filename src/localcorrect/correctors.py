@@ -6,6 +6,9 @@
     freeze x there, re-randomize the rest, one final query; 6*k*r + 1
     queries where r = ceil(100*log2 k) + 500.
   - symmetric_correct: symmetric functions need no queries at all.
+
+The first two draw from the caller's random.Random, so one seeding
+serves a whole trial.
 """
 
 from __future__ import annotations
@@ -88,17 +91,16 @@ def subcube_blocks(offset: int, dirs):
         yield block
 
 
-def cube_sum_correct(o: NoisyOracle, x: int, k: int, seed: int) -> CorrectionResult:
+def cube_sum_correct(o: NoisyOracle, x: int, k: int, rng: random.Random) -> CorrectionResult:
     """Correct a degree-<=k polynomial by one random affine subcube.
 
-    Picks k+1 uniform directions (dependent sets allowed; the subcube
-    identity holds regardless) and XORs the oracle over the 2^(k+1)-1
+    Draws k+1 uniform directions from rng (dependent sets allowed; the
+    subcube identity holds regardless) and XORs the oracle over the 2^(k+1)-1
     nonempty subset sums offset by x.  Each queried point is marginally
     uniform, so corruption of fraction eps fails with probability at most
     (2^(k+1)-1)*eps.  The walk is queried block by block, so memory stays
     flat in k.
     """
-    rng = random.Random(seed)
     dirs = list(map(rng.getrandbits, repeat(o.n, k + 1)))
     before = o.query_count
     acc = 0
@@ -180,22 +182,19 @@ def build_masked_input(x: int, n: int, S: int, seed: int) -> int:
     return x
 
 
-def influence_correct(o: NoisyOracle, x: int, k: int, seed: int) -> CorrectionResult:
+def influence_correct(o: NoisyOracle, x: int, k: int, rng: random.Random) -> CorrectionResult:
     """Correct a high-influence k-junta with 6*k*r + 1 queries.
 
-    Success >= 2/3 per invocation requires every relevant variable to have
-    influence >= 1/50 and corruption fraction < 2^(-k-3); violating the
-    preconditions voids the guarantee, not the execution.
+    The marking's seed and then the masked input's are two 64-bit draws
+    from rng.  Success >= 2/3 per invocation requires every relevant
+    variable to have influence >= 1/50 and corruption fraction <
+    2^(-k-3); violating the preconditions voids the guarantee, not the
+    execution.
     """
-    params = InfluenceCorrectorParams(k)
-    rng = random.Random(seed)
-    parts_seed = rng.getrandbits(64)
-    mask_seed = rng.getrandbits(64)
     before = o.query_count
-    S = identify_influencing_parts(o, o.n, params, parts_seed)
-    y = build_masked_input(x, o.n, S, mask_seed)
-    value = o.query(y)
-    return CorrectionResult(value, o.query_count - before)
+    S = identify_influencing_parts(o, o.n, InfluenceCorrectorParams(k), rng.getrandbits(64))
+    y = build_masked_input(x, o.n, S, rng.getrandbits(64))
+    return CorrectionResult(o.query(y), o.query_count - before)
 
 
 def symmetric_correct(profile, x: int) -> CorrectionResult:

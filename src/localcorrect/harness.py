@@ -107,7 +107,7 @@ class ExperimentConfig(namedtuple(
 
 def build_base(algo: str, k: int, n: int, seed: int):
     """A correction experiment's base function and corrector, drawn from
-    seed; returns (bits_fn, correct, redraws) with correct(o, x, seed) ->
+    seed; returns (bits_fn, correct, redraws) with correct(o, x, rng) ->
     CorrectionResult, and redraws None unless the influence base was
     redrawn to fit."""
     # The closures look the correctors up when called, so patching the
@@ -115,13 +115,13 @@ def build_base(algo: str, k: int, n: int, seed: int):
     if algo == "symmetric":
         profile = tuple(int(w > n / 2) for w in range(n + 1))
         return (lambda bits: profile[bits.bit_count()],
-                lambda o, x, seed: symmetric_correct(profile, x), None)
+                lambda o, x, rng: symmetric_correct(profile, x), None)
     if algo == "influence":
         spec, redraws = sample_influential_junta(k, n, seed)
         return (spec.bits_fn(),
-                lambda o, x, seed: influence_correct(o, x, k, seed), redraws)
+                lambda o, x, rng: influence_correct(o, x, k, rng), redraws)
     return (sample_random_junta(k, n, seed).bits_fn(),
-            lambda o, x, seed: cube_sum_correct(o, x, k, seed), None)
+            lambda o, x, rng: cube_sum_correct(o, x, k, rng), None)
 
 
 def sample_influential_junta(k: int, n: int, seed: int):
@@ -279,9 +279,9 @@ def run_correction_experiment(cfg: ExperimentConfig):
 
 def _run_trial(cfg: ExperimentConfig, oracle, base_fn, correct, fixed, runs: int, t: int):
     """Trial t of cfg on oracle: a majority of runs calls of correct at
-    the fixed (x, x_hex, truth), or at a random x where that is None;
-    returns (line, success, queries), the queries read as a difference
-    of the oracle's counter."""
+    the fixed (x, x_hex, truth), or at a random x where that is None, all
+    drawing from one random.Random of derive_seed(master_seed, t); returns
+    (line, success, queries), the queries read off the oracle's counter."""
     seed = derive_seed(cfg.master_seed, t)
     rng = random.Random(seed)
     if fixed is None:
@@ -290,7 +290,7 @@ def _run_trial(cfg: ExperimentConfig, oracle, base_fn, correct, fixed, runs: int
     else:
         x, x_hex, truth = fixed
     before = oracle.query_count
-    votes = sum(correct(oracle, x, rng.getrandbits(64)).value for _ in range(runs))
+    votes = sum(correct(oracle, x, rng).value for _ in range(runs))
     value = int(2 * votes > runs)
     success = value == truth
     queries = oracle.query_count - before

@@ -10,7 +10,7 @@ zeros, second half ones): D0 instances answer 0 there, D1 instances
 answer 1, yet queries almost never reveal which.
 
 Both distinguishers run one trial rule; a strategy only supplies its
-points.  Trial t draws its label, its instance seed and its points from a
+points.  Trial t draws its label, its instance and its points from one
 random.Random of derive_seed(seed, t): q uniform draws mapped from
 `getrandbits`, or the k+1 directions of the correctors' subcube walk from
 x_star, streamed in blocks.  A trial is thus a function of its index, so
@@ -42,9 +42,9 @@ def default_threshold(n: int) -> int:
     return (3 * n) // 10
 
 
-def sample_hard_instance(n: int, k: int, label: int, seed: int) -> int:
+def sample_hard_instance(n: int, k: int, label: int, rng: random.Random) -> int:
     """The relevance mask of an instance: a uniform k-subset of the half
-    designated by the label (0: the first, 1: the second)."""
+    designated by the label (0: the first, 1: the second), drawn from rng."""
     if n % 2:
         raise ValueError("n must be even")
     if not 1 <= k <= n // 2:
@@ -52,7 +52,7 @@ def sample_hard_instance(n: int, k: int, label: int, seed: int) -> int:
     if label not in (0, 1):
         raise ValueError("label must be 0 or 1")
     half = n // 2
-    picks = random.Random(seed).sample(range(label * half, (label + 1) * half), k)
+    picks = rng.sample(range(label * half, (label + 1) * half), k)
     return sum(1 << i for i in picks)
 
 
@@ -150,7 +150,7 @@ def _run_trial(cube: bool, q: int, n: int, k: int, seed: int, x_star: int, t: in
     some query hit a 1)."""
     rng = random.Random(derive_seed(seed, t))
     label = rng.getrandbits(1)
-    rel = sample_hard_instance(n, k, label, rng.getrandbits(64))
+    rel = sample_hard_instance(n, k, label, rng)
     if cube:
         # The subcube corrector at x_star, run against g directly:
         # the hit parity is the recovered bit (D1 answers 1 at x_star).

@@ -15,8 +15,8 @@ closure, one call more (7), where the shapes here call the corrector.
 The hook sees code objects, not names, so it patches nothing.  It is per
 thread, so a correction is counted in this process.  One shape per
 benchmark workload, each on a base, corruption and x fixed as the
-acceptance criterion of that shape fixes them; the seed is the
-correction's own.
+acceptance criterion of that shape fixes them; the seed is that of the
+generator handed to the correction.
 
 Run as a script, it prints every shape's counts on seeds 1-3:
 
@@ -24,6 +24,7 @@ Run as a script, it prints every shape's counts on seeds 1-3:
 """
 
 import os
+import random
 import sys
 from fractions import Fraction
 
@@ -66,11 +67,13 @@ def count_calls(fn, *args):
 
 
 def _correction(corrector, algo, k, n, base_seed, corruption, x):
-    """corrector(oracle, x, k, seed) as a function of the seed, on the
-    base that run_correction_experiment builds from base_seed."""
+    """corrector(oracle, x, k, random.Random(seed)) as a function of the
+    seed, on the base that run_correction_experiment builds from
+    base_seed.  The generator is built here, outside the package, as a
+    trial builds it outside the corrector, so its seeding is not counted."""
     base, _, _ = build_base(algo, k, n, base_seed)
     oracle = NoisyOracle(n, base, corruption)
-    return lambda seed: corrector(oracle, x, k, seed)
+    return lambda seed: corrector(oracle, x, k, random.Random(seed))
 
 
 def shapes():

@@ -85,6 +85,10 @@ MUTANTS = [
     Mutant("confidence half-width at z = 2",
            "src/localcorrect/harness.py", '"ci_halfwidth": 1.96 *', '"ci_halfwidth": 2.0 *',
            "tests/test_cli.py::TestCorrect::test_pinned_report_bytes[cube-iid]"),
+    Mutant("repeat-t runs reuse one walk",
+           "src/localcorrect/harness.py", "correct(oracle, x, rng)",
+           "correct(oracle, x, random.Random(seed))",
+           "tests/test_harness.py::TestTrialGenerator::test_repeat_t_runs_walk_apart"),
 ]
 
 

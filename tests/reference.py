@@ -51,7 +51,7 @@ import random
 from localcorrect.boolfn import hex_point, sample_random_junta
 from localcorrect.correctors import pair_rounds
 from localcorrect.harness import derive_seed, sample_influential_junta
-from localcorrect.lowerbound import default_threshold, sample_hard_instance
+from localcorrect.lowerbound import default_threshold
 from localcorrect.oracle import IidFlips
 
 # derive_seed indices of the base function and of the x search; trial t
@@ -137,9 +137,8 @@ def reference_walk(offset, dirs):
     return pts
 
 
-def reference_cube_sum(g, n, x, k, seed):
-    """XOR of g over the walk of k+1 seeded directions from x."""
-    rng = random.Random(seed)
+def reference_cube_sum(g, n, x, k, rng):
+    """XOR of g over the walk of k+1 directions from x, drawn from rng."""
     acc = 0
     for y in reference_walk(x, [rng.getrandbits(n) for _ in range(k + 1)]):
         acc ^= g(y)
@@ -175,10 +174,11 @@ def reference_parts(g, n, k, rng):
     return sum(1 << c for c in range(n) if part[c] in chosen)
 
 
-def reference_influence(g, n, x, k, seed):
+def reference_influence(g, n, x, k, rng):
     """Mark the parts holding influencing variables with one query per
-    point, freeze x on the k chosen parts and ask g once elsewhere."""
-    rng = random.Random(seed)
+    point, freeze x on the k chosen parts and ask g once elsewhere; the
+    marking and the masked input each seed a generator with a draw from
+    rng, in that order."""
     parts_rng = random.Random(rng.getrandbits(64))
     mask_rng = random.Random(rng.getrandbits(64))
     S = reference_parts(g, n, k, parts_rng)
@@ -212,11 +212,11 @@ def reference_correct_report(cfg):
         queries[0] += 1
         return base(bits) ^ flipped(bits)
 
-    def correct(x, seed):
+    def correct(x, rng):
         if cfg.algo == "cube":
-            return reference_cube_sum(g, n, x, k, seed)
+            return reference_cube_sum(g, n, x, k, rng)
         if cfg.algo == "influence":
-            return reference_influence(g, n, x, k, seed)
+            return reference_influence(g, n, x, k, rng)
         return base(x)
 
     if cfg.x_mode == "adversarial-flipped":
@@ -228,7 +228,8 @@ def reference_correct_report(cfg):
         rng = random.Random(seed)
         xt = rng.getrandbits(n) if x is None else x
         before = queries[0]
-        votes = sum(correct(xt, rng.getrandbits(64)) for _ in range(runs))
+        # Every run of the trial draws on from the trial's one generator.
+        votes = sum(correct(xt, rng) for _ in range(runs))
         value, truth = int(2 * votes > runs), base(xt)
         successes += value == truth
         lines.append(json.dumps({
@@ -267,16 +268,19 @@ def x_star(n):
 def reference_distinguisher_report(strategy, q, n, k, trials, seed):
     """The `lowerbound` report from one plain trial loop, every point
     evaluated by the definition.  Trial t draws its label, its instance
-    seed and then its points from a Random of derive_seed(seed, t).
-    Uniform draws q points and guesses D1 iff some 1 has at least k of
-    its second half's coordinates set; cube-sum walks from x_star along
-    k+1 seeded directions and guesses the parity of its 1s."""
+    (k coordinates of the label's half, by `sample`) and then its points
+    from one Random of derive_seed(seed, t).  Uniform draws q points and
+    guesses D1 iff some 1 has at least k of its second half's coordinates
+    set; cube-sum walks from x_star along k+1 directions drawn next and
+    guesses the parity of its 1s."""
     cube = strategy == "cube-sum-at-x_star"
     correct = hit_trials = 0
     for t in range(trials):
         rng = random.Random(derive_seed(seed, t))
         label = rng.getrandbits(1)
-        rel = sample_hard_instance(n, k, label, rng.getrandbits(64))
+        half = n // 2
+        picks = rng.sample(range(label * half, (label + 1) * half), k)
+        rel = sum(1 << i for i in picks)
         if cube:
             pts = reference_walk(x_star(n), [rng.getrandbits(n) for _ in range(k + 1)])
         else:

@@ -4,6 +4,7 @@ detail text, which is fixed by the criterion's seeds.
 Also runnable outside pytest via `localcorrect bench`.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ DETAILS = [
     "all closed forms match",
     "low-influence fraction 0.0000 (must be exactly 0)",
     "all exact comparisons hold",
-    "uniform hit=0.0000 theory=0.000896 adv=0.0075 (caps 0.06/0.05); "
+    "uniform hit=0.0010 theory=0.000896 adv=0.0075 (caps 0.06/0.05); "
     "cube adv=0.5000 (floor 0.35)",
     "layer-only=True identical=True fraction=35/128",
     "byte-identical: correct=True lowerbound=True",
@@ -40,15 +41,16 @@ def test_criterion(criterion, detail, capsys):
 
 def test_criterion_3_modes_keep_their_x_and_seeds(monkeypatch):
     # Both modes read 1.000, so the detail line alone cannot tell them
-    # apart: all-zeros corrects x=0 under derive_seed(0xC3, t), corrupted
-    # the 0xC3A corrupted point under derive_seed(0xC4, t).  One chunk,
-    # so that every call is recorded in this process.
+    # apart: all-zeros corrects x=0 with a generator of derive_seed(0xC3,
+    # t), corrupted the 0xC3A corrupted point with one of derive_seed(0xC4,
+    # t), each read by its state as the call begins.  One chunk, so that
+    # every call is recorded in this process.
     calls = []
     real = harness.influence_correct
 
-    def recorded(oracle, x, k, seed):
-        calls.append((x, seed))
-        return real(oracle, x, k, seed)
+    def recorded(oracle, x, k, rng):
+        calls.append((x, rng.getstate()))
+        return real(oracle, x, k, rng)
 
     monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
     monkeypatch.setattr(harness, "influence_correct", recorded)
@@ -58,21 +60,23 @@ def test_criterion_3_modes_keep_their_x_and_seeds(monkeypatch):
                                 x_seed, trial_seed, 2) == (1.0, None)
     corrupted = find_corrupted_point(128, corruption, 0xC3A)
     assert corrupted != 0
-    assert calls == [(0, derive_seed(0xC3, 0)), (0, derive_seed(0xC3, 1)),
-                     (corrupted, derive_seed(0xC4, 0)), (corrupted, derive_seed(0xC4, 1))]
+    assert calls == [(x, random.Random(derive_seed(seed, t)).getstate())
+                     for x, seed in ((0, 0xC3), (corrupted, 0xC4)) for t in (0, 1)]
 
 
 @pytest.mark.parametrize("off", [[1, 4], [4], []], ids=["both-chunks", "child", "none"])
 def test_rate_reports_the_lowest_off_budget_trial(off, monkeypatch):
-    # Trial t spends t queries too many where t is in off.  Over two
-    # chunks, [0, 3) here and [3, 5) in a child, the message is the lowest
-    # such trial's, wherever it ran.
+    # Trial t spends t queries too many where t is in off, the trial known
+    # by its generator's state as the call begins.  Over two chunks, [0,
+    # 3) here and [3, 5) in a child, the message is the lowest such
+    # trial's, wherever it ran.
     real = harness.cube_sum_correct
-    extra = {derive_seed(2, t): t for t in off}
+    extra = {random.Random(derive_seed(2, t)).getstate(): t for t in off}
 
-    def overspent(oracle, x, k, seed):
-        res = real(oracle, x, k, seed)
-        return CorrectionResult(res.value, res.queries_used + extra.get(seed, 0))
+    def overspent(oracle, x, k, rng):
+        spent = extra.get(rng.getstate(), 0)
+        res = real(oracle, x, k, rng)
+        return CorrectionResult(res.value, res.queries_used + spent)
 
     monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
     monkeypatch.setattr(harness, "FORK_MIN_QUERIES", 1)

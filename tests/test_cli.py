@@ -79,9 +79,9 @@ class TestCorrect:
 
     @pytest.mark.parametrize("argv, digest", [
         ("--algo cube --k 3 --n 12 --corruption iid:1/64:5 --trials 200 --seed 42",
-         "f1d1f605481722fe9c9d751a037ab1e86b028252e8e836587acd953789616e5c"),
+         "f7e1f4c3a6769350e5ab3540ddcaba1398dd90c8c8466e1502eb731b1154e7a5"),
         ("--algo cube --k 2 --n 8 --corruption iid:1/32:3 --repeat-t 3 --trials 300 --seed 3",
-         "9ab2b46610939971288c82eda8d628853e6741041efd5721b7114d8cd9f324d2"),
+         "d483c619a7ef4dc68d7a0d3e58ec7fe04caf3d83f6dd98579305d80dcb8ef61b"),
         ("--algo influence --k 3 --n 24 --corruption iid:1/64:3 --repeat-t 3 --trials 4 --seed 3",
          "a54e060afbfb47bcee913195c89b55695cba69fd432e02ba6382c2c7291ea091"),
         ("--algo symmetric --k 40 --n 40 --repeat-t 5 --trials 50 --seed 9",
@@ -91,7 +91,7 @@ class TestCorrect:
          "80899e562bca92e15aace7dfec8ccd8b48140b1630690bdd9633845c5bc6fd1a"),
         ("--algo cube --k 3 --n 12 --corruption iid:1/64:5 --trials 200 --seed 4"
          " --x-mode fixed-hex --x a5f",
-         "9592e13644a107cb23731767df2f0c6abafb0813adda4d5b0febee9074647c3b"),
+         "0e1ce6c36adcaf17c17505de63f963302a8613f171da550b46e4dc9ee86bb7ad"),
     ], ids=["cube-iid", "cube-repeat-3", "influence-iid-repeat-3", "symmetric-repeat-5",
             "influence-iid-adversarial", "cube-iid-fixed-hex"])
     def test_pinned_report_bytes(self, argv, digest, tmp_path, capsys):
@@ -113,7 +113,7 @@ class TestCorrect:
                         "--trials", "500", "--seed", "17", "--out", "report.jsonl"], capsys)
         assert rc == 0
         assert hashlib.sha256((tmp_path / "report.jsonl").read_bytes()).hexdigest() == (
-            "f92e52b76e74127650a06a5c479d94b28bba0a9434f4fbe57ac3cdaa2d0c1e18")
+            "a5308abf9e91a8e8a301327cf127fd5785bd5b8f7cd94d2d2f16850d8b71183f")
 
     def test_unknown_algo_argparse_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -150,7 +150,7 @@ class TestAmbiguity:
 
 @pytest.mark.parametrize("argv, digest", [
     ("lowerbound --strategy cube-sum-at-x_star --n 40 --k 3 --queries 15 --trials 200"
-     " --seed 5", "406e4677612abfead1db27acd3b6502b11dae5dbfe9d80d6295294ee97daba8a"),
+     " --seed 5", "477cacf32cca8eac27d168ee143340f692908af2fd4d012531a99edac293c2cd"),
     ("influence --k 3 --samples 50 --seed 7",
      "fa89a8a8da033403cd0b4b96bf7c6a48d75dc8628a37a9ee007fed8b6ac923cd"),
     ("ambiguity --n 6", "3aaf3231dde1ddf42bb8e7cab18cddc66592e23f0dad35e6edd292e3cc0f2a21"),

@@ -32,7 +32,8 @@ from reference import reference_parts, reference_walk
 
 
 def cube_walk(n, x, k, seed):
-    """The points cube_sum_correct(o, x, k, seed) queries, as one list."""
+    """The points cube_sum_correct(o, x, k, random.Random(seed)) queries,
+    as one list."""
     rng = random.Random(seed)
     return reference_walk(x, [rng.getrandbits(n) for _ in range(k + 1)])
 
@@ -71,7 +72,7 @@ class TestCubeSum:
         for _ in range(30):
             x = rng.getrandbits(10)
             o = NoisyOracle(spec.n, spec.bits_fn(), parse_corruption("none", spec.n))
-            res = cube_sum_correct(o, x, 3, rng.getrandbits(32))
+            res = cube_sum_correct(o, x, 3, random.Random(rng.getrandbits(32)))
             assert res.value == spec.bits_fn()(x)
             assert res.queries_used == 15
             assert o.query_count == 15
@@ -136,7 +137,7 @@ class TestCubeSum:
         for t in range(trials):
             x = rng.getrandbits(n)
             o = NoisyOracle(spec.n, spec.bits_fn(), flips)
-            res = cube_sum_correct(o, x, k, rng.getrandbits(64))
+            res = cube_sum_correct(o, x, k, random.Random(rng.getrandbits(64)))
             failures += res.value != spec.bits_fn()(x)
         assert failures / trials <= 7 * (2 / 64) + 0.02
 
@@ -161,7 +162,8 @@ class TestCubeSum:
                 # Random points off the walk, so every block is screened out.
                 off = {rng.getrandbits(n) for _ in range(1000)}
                 model = ExplicitFlips(frozenset(off.difference(cube_walk(n, x, k, seed))))
-            res = cube_sum_correct(NoisyOracle(n, spec.bits_fn(), model), x, k, seed)
+            res = cube_sum_correct(NoisyOracle(n, spec.bits_fn(), model), x, k,
+                                   random.Random(seed))
             got = res.value, res.queries_used
             want = unstreamed_cube_sum(NoisyOracle(n, spec.bits_fn(), model), x, k, seed)
             assert got == want and res.queries_used == (1 << (k + 1)) - 1
@@ -178,7 +180,7 @@ class TestCubeSum:
         x = random.Random(4).getrandbits(64)
         tracemalloc.start()
         try:
-            res = cube_sum_correct(o, x, 16, 5)
+            res = cube_sum_correct(o, x, 16, random.Random(5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -287,7 +289,7 @@ class TestInfluenceCorrect:
         for _ in range(trials):
             x = rng.getrandbits(24)
             o = NoisyOracle(spec.n, spec.bits_fn(), parse_corruption("none", spec.n))
-            res = influence_correct(o, x, 4, rng.getrandbits(64))
+            res = influence_correct(o, x, 4, random.Random(rng.getrandbits(64)))
             ok += res.value == spec.bits_fn()(x)
             assert res.queries_used == 6 * 4 * params.r + 1
         assert ok / trials >= 0.98
@@ -295,7 +297,7 @@ class TestInfluenceCorrect:
     def test_constant_base_as_k1_junta(self):
         for seed in range(20):
             o = NoisyOracle(16, lambda bits: 0, parse_corruption("none", 16))
-            res = influence_correct(o, seed * 37 % 65536, 1, seed=seed)
+            res = influence_correct(o, seed * 37 % 65536, 1, random.Random(seed))
             assert res.value == 0
             assert res.queries_used == 6 * 1 * 500 + 1
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import os
@@ -9,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from localcorrect import cli, harness
+from localcorrect import cli, correctors, harness, lowerbound
 from localcorrect.boolfn import hex_point, min_influence_report, sample_random_junta
 from localcorrect.harness import (
     ALGOS,
@@ -387,3 +388,74 @@ class TestChunks:
                                                 "find_corrupted_point %d" % os.getpid()]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+def trial_seedings(monkeypatch, module, run):
+    """The random.Random seedings that each trial makes, by trial index,
+    when run() maps its trials through module.run_chunks in one chunk;
+    seedings made before or after the trials are not counted."""
+    current, seedings = [None], []
+    real_seed, real_chunks = random.Random.seed, module.run_chunks
+
+    def seed(self, *args, **kwargs):
+        seedings.append(current[0])
+        return real_seed(self, *args, **kwargs)
+
+    def chunks(trials, queries, trial):
+        def counted(t):
+            current[0] = t
+            try:
+                return trial(t)
+            finally:
+                current[0] = None
+        return real_chunks(trials, queries, counted)
+
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(random.Random, "seed", seed)
+    monkeypatch.setattr(module, "run_chunks", chunks)
+    run()
+    return collections.Counter(t for t in seedings if t is not None)
+
+
+class TestTrialGenerator:
+    @pytest.mark.parametrize("algo, k, n, repeat_t, per_trial", [
+        ("cube", 2, 8, None, 1),
+        ("cube", 2, 8, 3, 1),
+        # The marking and the masked input each seed their own generator.
+        ("influence", 2, 12, None, 3),
+    ], ids=["cube", "cube-repeat-3", "influence"])
+    def test_correct_seeds_once_per_trial(self, algo, k, n, repeat_t, per_trial,
+                                          monkeypatch):
+        # One MT19937 seeding costs about as much as the rest of a cube
+        # trial, so a trial seeds one generator, and its corrector runs
+        # draw from it.
+        cfg = ExperimentConfig(algo=algo, k=k, n=n, corruption="iid:1/16:3", trials=3,
+                               master_seed=7, repeat_t=repeat_t)
+        counts = trial_seedings(monkeypatch, harness, lambda: run_correction_experiment(cfg))
+        assert counts == {t: per_trial for t in range(3)}
+
+    @pytest.mark.parametrize("strategy, q", [("uniform-random-queries", 20),
+                                             ("cube-sum-at-x_star", 7)])
+    def test_distinguisher_seeds_once_per_trial(self, strategy, q, monkeypatch):
+        counts = trial_seedings(monkeypatch, lowerbound,
+                                lambda: lowerbound.run_distinguisher(strategy, q, 20, 2, 3, 1))
+        assert counts == {0: 1, 1: 1, 2: 1}
+
+    def test_repeat_t_runs_walk_apart(self, monkeypatch):
+        # The three runs of a --repeat-t 3 trial walk from the same x along
+        # directions drawn one after another from the trial's generator,
+        # so no two runs walk the same subcube.
+        walks = []
+        real = correctors.subcube_blocks
+
+        def recorded(offset, dirs):
+            walks.append((offset, tuple(dirs)))
+            return real(offset, dirs)
+
+        monkeypatch.setattr(correctors, "subcube_blocks", recorded)
+        cfg = ExperimentConfig(algo="cube", k=2, n=8, trials=4, master_seed=1, repeat_t=3)
+        lines, _ = run_correction_experiment(cfg)
+        assert len(walks) == 12
+        for line, trial in zip(lines, (walks[i:i + 3] for i in range(0, 12, 3))):
+            assert {offset for offset, _ in trial} == {int(json.loads(line)["x"], 16)}
+            assert len({dirs for _, dirs in trial}) == 3

@@ -42,7 +42,7 @@ class TestSampleHardInstance:
         for n in (2, 10, 40, 400):
             half = n // 2
             for label, k in itertools.product((0, 1), sorted({1, half})):
-                rel = sample_hard_instance(n, k, label, rng.getrandbits(64))
+                rel = sample_hard_instance(n, k, label, random.Random(rng.getrandbits(64)))
                 lo = label * half
                 assert type(rel) is int and rel.bit_count() == k
                 assert rel & ((1 << lo) - 1) == 0
@@ -50,25 +50,25 @@ class TestSampleHardInstance:
 
     def test_marginal_coordinate_frequency(self):
         used = sum(
-            sample_hard_instance(10, 2, 0, s) & 1 for s in range(10000)
+            sample_hard_instance(10, 2, 0, random.Random(s)) & 1 for s in range(10000)
         )
         assert abs(used / 10000 - 0.4) < 0.02
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="even"):
-            sample_hard_instance(9, 2, 0, 0)
+            sample_hard_instance(9, 2, 0, random.Random(0))
         with pytest.raises(ValueError, match="k must"):
-            sample_hard_instance(10, 6, 0, 0)
+            sample_hard_instance(10, 6, 0, random.Random(0))
         with pytest.raises(ValueError, match="k must"):
-            sample_hard_instance(10, 0, 0, 0)
+            sample_hard_instance(10, 0, 0, random.Random(0))
         with pytest.raises(ValueError, match="label"):
-            sample_hard_instance(10, 2, 5, 0)
+            sample_hard_instance(10, 2, 5, random.Random(0))
 
     def test_label_consistency_at_x_star(self):
         # the uncorrupted AND junta answers the label at the balanced input
         for seed in range(1000):
             label = seed % 2
-            rel = sample_hard_instance(12, 3, label, seed)
+            rel = sample_hard_instance(12, 3, label, random.Random(seed))
             assert int(x_star(12) & rel == rel) == label
 
     def test_x_star_is_balanced(self, monkeypatch):
@@ -87,7 +87,7 @@ class TestEvalHardG:
         assert lowerbound._hard_hits(10, rel, [x_star(10)]) == []
 
     def test_never_one_outside_box(self):
-        rel = sample_hard_instance(400, 10, 1, 3)
+        rel = sample_hard_instance(400, 10, 1, random.Random(3))
         rng = random.Random(4)
         half, t = 200, default_threshold(400)
         outside = []
@@ -112,7 +112,7 @@ class TestEvalHardG:
         for n in (2, 10, 40, 400, 1000):
             half, t = n // 2, default_threshold(n)
             for label, k in itertools.product((0, 1), sorted({1, half})):
-                rel = sample_hard_instance(n, k, label, rng.getrandbits(64))
+                rel = sample_hard_instance(n, k, label, random.Random(rng.getrandbits(64)))
                 shift = 0 if label == 0 else half
                 pts = [rng.getrandbits(n) for _ in range(200)]
                 pts += [rng.getrandbits(n) | rel for _ in range(200)]
@@ -184,14 +184,14 @@ class TestUniformOneHitProb:
 class TestDistinguisher:
     @pytest.mark.parametrize("args, digest", [
         (("uniform-random-queries", 50, 40, 4, 300, 7),
-         "38cf515d6f630df72570b160071f8eb4d2ede1858b4ba74e245c97e0db0af301"),
+         "babba28eeefcbc7963e02499a4da787a02ed688383f51239633f20975901d79e"),
         (("cube-sum-at-x_star", 7, 10, 2, 3000, 4),
-         "53e187df05c829fe5f64578f0c28840fa52e24d4a665a80e5b4c8b8831485599"),
+         "b7979f2bc0e7f374e07cfe765fe067d5183f56f0cba3cb6df7e1c8fbe9f134a4"),
         # Criterion 8's two runs, at full scale.
         (("uniform-random-queries", 1000, 400, 20, 2000, 200),
-         "23252c6d79b909d4476c49f06c60ac032830ad9f4d836c209cf6c1a2a504be07"),
+         "36b7f423448974e8a84ace348016820095980f5e9538b29ac2bb71fc98819d06"),
         (("cube-sum-at-x_star", 127, 1000, 6, 1000, 3212),
-         "f30917a3555b7964b940e6c371a17d56aace421973bcfdf6b7523c451005b492"),
+         "8210612bc006525c40daa69d6786b3b58d3339456e603a26209c35e178636ede"),
     ], ids=["uniform", "cube-sum", "criterion-8-uniform", "criterion-8-cube-sum"])
     def test_pinned_report_bytes(self, args, digest):
         # The sha256 of the --out line, as the CLI writes it.

@@ -220,7 +220,7 @@ class TestCorruptMany:
 
         monkeypatch.setattr(NoisyOracle, "query_many", counted)
         o = NoisyOracle(16, lambda bits: 0, IidFlips(Fraction(1, 4096), 3))
-        result = cube_sum_correct(o, 5, 13, 7)
+        result = cube_sum_correct(o, 5, 13, random.Random(7))
         assert result.queries_used == sum(sizes) == (1 << 14) - 1
         assert max(sizes) == 1 << 12
         sizes.clear()

@@ -9,7 +9,9 @@ Besides the names, the benchmark reads these call shapes, which only a
 change to perfbench/ may move:
   - identify_influencing_parts(o, n, params, seed): args[2].s and
     args[2].r, positionally;
-  - cube_sum_correct and influence_correct: result.queries_used;
+  - cube_sum_correct(o, x, k, rng) and influence_correct(o, x, k,
+    rng), each handed the trial's random.Random: result.queries_used,
+    with the arguments passed through unread;
   - min_influence_report(...): result.passes_threshold;
   - emit_report(records, summary, path): args[2], the report path;
   - run_distinguisher(strategy, q, n, k, trials, seed): args[0], args[4];
@@ -23,8 +25,10 @@ change to perfbench/ may move:
     emit_report and run_distinguisher; lowerbound.sample_hard_instance,
     correctors.build_masked_input, correctors.pair_rounds,
     oracle.random_flip_set(n, count, seed).flips and cli.main(argv).
-    sample_hard_instance is read by name only: the benchmark timestamps
-    each call and passes its result, the relevance mask, through unread.
+    sample_hard_instance(n, k, label, rng) is read by name only: the
+    benchmark timestamps each call and passes its arguments, the trial's
+    generator among them, and its result, the relevance mask, through
+    unread.
 """
 
 import os
