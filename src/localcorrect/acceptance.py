@@ -15,20 +15,19 @@ import random
 import tempfile
 import time
 from fractions import Fraction
-from functools import partial
 from itertools import chain
 
 from . import cli
 from .boolfn import _mobius, fraction_low_influence, influence_exact, truth_table
 from .correctors import build_masked_input, pair_rounds, subcube_blocks
-from .harness import build_base, derive_seed, find_corrupted_point, query_budget, run_chunks
+from .harness import correction_trials, find_corrupted_point, query_budget
 from .lowerbound import (
     maj_ambiguity_check,
     run_distinguisher,
     single_query_one_prob,
     uniform_one_hit_prob,
 )
-from .oracle import IidFlips, NoisyOracle, random_flip_set
+from .oracle import IidFlips, random_flip_set
 
 
 def _random_low_degree_table(rng: random.Random, m: int, max_deg: int) -> int:
@@ -64,29 +63,20 @@ def criterion_1():
     return failures == 0, "%d nonzero subcube sums (expected 0)" % failures
 
 
-def _trial(oracle, correct, x: int, truth: int, trial_seed: int, t: int):
-    """Correct x on oracle with a random.Random of derive_seed(trial_seed,
-    t); returns (success, queries used)."""
-    res = correct(oracle, x, random.Random(derive_seed(trial_seed, t)))
-    return res.value == truth, res.queries_used
-
-
 def _rate(algo: str, k: int, n: int, base_seed: int, corruption, x_seed,
           trial_seed: int, trials: int):
     """Correct x (0, or the corrupted point found from x_seed) on the base
-    drawn from base_seed, in one _trial per trial through run_chunks,
-    with base, x and oracle built once, here; returns (success rate,
+    drawn from base_seed, in harness.correction_trials' trials of one
+    corrector run each, seeded from trial_seed; returns (success rate,
     None), or (None, the lowest off-budget trial's message)."""
-    base, correct, _ = build_base(algo, k, n, base_seed)
     x = 0 if x_seed is None else find_corrupted_point(n, corruption, x_seed)
+    results, _ = correction_trials(algo, k, n, base_seed, corruption, x, trial_seed,
+                                   trials, 1)
     budget = query_budget(algo, k)
-    results = run_chunks(trials, trials * budget,
-                         partial(_trial, NoisyOracle(n, base, corruption), correct,
-                                 x, base(x), trial_seed))
-    for _, queries in results:
+    for _, _, queries in results:
         if queries != budget:
             return None, "query count %d != %d" % (queries, budget)
-    return sum(ok for ok, _ in results) / trials, None
+    return sum(ok for _, ok, _ in results) / trials, None
 
 
 def criterion_2():

@@ -240,24 +240,17 @@ def _run_child(trial, a, b, w):
 
 def run_correction_experiment(cfg: ExperimentConfig):
     """Run cfg.trials independent trials, each a majority of
-    cfg.repeat_t or 1 corrector runs, through run_chunks, on the one
-    base, x and oracle built here first; returns (lines, summary), where
-    a trial's record is its report line, formatted once as it finishes."""
+    cfg.repeat_t or 1 corrector runs, through correction_trials; returns
+    (lines, summary), where a trial's record is its report line,
+    formatted once as the trial finishes."""
     corruption, fixed_x = cfg.validate()
-    base_fn, correct, redraws = build_base(
-        cfg.algo, cfg.k, cfg.n, derive_seed(cfg.master_seed, _BASE_STREAM))
     if cfg.x_mode == "adversarial-flipped":
         fixed_x = find_corrupted_point(cfg.n, corruption,
                                        derive_seed(cfg.master_seed, _X_STREAM))
-    fixed = None
-    if fixed_x is not None:
-        fixed = fixed_x, hex_point(fixed_x, cfg.n), base_fn(fixed_x)
-    # g is one fixed function, so one oracle serves every trial and vote.
-    oracle = NoisyOracle(cfg.n, base_fn, corruption)
-    runs = cfg.repeat_t or 1
-    lines, successes, queries = zip(*run_chunks(
-        cfg.trials, cfg.trials * runs * query_budget(cfg.algo, cfg.k),
-        partial(_run_trial, cfg, oracle, base_fn, correct, fixed, runs)))
+    results, redraws = correction_trials(
+        cfg.algo, cfg.k, cfg.n, derive_seed(cfg.master_seed, _BASE_STREAM), corruption,
+        fixed_x, cfg.master_seed, cfg.trials, cfg.repeat_t or 1)
+    lines, successes, queries = zip(*results)
     rate = sum(successes) / cfg.trials
     summary = {
         "trials": cfg.trials,
@@ -277,16 +270,32 @@ def run_correction_experiment(cfg: ExperimentConfig):
     return list(lines), summary
 
 
-def _run_trial(cfg: ExperimentConfig, oracle, base_fn, correct, fixed, runs: int, t: int):
-    """Trial t of cfg on oracle: a majority of runs calls of correct at
-    the fixed (x, x_hex, truth), or at a random x where that is None, all
-    drawing from one random.Random of derive_seed(master_seed, t); returns
+def correction_trials(algo: str, k: int, n: int, base_seed: int, corruption, fixed_x,
+                      seed: int, trials: int, runs: int):
+    """Run trials trials of the algo corrector through run_chunks, on the
+    base drawn from base_seed, at fixed_x or, where it is None, at each
+    trial's random x, with base, fixed x and oracle built once, before the
+    fork; returns (each trial's (line, success, queries), base redraws)."""
+    base_fn, correct, redraws = build_base(algo, k, n, base_seed)
+    fixed = None
+    if fixed_x is not None:
+        fixed = fixed_x, hex_point(fixed_x, n), base_fn(fixed_x)
+    # g is one fixed function, so one oracle serves every trial and vote.
+    oracle = NoisyOracle(n, base_fn, corruption)
+    return run_chunks(trials, trials * runs * query_budget(algo, k), partial(
+        _run_trial, n, seed, oracle, base_fn, correct, fixed, runs)), redraws
+
+
+def _run_trial(n: int, seed: int, oracle, base_fn, correct, fixed, runs: int, t: int):
+    """Trial t on oracle: a majority of runs calls of correct at the
+    fixed (x, x_hex, truth), or at a random n-bit x where that is None,
+    all drawing from one random.Random of derive_seed(seed, t); returns
     (line, success, queries), the queries read off the oracle's counter."""
-    seed = derive_seed(cfg.master_seed, t)
+    seed = derive_seed(seed, t)
     rng = random.Random(seed)
     if fixed is None:
-        x = rng.getrandbits(cfg.n)
-        x_hex, truth = hex_point(x, cfg.n), base_fn(x)
+        x = rng.getrandbits(n)
+        x_hex, truth = hex_point(x, n), base_fn(x)
     else:
         x, x_hex, truth = fixed
     before = oracle.query_count

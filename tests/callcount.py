@@ -16,7 +16,11 @@ The hook sees code objects, not names, so it patches nothing.  It is per
 thread, so a correction is counted in this process.  One shape per
 benchmark workload, each on a base, corruption and x fixed as the
 acceptance criterion of that shape fixes them; the seed is that of the
-generator handed to the correction.
+generator handed to the correction.  One more shape, cube-k4-flips-trial,
+is a whole trial of criterion 2 as correct and the criterion run it: its
+argument is the trial index, and its counts less cube-k4-flips' are what
+a trial adds around its correction (its seed, the corrector's closure,
+the majority vote).
 
 Run as a script, it prints every shape's counts on seeds 1-3:
 
@@ -29,6 +33,7 @@ import sys
 from fractions import Fraction
 
 import localcorrect
+from localcorrect import harness
 from localcorrect.correctors import cube_sum_correct, influence_correct
 from localcorrect.harness import build_base, find_corrupted_point
 from localcorrect.lowerbound import run_distinguisher
@@ -76,13 +81,30 @@ def _correction(corrector, algo, k, n, base_seed, corruption, x):
     return lambda seed: corrector(oracle, x, k, random.Random(seed))
 
 
+def _trial(algo, k, n, base_seed, corruption, x, seed):
+    """The per-trial function that harness.correction_trials maps, one
+    corrector run a trial, caught by standing in for harness.run_chunks
+    for the length of one call; its argument is the trial index."""
+    caught = []
+    real = harness.run_chunks
+    harness.run_chunks = lambda trials, queries, trial: caught.append(trial)
+    try:
+        harness.correction_trials(algo, k, n, base_seed, corruption, x, seed, 1, 1)
+    finally:
+        harness.run_chunks = real
+    return caught[0]
+
+
 def shapes():
-    """Workload name -> a one-argument call running one correction."""
+    """Shape name -> a one-argument call running one correction, or for
+    cube-k4-flips-trial one whole trial around it."""
     flips = random_flip_set(16, 256, 0xC2F)
+    x = find_corrupted_point(16, flips, 0xC2A)
     return {
         # criterion 2: 256 explicit flips at n=16, x a flipped point.
-        "cube-k4-flips": _correction(cube_sum_correct, "cube", 4, 16, 0xC2,
-                                     flips, find_corrupted_point(16, flips, 0xC2A)),
+        "cube-k4-flips": _correction(cube_sum_correct, "cube", 4, 16, 0xC2, flips, x),
+        # criterion 2's trial t: its seed, the correction, the record line.
+        "cube-k4-flips-trial": _trial("cube", 4, 16, 0xC2, flips, x, 0xC2),
         # criterion 3's all-zeros mode: iid eps = 2^-12 at n=128.
         "influence-k8-iid": _correction(influence_correct, "influence", 8, 128,
                                         0xC3, IidFlips(Fraction(1, 4096), 0xC3F), 0),
@@ -93,7 +115,7 @@ def shapes():
 
 
 def all_counts():
-    """Workload name -> [(Python calls, C calls) for each of SEEDS]."""
+    """Shape name -> [(Python calls, C calls) for each of SEEDS]."""
     return {name: [count_calls(run, seed) for seed in SEEDS]
             for name, run in shapes().items()}
 

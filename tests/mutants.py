@@ -89,6 +89,9 @@ MUTANTS = [
            "src/localcorrect/harness.py", "correct(oracle, x, rng)",
            "correct(oracle, x, random.Random(seed))",
            "tests/test_harness.py::TestTrialGenerator::test_repeat_t_runs_walk_apart"),
+    Mutant("an underspent criterion trial passes",
+           "src/localcorrect/acceptance.py", "queries != budget", "queries > budget",
+           "tests/test_acceptance.py::test_rate_reports_the_lowest_off_budget_trial[under]"),
 ]
 
 

@@ -64,22 +64,29 @@ def test_criterion_3_modes_keep_their_x_and_seeds(monkeypatch):
                      for x, seed in ((0, 0xC3), (corrupted, 0xC4)) for t in (0, 1)]
 
 
-@pytest.mark.parametrize("off", [[1, 4], [4], []], ids=["both-chunks", "child", "none"])
+@pytest.mark.parametrize("off", [{1: 1, 4: 4}, {4: 4}, {}, {2: -2, 3: 3}],
+                         ids=["both-chunks", "child", "none", "under"])
 def test_rate_reports_the_lowest_off_budget_trial(off, monkeypatch):
-    # Trial t spends t queries too many where t is in off, the trial known
-    # by its generator's state as the call begins.  Over two chunks, [0,
-    # 3) here and [3, 5) in a child, the message is the lowest such
-    # trial's, wherever it ran.
+    # Trial t makes off[t] queries more than the 15 of a k=3 correction,
+    # or fewer where off[t] is negative, each one a real query of the
+    # oracle, whose counter _rate reads; the trial is known by its
+    # generator's state as the call begins.  Over two chunks, [0, 3) here
+    # and [3, 5) in a child, the message is the lowest such trial's,
+    # wherever it ran.
     real = harness.cube_sum_correct
-    extra = {random.Random(derive_seed(2, t)).getstate(): t for t in off}
+    extra = {random.Random(derive_seed(2, t)).getstate(): d for t, d in off.items()}
 
-    def overspent(oracle, x, k, rng):
+    def off_budget(oracle, x, k, rng):
         spent = extra.get(rng.getstate(), 0)
+        if spent < 0:
+            values = oracle.query_many([x] * (15 + spent))
+            return CorrectionResult(values[0], len(values))
         res = real(oracle, x, k, rng)
-        return CorrectionResult(res.value, res.queries_used + spent)
+        oracle.query_many([x] * spent)
+        return res
 
     monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
     monkeypatch.setattr(harness, "FORK_MIN_QUERIES", 1)
-    monkeypatch.setattr(harness, "cube_sum_correct", overspent)
+    monkeypatch.setattr(harness, "cube_sum_correct", off_budget)
     got = acceptance._rate("cube", 3, 8, 1, parse_corruption("none", 8), None, 2, 5)
-    assert got == ((None, "query count %d != 15" % (15 + off[0])) if off else (1.0, None))
+    assert got == ((None, "query count %d != 15" % (15 + off[min(off)])) if off else (1.0, None))

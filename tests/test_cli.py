@@ -77,29 +77,36 @@ class TestCorrect:
         # The report file that the run made is removed.
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("argv, digest", [
-        ("--algo cube --k 3 --n 12 --corruption iid:1/64:5 --trials 200 --seed 42",
+    @pytest.mark.parametrize("argv, failed, digest", [
+        ("--algo cube --k 3 --n 12 --corruption iid:1/64:5 --trials 200 --seed 42", 54,
          "f7e1f4c3a6769350e5ab3540ddcaba1398dd90c8c8466e1502eb731b1154e7a5"),
-        ("--algo cube --k 2 --n 8 --corruption iid:1/32:3 --repeat-t 3 --trials 300 --seed 3",
+        ("--algo cube --k 2 --n 8 --corruption iid:1/32:3 --repeat-t 3 --trials 300 --seed 3", 30,
          "d483c619a7ef4dc68d7a0d3e58ec7fe04caf3d83f6dd98579305d80dcb8ef61b"),
         ("--algo influence --k 3 --n 24 --corruption iid:1/64:3 --repeat-t 3 --trials 4 --seed 3",
-         "a54e060afbfb47bcee913195c89b55695cba69fd432e02ba6382c2c7291ea091"),
-        ("--algo symmetric --k 40 --n 40 --repeat-t 5 --trials 50 --seed 9",
+         0, "a54e060afbfb47bcee913195c89b55695cba69fd432e02ba6382c2c7291ea091"),
+        ("--algo symmetric --k 40 --n 40 --repeat-t 5 --trials 50 --seed 9", 0,
          "425ebd21cd9f47386dcb1d9e0b09697b157d52d5fe554a8c29b4917364380905"),
         ("--algo influence --k 8 --n 128 --corruption iid:2^-12:99 --trials 4 --seed 5"
-         " --x-mode adversarial-flipped",
+         " --x-mode adversarial-flipped", 0,
          "80899e562bca92e15aace7dfec8ccd8b48140b1630690bdd9633845c5bc6fd1a"),
         ("--algo cube --k 3 --n 12 --corruption iid:1/64:5 --trials 200 --seed 4"
-         " --x-mode fixed-hex --x a5f",
+         " --x-mode fixed-hex --x a5f", 45,
          "0e1ce6c36adcaf17c17505de63f963302a8613f171da550b46e4dc9ee86bb7ad"),
+        ("--algo influence --k 2 --n 16 --corruption iid:1/8:3 --trials 20 --seed 5", 4,
+         "1c54eba4d0394160e82d94b52b4a04825f21fbb5dcab72ea97f88e106e6862a7"),
     ], ids=["cube-iid", "cube-repeat-3", "influence-iid-repeat-3", "symmetric-repeat-5",
-            "influence-iid-adversarial", "cube-iid-fixed-hex"])
-    def test_pinned_report_bytes(self, argv, digest, tmp_path, capsys):
+            "influence-iid-adversarial", "cube-iid-fixed-hex", "influence-iid-failing"])
+    def test_pinned_report_bytes(self, argv, failed, digest, tmp_path, capsys):
         # The sha256 of the --out file; the first run is criterion 10's.
+        # Where every trial succeeds with its full query count, no byte
+        # depends on the corrector's draws, so influence-iid-failing's
+        # failed trials are the only influence ones that can see them.
         out = tmp_path / "report.jsonl"
         rc, _, _ = run(["correct"] + argv.split() + ["--out", str(out)], capsys)
         assert rc == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        report = out.read_bytes()
+        assert report.count(b'"success": false') == failed
+        assert hashlib.sha256(report).hexdigest() == digest
 
     def test_pinned_flips_report_bytes(self, tmp_path, capsys, monkeypatch):
         # The perfbench cube-k4-flips shape: a 256-point flip file in

@@ -363,8 +363,8 @@ class TestChunks:
             os.waitpid(-1, os.WNOHANG)
 
     def test_set_up_runs_once_before_the_fork(self, tmp_path, monkeypatch):
-        # The base build and the x search each run once, in this process;
-        # the forked chunk inherits what they built.
+        # The x search and then the base build each run once, in this
+        # process; the forked chunk inherits what they built.
         log = tmp_path / "calls"
 
         def logged(name):
@@ -384,8 +384,8 @@ class TestChunks:
                                master_seed=7, x_mode="adversarial-flipped")
         lines, _ = run_correction_experiment(cfg)
         assert len(lines) == 4 and forks == [1]
-        assert log.read_text().splitlines() == ["build_base %d" % os.getpid(),
-                                                "find_corrupted_point %d" % os.getpid()]
+        assert log.read_text().splitlines() == ["find_corrupted_point %d" % os.getpid(),
+                                                "build_base %d" % os.getpid()]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

@@ -172,7 +172,7 @@ FAST_PATHS = {
     "subcube_blocks", "identify_influencing_parts", "build_masked_input",
     "find_corrupted_point", "run_correction_experiment", "emit_report",
     "_RECORD_LINE", "REPORT_ENCODER", "_hard_hits", "run_distinguisher",
-    "run_chunks", "_run_trial",
+    "run_chunks", "_run_trial", "correction_trials",
 }
 
 
